@@ -21,21 +21,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError
 from .gf import FieldScalar, inverse_mod
-from .groups import nilpotency_degree, nilpotent_order
-from .matrices import FpMatrix
+from .groups import nilpotent_order, nilpotent_powers
+from .matrices import FpMatrix, _lin_comb
 from .series import ah_coeffs_mod_p, series_reversion
 from .witt import WittVector
 
 
-def eval_series_in_matrix(coeffs, x: FpMatrix) -> FpMatrix:
-    """sum coeffs[i] * x^i with integer (F_p) coefficients, by Horner."""
-    acc = FpMatrix.zeros(x.p, x.e, x.n)
-    ident = FpMatrix.identity(x.p, x.e, x.n)
-    for c in reversed(list(coeffs)):
-        acc = acc @ x + ident.scale(int(c))
-    return acc
+def eval_series_in_matrix(coeffs, x: FpMatrix, limit: int | None = None,
+                          message: str = "matrix is not nilpotent") -> FpMatrix:
+    """sum coeffs[i] * x^i with integer (F_p) coefficients, x nilpotent.
+
+    One reduction over the walked powers x^0, ..., x^(d-1); the terms from
+    the nilpotency degree d on are zero.  DomainError(message) unless
+    x^limit = 0 (limit defaults to n).
+    """
+    powers = nilpotent_powers(x, limit, message)
+    k = min(len(powers), len(coeffs))
+    total = np.array(coeffs[:k], dtype=np.int64) @ powers[:k].reshape(k, -1)
+    return FpMatrix._wrap(x.p, x.e, x.n, total.reshape(x.e, x.n, x.n) % x.p)
 
 
 @lru_cache(maxsize=None)
@@ -49,22 +56,23 @@ def _inv_factorials(p: int) -> tuple[int, ...]:
 
 def truncated_exp(x: FpMatrix) -> FpMatrix:
     """sum_{i<p} x^i / i!, defined only where x^p = 0."""
-    if not (x ** x.p).is_zero():
-        raise DomainError("truncated exponential needs x^p = 0")
-    return eval_series_in_matrix(_inv_factorials(x.p), x)
+    return eval_series_in_matrix(
+        _inv_factorials(x.p), x, x.p, "truncated exponential needs x^p = 0"
+    )
+
+
+@lru_cache(maxsize=None)
+def _log_coeffs(p: int) -> tuple[int, ...]:
+    # (-1)^(i+1) / i mod p for 1 <= i < p
+    return (0,) + tuple(inverse_mod(i, p) * (-1) ** (i + 1) % p for i in range(1, p))
 
 
 def truncated_log(u: FpMatrix) -> FpMatrix:
     """sum_{1<=i<p} (-1)^(i+1) (u-1)^i / i, inverse of truncated_exp."""
-    nil = u - FpMatrix.identity(u.p, u.e, u.n)
-    if not (nil ** u.p).is_zero():
-        raise DomainError("truncated logarithm needs (u - 1)^p = 0")
-    p = u.p
-    coeffs = [0]
-    for i in range(1, p):
-        c = inverse_mod(i, p)
-        coeffs.append(c if i % 2 == 1 else (-c) % p)
-    return eval_series_in_matrix(coeffs, nil)
+    return eval_series_in_matrix(
+        _log_coeffs(u.p), u - FpMatrix.identity(u.p, u.e, u.n), u.p,
+        "truncated logarithm needs (u - 1)^p = 0",
+    )
 
 
 @dataclass(frozen=True)
@@ -89,14 +97,12 @@ def phi_seq(seq: CoefficientSequence, y: FpMatrix) -> FpMatrix:
         raise ValueError(f"need {y.n - 1} coefficients for dimension {y.n}, got {len(seq.a)}")
     if seq.a and seq.a[0].is_zero():
         raise ValueError("the linear coefficient a_1 must be nonzero")
-    if not (y ** y.n).is_zero():
-        raise DomainError("phi_seq is only defined on nilpotent matrices")
-    acc = FpMatrix.identity(y.p, y.e, y.n)
-    power = FpMatrix.identity(y.p, y.e, y.n)
-    for a_i in seq.a:
-        power = power @ y
-        acc = acc + power.scale(a_i)
-    return acc
+    if any((a.p, a.e) != (y.p, y.e) for a in seq.a):
+        raise ValueError("coefficient field does not match matrix field")
+    powers = nilpotent_powers(y, message="phi_seq is only defined on nilpotent matrices")
+    coords = np.array([(1,) + (0,) * (y.e - 1)] + [a.coords for a in seq.a], dtype=np.int64)
+    k = len(powers)
+    return FpMatrix._wrap(y.p, y.e, y.n, _lin_comb(coords[:k], powers, y.p, y._mod))
 
 
 def ah_exp(x: FpMatrix) -> FpMatrix:
@@ -105,15 +111,14 @@ def ah_exp(x: FpMatrix) -> FpMatrix:
     The series truncates at the nilpotency degree of x, so this is a
     finite exact computation; the result is unipotent.
     """
-    d = nilpotency_degree(x)  # DomainError if not nilpotent
-    coeffs = ah_coeffs_mod_p(x.p, d - 1).coeffs
-    return eval_series_in_matrix(coeffs, x)
+    return eval_series_in_matrix(ah_coeffs_mod_p(x.p, x.n - 1).coeffs, x)
 
 
 @lru_cache(maxsize=None)
 def _ah_reversion_coeffs(p: int, degree: int) -> tuple[int, ...]:
-    # compositional inverse of e_p(t) - 1; one reversion serves every
-    # input of the same nilpotency degree
+    # compositional inverse of e_p(t) - 1 through the given degree; its
+    # low coefficients do not depend on the truncation, so one reversion
+    # to degree n - 1 serves every n x n input
     e_coeffs = ah_coeffs_mod_p(p, degree).coeffs
     shifted = (0,) + e_coeffs[1:]
     from .series import FpSeries
@@ -123,12 +128,10 @@ def _ah_reversion_coeffs(p: int, degree: int) -> tuple[int, ...]:
 
 def ah_log(u: FpMatrix) -> FpMatrix:
     """Inverse of ah_exp: the nilpotent x with ah_exp(x) = u."""
-    nil = u - FpMatrix.identity(u.p, u.e, u.n)
-    if not (nil ** u.n).is_zero():
-        raise DomainError("ah_log is only defined on unipotent matrices")
-    d = nilpotency_degree(nil)
-    coeffs = _ah_reversion_coeffs(u.p, d - 1)
-    return eval_series_in_matrix(coeffs, nil)
+    return eval_series_in_matrix(
+        _ah_reversion_coeffs(u.p, u.n - 1), u - FpMatrix.identity(u.p, u.e, u.n),
+        message="ah_log is only defined on unipotent matrices",
+    )
 
 
 def witt_embed(x: FpMatrix, w: WittVector) -> FpMatrix:
@@ -217,8 +220,8 @@ def bch_dynkin(x: FpMatrix, y: FpMatrix, maxdeg: int) -> FpMatrix:
         raise ValueError("maxdeg must be >= 1")
     if maxdeg >= x.p:
         raise ValueError("maxdeg must be below p (denominators reach p)")
-    if not (x ** x.p).is_zero() or not (y ** y.p).is_zero():
-        raise DomainError("bch_dynkin needs x^p = y^p = 0")
+    for z in (x, y):
+        nilpotent_powers(z, z.p, "bch_dynkin needs x^p = y^p = 0")
     letters = {"X": x, "Y": y}
     brackets: dict[str, FpMatrix] = {}
 

@@ -44,9 +44,21 @@ def quadratic_modulus(p: int) -> tuple[int, int]:
     raise AssertionError("unreachable: F_p always has an irreducible quadratic")
 
 
+# The plane kernels sum k products before they reduce mod p.  Each term
+# is a coordinate times a coordinate, times a coefficient of the
+# quadratic modulus for e = 2, so it is below p^3 in magnitude and the
+# largest unreduced sum is below k * p^3: k = n for an F_{p^2} matrix
+# product, the basis size (at most n^2) for a sampled combination.  With
+# p < 2^16 that is below k * 2^48 < 2^63 for every k < 2^15, and
+# matrices.MAX_DIM = 128 keeps k below 2^14.
+PRIME_BOUND = 1 << 16
+
+
 @lru_cache(maxsize=None)
 def _check_field_params(p: int, e: int) -> None:
     check_prime(p)
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p must be below {PRIME_BOUND} for exact int64 arithmetic, got {p}")
     if e not in (1, 2):
         raise ValueError(f"extension degree must be 1 or 2, got {e!r}")
 
@@ -158,10 +170,7 @@ class FieldScalar:
         return result
 
     def inverse(self) -> "FieldScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        q = self.p ** self.e
-        return self ** (q - 2)
+        return FieldScalar(self.p, self.e, inverse_coords(self.p, self.e, self.coords))
 
     def __truediv__(self, other: "FieldScalar") -> "FieldScalar":
         return self * other.inverse()
@@ -190,12 +199,18 @@ class FieldScalar:
     @classmethod
     def from_json(cls, p: int, e: int, obj) -> "FieldScalar":
         if e == 1:
-            if not isinstance(obj, int):
+            if not is_json_int(obj):
                 raise ValueError(f"expected integer entry, got {obj!r}")
             return cls(p, 1, (obj,))
-        if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(x, int) for x in obj)):
+        if not (isinstance(obj, list) and len(obj) == 2 and all(is_json_int(x) for x in obj)):
             raise ValueError(f"expected [int, int] entry for e=2, got {obj!r}")
         return cls(p, 2, tuple(obj))
+
+
+def is_json_int(obj) -> bool:
+    """Whether a decoded JSON value is an integer (true/false decode to bool,
+    a subclass of int, and are not entries)."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
 
 
 def all_scalars(p: int, e: int):
@@ -208,6 +223,33 @@ def all_scalars(p: int, e: int):
         for x0 in range(p):
             for x1 in range(p):
                 yield FieldScalar(p, 2, (x0, x1))
+
+
+@lru_cache(maxsize=None)
+def _prime_field_inverses(p: int) -> tuple[int, ...]:
+    # 1/a mod p for a = 0..p-1 (0 -> 0), by 1/a = -(p // a) / (p mod a)
+    inv = [0, 1]
+    for a in range(2, p):
+        inv.append(-(p // a) * inv[p % a] % p)
+    return tuple(inv)
+
+
+def inverse_coords(p: int, e: int, coords) -> tuple[int, ...]:
+    """Coordinates of 1/a for a in F_{p^e} given by reduced coordinates.
+
+    Looks 1/a up in the per-p table for e=1; for e=2 it is a^p / N(a),
+    with a^p = (a0 - b*a1) - a1*w and the norm N(a) = a * a^p in F_p.
+    Raises ZeroDivisionError for a = 0.
+    """
+    if not any(coords):
+        raise ZeroDivisionError("inverse of zero in a finite field")
+    inv = _prime_field_inverses(p)
+    if e == 1:
+        return (inv[coords[0]],)
+    a0, a1 = coords
+    mb, mc = quadratic_modulus(p)
+    norm_inv = inv[(a0 * a0 - mb * a0 * a1 + mc * a1 * a1) % p]
+    return ((a0 - mb * a1) * norm_inv % p, -a1 * norm_inv % p)
 
 
 def inverse_mod(a: int, p: int) -> int:

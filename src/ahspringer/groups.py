@@ -17,8 +17,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError
-from .gf import FieldScalar, _check_field_params
-from .matrices import FpMatrix
+from .gf import FieldScalar, _check_field_params, quadratic_modulus
+from .matrices import FpMatrix, _field_mul, _lin_comb, _mat_mul_planes
 from .rng import Stream, stream
 
 KINDS = ("GL", "SL", "SO", "Sp")
@@ -119,28 +119,47 @@ def jordan_nilpotent(t: JordanType, p: int, e: int = 1) -> FpMatrix:
     return FpMatrix(p, e, planes)
 
 
+def nilpotent_powers(x: FpMatrix, limit: int | None = None,
+                     message: str = "matrix is not nilpotent") -> np.ndarray:
+    """Planes of x^0, x^1, ..., x^(d-1), shape (d, e, n, n), where d is the
+    nilpotency degree (the least d >= 1 with x^d = 0).
+
+    The one power walk of the package: x, x^2, ... are multiplied out once,
+    stopping at the first zero power.  Raises DomainError(message) unless
+    x^limit = 0 (limit defaults to n, where that means x is nilpotent).
+    """
+    limit = x.n if limit is None else min(limit, x.n)
+    powers = np.zeros((limit, x.e, x.n, x.n), dtype=np.int64)
+    powers[0, 0] = np.eye(x.n, dtype=np.int64)
+    y = x.planes
+    d = 1
+    while y.any():
+        if d == limit:
+            raise DomainError(message)
+        powers[d] = y
+        d += 1
+        y = _mat_mul_planes(y, x.planes, x.p, x._mod)
+    return powers[:d]
+
+
 def nilpotency_degree(x: FpMatrix) -> int:
     """Least d >= 1 with x^d = 0; DomainError when x is not nilpotent."""
-    y = x
-    for d in range(1, x.n + 1):
-        if y.is_zero():
-            return d
-        y = y @ x
-    raise DomainError("matrix is not nilpotent")
+    return len(nilpotent_powers(x))
 
 
 def is_nilpotent(x: FpMatrix) -> bool:
-    return (x ** x.n).is_zero()
+    try:
+        nilpotent_powers(x)
+    except DomainError:
+        return False
+    return True
 
 
 def nilpotent_order(x: FpMatrix) -> int:
     """Least m with x^(p^m) = 0 (0 iff x = 0); DomainError if not nilpotent."""
-    if not is_nilpotent(x):
-        raise DomainError("matrix is not nilpotent")
+    d = nilpotency_degree(x)
     m = 0
-    y = x
-    while not y.is_zero():
-        y = y ** x.p
+    while x.p ** m < d:  # x^k = 0 exactly when k >= d
         m += 1
     return m
 
@@ -210,13 +229,7 @@ def centralizer_space(a: FpMatrix) -> CentralizerSpace:
 
 def jordan_type_of(x: FpMatrix) -> JordanType:
     """Jordan type of a nilpotent matrix from its power-rank sequence."""
-    if not is_nilpotent(x):
-        raise DomainError("matrix is not nilpotent")
-    ranks = [x.n]
-    y = x
-    while ranks[-1] > 0:
-        ranks.append(linalg.rank(y))
-        y = y @ x
+    ranks = [linalg.rank_planes(power, x.p, x.e) for power in nilpotent_powers(x)] + [0]
     # parts >= k appear (rank x^(k-1) - rank x^k) times
     counts = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
     parts = []
@@ -228,10 +241,6 @@ def jordan_type_of(x: FpMatrix) -> JordanType:
 
 
 # -- sampling ----------------------------------------------------------
-
-
-def random_scalar(p: int, e: int, st: Stream) -> FieldScalar:
-    return FieldScalar(p, e, tuple(st.below(p) for _ in range(e)))
 
 
 def random_matrix(p: int, e: int, n: int, st: Stream) -> FpMatrix:
@@ -250,39 +259,49 @@ def random_invertible(p: int, e: int, n: int, st: Stream) -> FpMatrix:
 
 
 @lru_cache(maxsize=None)
+def _nilradical_planes(kind: str, n: int, p: int, e: int, lower: bool = False) -> np.ndarray:
+    """Planes (k, e, n, n) of a basis of Lie(G) intersected with the
+    strictly upper (or lower) triangle; see upper_nilradical_basis."""
+    positions = [(i, j) for i in range(n) for j in range(n) if (i > j if lower else i < j)]
+    if kind in ("GL", "SL"):
+        vecs = np.eye(len(positions), dtype=np.int64)
+    else:
+        GroupSpec(kind, n).form_for(p, e)  # validates the good-prime constraint
+        # the form has F_p entries, so an F_p basis spans the F_{p^e} solutions
+        form = default_form(kind, n, p, 1)
+        cols = np.zeros((1, n * n, len(positions)), dtype=np.int64)
+        for idx, (i, j) in enumerate(positions):
+            unit = FpMatrix.matrix_unit(p, 1, n, i, j)
+            cond = unit.transpose() @ form + form @ unit
+            cols[0, :, idx] = cond.planes[0].reshape(n * n)
+        vecs = [v[0] for v in linalg.null_space_planes(cols, p, 1)]
+    rows, cols = np.array(positions, dtype=np.intp).reshape(-1, 2).T
+    planes = np.zeros((len(vecs), e, n, n), dtype=np.int64)
+    planes[:, 0, rows, cols] = np.reshape(vecs, (len(vecs), len(positions)))
+    planes.flags.writeable = False
+    return planes
+
+
 def upper_nilradical_basis(kind: str, n: int, p: int, e: int, lower: bool = False) -> tuple[FpMatrix, ...]:
     """Basis of Lie(G) intersected with the strictly upper (or lower) triangle.
 
     For GL/SL these are just the matrix units; for SO/Sp the linear
     condition X^T J + J X = 0 is solved on the triangular coordinates.
     """
-    positions = [(i, j) for i in range(n) for j in range(n) if (i > j if lower else i < j)]
-    if kind in ("GL", "SL"):
-        return tuple(FpMatrix.matrix_unit(p, e, n, i, j) for i, j in positions)
-    GroupSpec(kind, n).form_for(p, e)  # validates the good-prime constraint
-    # the form has F_p entries, so an F_p basis spans the F_{p^e} solutions
-    form = default_form(kind, n, p, 1)
-    cols = np.zeros((1, n * n, len(positions)), dtype=np.int64)
-    for idx, (i, j) in enumerate(positions):
-        unit = FpMatrix.matrix_unit(p, 1, n, i, j)
-        cond = unit.transpose() @ form + form @ unit
-        cols[0, :, idx] = cond.planes[0].reshape(n * n)
-    vecs = linalg.null_space_planes(cols, p, 1)
-    basis = []
-    for v in vecs:
-        planes = np.zeros((e, n, n), dtype=np.int64)
-        for idx, (i, j) in enumerate(positions):
-            planes[0, i, j] = v[0, idx]
-        basis.append(FpMatrix(p, e, planes))
-    return tuple(basis)
+    return tuple(FpMatrix(p, e, b) for b in _nilradical_planes(kind, n, p, e, lower))
 
 
-def _combine(basis, p: int, e: int, st: Stream) -> FpMatrix:
-    first = basis[0]
-    acc = FpMatrix.zeros(p, e, first.n)
-    for b in basis:
-        acc = acc + b.scale(random_scalar(p, e, st))
-    return acc
+def _combine(basis: np.ndarray, p: int, e: int, st: Stream) -> FpMatrix:
+    """sum_i s_i B_i over basis planes (k, e, n, n) with random s_i in F_{p^e}.
+
+    The e coordinates of s_0 are drawn first, then those of s_1, and so
+    on, so every seed gives the same samples as drawing one scalar per
+    basis element; the sum is one contraction.
+    """
+    k, _, n, _ = basis.shape
+    coords = np.array([st.below(p) for _ in range(k * e)], dtype=np.int64).reshape(k, e)
+    mod = quadratic_modulus(p) if e == 2 else None
+    return FpMatrix._wrap(p, e, n, _lin_comb(coords, basis, p, mod))
 
 
 def random_group_element(spec: GroupSpec, p: int, e: int, st: Stream) -> FpMatrix:
@@ -298,17 +317,15 @@ def random_group_element(spec: GroupSpec, p: int, e: int, st: Stream) -> FpMatri
         g = random_invertible(p, e, spec.n, st)
         d = linalg.det(g)
         planes = g.planes.copy()
-        from .matrices import _scale_planes
-
-        planes[:, 0, :] = _scale_planes(d.inverse().coords, planes[:, 0, :], p, g._mod)
+        planes[:, 0, :] = _field_mul(d.inverse().coords, planes[:, 0, :], p, g._mod, np.multiply)
         return FpMatrix(p, e, planes)
     from .expmaps import ah_exp
 
-    upper = upper_nilradical_basis(spec.kind, spec.n, p, e)
-    lower = upper_nilradical_basis(spec.kind, spec.n, p, e, lower=True)
+    upper = _nilradical_planes(spec.kind, spec.n, p, e)
+    lower = _nilradical_planes(spec.kind, spec.n, p, e, lower=True)
     g = FpMatrix.identity(p, e, spec.n)
     for basis in (upper, lower, upper):
-        if basis:
+        if len(basis):
             g = g @ ah_exp(_combine(basis, p, e, st))
     return g
 
@@ -365,33 +382,37 @@ def random_nilpotent(
 
 
 def _sample_lie_nilpotent(spec: GroupSpec, p: int, e: int, st: Stream) -> FpMatrix:
-    basis = upper_nilradical_basis(spec.kind, spec.n, p, e)
-    if not basis:
+    basis = _nilradical_planes(spec.kind, spec.n, p, e)
+    if not len(basis):
         return FpMatrix.zeros(p, e, spec.n)
     x = _combine(basis, p, e, st)
     if st.below(2):
         from .expmaps import ah_exp
 
-        lower = upper_nilradical_basis(spec.kind, spec.n, p, e, lower=True)
-        g = ah_exp(_combine(lower, p, e, st)) if lower else FpMatrix.identity(p, e, spec.n)
+        lower = _nilradical_planes(spec.kind, spec.n, p, e, lower=True)
+        g = ah_exp(_combine(lower, p, e, st)) if len(lower) else FpMatrix.identity(p, e, spec.n)
         g = g @ ah_exp(_combine(basis, p, e, st))
         x = g @ x @ linalg.inv(g)
     return x
 
 
 def enumerate_nilpotents(p: int, n: int, e: int = 1):
-    """Every nilpotent matrix in gl_n(F_{p^e}); only sane for tiny p^n."""
+    """Every nilpotent matrix in gl_n(F_{p^e}); only sane for tiny p^n.
+
+    All p^(e n^2) coordinate codes are decoded at once (digit t of the
+    base-p code is plane t // n^2, entry t mod n^2 in row-major order) and
+    tested with one batched power x^(2^j), 2^j >= n; matrices come out in
+    code order.
+    """
+    _check_field_params(p, e)
     total = p ** (e * n * n)
     if total > 600000:
         raise ValueError("enumeration space too large")
-    for code in range(total):
-        planes = np.zeros((e, n, n), dtype=np.int64)
-        c = code
-        for k in range(e):
-            for i in range(n):
-                for j in range(n):
-                    planes[k, i, j] = c % p
-                    c //= p
-        x = FpMatrix(p, e, planes)
-        if is_nilpotent(x):
-            yield x
+    digits = np.arange(total, dtype=np.int64)[:, None] // p ** np.arange(e * n * n) % p
+    cube = digits.reshape(total, e, n, n)
+    power = cube
+    mod = quadratic_modulus(p) if e == 2 else None
+    for _ in range((n - 1).bit_length()):
+        power = _mat_mul_planes(power, power, p, mod)
+    for planes in cube[~power.any(axis=(1, 2, 3))]:
+        yield FpMatrix._wrap(p, e, n, planes)

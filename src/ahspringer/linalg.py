@@ -2,16 +2,18 @@
 
 Works on coefficient-plane arrays of shape (e, rows, cols); the FpMatrix
 wrappers at the bottom are what the rest of the package uses.  Row
-operations are vectorized per plane, pivot inversions go through
-FieldScalar, and everything stays in integer arithmetic.
+operations are vectorized per plane, pivot inverses come from the per-p
+table in ``gf``, and everything stays in integer arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .gf import FieldScalar, quadratic_modulus
-from .matrices import FpMatrix, _outer_planes, _scale_planes
+from .gf import FieldScalar, inverse_coords, quadratic_modulus
+from .matrices import FpMatrix, _field_mul
 
 
 def _as_planes(a, e):
@@ -22,33 +24,44 @@ def _as_planes(a, e):
     return a
 
 
-def rref_planes(planes, p, e):
-    """Reduced row echelon form; returns (array, pivot column list)."""
+def _eliminate(planes, p, e):
+    """Gauss-Jordan elimination, the one routine behind every function here.
+
+    Returns the reduced row echelon form, its pivot columns, and the
+    product of the pivots as found, negated once per row swap: the
+    determinant's coordinates when the input is square of full rank.
+    """
     mod = quadratic_modulus(p) if e == 2 else None
     r_mat = _as_planes(planes, e) % p
     nrows, ncols = r_mat.shape[1], r_mat.shape[2]
     pivots = []
-    r = 0
+    factor = (1,) + (0,) * (e - 1)
     for c in range(ncols):
+        r = len(pivots)
         if r >= nrows:
             break
-        piv = None
-        for i in range(r, nrows):
-            if r_mat[:, i, c].any():
-                piv = i
-                break
-        if piv is None:
+        nonzero = r_mat[:, r:, c].any(axis=0)
+        piv = r + int(nonzero.argmax())
+        if not nonzero[piv - r]:
             continue
         if piv != r:
             r_mat[:, [r, piv], :] = r_mat[:, [piv, r], :]
-        s = FieldScalar(p, e, tuple(int(x) for x in r_mat[:, r, c]))
-        r_mat[:, r, :] = _scale_planes(s.inverse().coords, r_mat[:, r, :], p, mod)
+            factor = tuple(-x % p for x in factor)
+        s = tuple(r_mat[:, r, c].tolist())
+        factor = _field_mul(factor, s, p, mod, operator.mul)
+        r_mat[:, r, :] = _field_mul(inverse_coords(p, e, s), r_mat[:, r, :], p, mod, np.multiply)
         col = r_mat[:, :, c].copy()
         col[:, r] = 0
         if col.any():
-            r_mat = (r_mat - _outer_planes(col, r_mat[:, r, :], p, mod)) % p
+            outer = _field_mul(col[:, :, None], r_mat[:, None, r, :], p, mod, np.multiply)
+            r_mat = (r_mat - outer) % p
         pivots.append(c)
-        r += 1
+    return r_mat, pivots, factor
+
+
+def rref_planes(planes, p, e):
+    """Reduced row echelon form; returns (array, pivot column list)."""
+    r_mat, pivots, _ = _eliminate(planes, p, e)
     return r_mat, pivots
 
 
@@ -72,33 +85,11 @@ def null_space_planes(planes, p, e):
 
 
 def det(m: FpMatrix) -> FieldScalar:
-    """Determinant by forward elimination, exact over the field."""
-    p, e, n = m.p, m.e, m.n
-    mod = quadratic_modulus(p) if e == 2 else None
-    a = m.planes.copy()
-    acc = FieldScalar.one(p, e)
-    sign = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[:, i, c].any():
-                piv = i
-                break
-        if piv is None:
-            return FieldScalar.zero(p, e)
-        if piv != c:
-            a[:, [c, piv], :] = a[:, [piv, c], :]
-            sign = -sign
-        s = FieldScalar(p, e, tuple(int(x) for x in a[:, c, c]))
-        acc = acc * s
-        a[:, c, :] = _scale_planes(s.inverse().coords, a[:, c, :], p, mod)
-        col = a[:, :, c].copy()
-        col[:, : c + 1] = 0
-        if col.any():
-            a = (a - _outer_planes(col, a[:, c, :], p, mod)) % p
-    if sign < 0:
-        acc = -acc
-    return acc
+    """Determinant from the pivots of the elimination, exact over the field."""
+    _, pivots, factor = _eliminate(m.planes, m.p, m.e)
+    if len(pivots) < m.n:
+        return FieldScalar.zero(m.p, m.e)
+    return FieldScalar(m.p, m.e, factor)
 
 
 def inv(m: FpMatrix) -> FpMatrix:

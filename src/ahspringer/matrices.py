@@ -1,9 +1,10 @@
 """Dense square matrices over F_{p^e} with exact arithmetic.
 
 Entries are stored as ``e`` integer coefficient planes, each an (n, n)
-int64 array reduced into [0, p).  With p <= 7 and n <= 8 every
-intermediate product fits comfortably in int64 before reduction, so all
-arithmetic is exact.  Matrices are immutable once constructed.
+int64 array reduced into [0, p).  The bounds p < 2^16 and n <= MAX_DIM
+keep every intermediate sum in int64 before reduction (see
+``gf.PRIME_BOUND``), so all arithmetic is exact.  The plane kernels below
+take stacks of matrices as well; matrices are immutable once constructed.
 """
 
 from __future__ import annotations
@@ -12,43 +13,46 @@ import json
 
 import numpy as np
 
-from .gf import FieldScalar, _check_field_params, quadratic_modulus
+from .gf import FieldScalar, _check_field_params, is_json_int, quadratic_modulus
+
+
+MAX_DIM = 128  # keeps every kernel's unreduced sum exact (see gf.PRIME_BOUND)
+
+
+def _field_mul(a, b, p, mod, op):
+    """Coordinates of the F_{p^e} product of a and b.
+
+    a and b hold e coordinates each (ints or arrays) and op is the bilinear
+    map that combines one coordinate of a with one of b: multiply, matmul,
+    an outer product or a contraction.  This is the one place the array
+    kernels apply w^2 = -b*w - c; mod is quadratic_modulus(p), or None
+    for e = 1.
+    """
+    if mod is None:
+        return (op(a[0], b[0]) % p,)
+    mb, mc = mod
+    hi = op(a[1], b[1])
+    return ((op(a[0], b[0]) - mc * hi) % p, (op(a[0], b[1]) + op(a[1], b[0]) - mb * hi) % p)
 
 
 def _mat_mul_planes(a, b, p, mod):
-    if len(a) == 1:
-        return (a[0] @ b[0]) % p
-    mb, mc = mod
-    hi = a[1] @ b[1]
-    return np.stack((
-        (a[0] @ b[0] - mc * hi) % p,
-        (a[0] @ b[1] + a[1] @ b[0] - mb * hi) % p,
-    ))
+    """Product of plane arrays (..., e, n, m) and (..., e, m, k); leading
+    batch dimensions broadcast."""
+    if mod is None:
+        prod = np.matmul(a, b)
+        prod %= p  # in place: a batch holds one product array, not two
+        return prod
+    planes = _field_mul((a[..., 0, :, :], a[..., 1, :, :]), (b[..., 0, :, :], b[..., 1, :, :]),
+                        p, mod, np.matmul)
+    return np.stack(planes, axis=-3)
 
 
-def _scale_planes(coords, a, p, mod):
-    # coords: e field coordinates; a: (e, ...) planes
-    if len(a) == 1:
-        return (coords[0] * a) % p
-    s0, s1 = coords
-    mb, mc = mod
-    hi = s1 * a[1]
-    return np.stack((
-        (s0 * a[0] - mc * hi) % p,
-        (s0 * a[1] + s1 * a[0] - mb * hi) % p,
-    ))
-
-
-def _outer_planes(col, row, p, mod):
-    # field outer product of a column (e, r) with a row (e, c) -> (e, r, c)
-    if len(col) == 1:
-        return np.outer(col[0], row[0]) % p
-    mb, mc = mod
-    hi = np.outer(col[1], row[1])
-    return np.stack((
-        (np.outer(col[0], row[0]) - mc * hi) % p,
-        (np.outer(col[0], row[1]) + np.outer(col[1], row[0]) - mb * hi) % p,
-    ))
+def _lin_comb(coords, planes, p, mod):
+    """sum_i s_i B_i for field coordinates coords (k, e) of the s_i and
+    planes (k, e, n, n) of the B_i, as one contraction over i."""
+    k, e = planes.shape[:2]
+    flat = planes.reshape(k, e, -1).swapaxes(0, 1)
+    return np.stack(_field_mul(coords.T, flat, p, mod, np.matmul)).reshape(planes.shape[1:])
 
 
 class FpMatrix:
@@ -63,6 +67,8 @@ class FpMatrix:
             planes = planes[np.newaxis, :, :]
         if planes.ndim != 3 or planes.shape[0] != e or planes.shape[1] != planes.shape[2]:
             raise ValueError(f"expected ({e}, n, n) coefficient planes, got {planes.shape}")
+        if not 1 <= planes.shape[1] <= MAX_DIM:
+            raise ValueError(f"matrix dimension must be between 1 and {MAX_DIM}, got {planes.shape[1]}")
         planes = planes % p
         planes.flags.writeable = False
         object.__setattr__(self, "p", p)
@@ -172,10 +178,9 @@ class FpMatrix:
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         self._check_match(other)
-        prod = _mat_mul_planes(self.planes, other.planes, self.p, self._mod)
-        if prod.ndim == 2:
-            prod = prod[np.newaxis, :, :]
-        return FpMatrix._wrap(self.p, self.e, self.n, prod)
+        return FpMatrix._wrap(
+            self.p, self.e, self.n, _mat_mul_planes(self.planes, other.planes, self.p, self._mod)
+        )
 
     def __pow__(self, k: int) -> "FpMatrix":
         if k < 0:
@@ -196,7 +201,8 @@ class FpMatrix:
         if (s.p, s.e) != (self.p, self.e):
             raise ValueError("scalar field does not match matrix field")
         return FpMatrix._wrap(
-            self.p, self.e, self.n, _scale_planes(s.coords, self.planes, self.p, self._mod)
+            self.p, self.e, self.n,
+            np.stack(_field_mul(s.coords, self.planes, self.p, self._mod, np.multiply)),
         )
 
     def transpose(self) -> "FpMatrix":
@@ -236,7 +242,7 @@ class FpMatrix:
             if key not in obj:
                 raise ValueError(f"matrix JSON missing key {key!r}")
         p, e, n, entries = obj["p"], obj["e"], obj["n"], obj["entries"]
-        if not (isinstance(p, int) and isinstance(e, int) and isinstance(n, int)):
+        if not (is_json_int(p) and is_json_int(e) and is_json_int(n)):
             raise ValueError("matrix JSON p, e, n must be integers")
         if not (isinstance(entries, list) and len(entries) == n):
             raise ValueError(f"matrix JSON needs {n} rows of entries")
@@ -252,11 +258,13 @@ class FpMatrix:
 
 
 def load_matrix(path: str) -> FpMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return FpMatrix.from_json_obj(obj)
     except ValueError as exc:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import product
 
+import numpy as np
+
 from . import linalg
 from .expmaps import (
     ah_exp,
@@ -36,7 +38,7 @@ from .groups import (
     in_lie_algebra,
     unipotent_order_exponent,
 )
-from .matrices import FpMatrix
+from .matrices import FpMatrix, _mat_mul_planes
 from .parabolic import (
     Composition,
     ParabolicGL,
@@ -444,6 +446,13 @@ def _interpolate_matrix_poly(par: ParabolicGL, x: FpMatrix) -> list[FpMatrix]:
     return coeffs
 
 
+def _commuting_grid(planes, p: int):
+    """(N, N) booleans: whether matrices i and j of the stack (N, 1, n, n)
+    over F_p commute, from one batched product of every pair."""
+    prod = _mat_mul_planes(planes[:, None], planes[None, :], p, None)
+    return (prod == prod.swapaxes(0, 1)).all(axis=(2, 3, 4))
+
+
 def suite_commuting_pairs(cfg: SuiteConfig, rec: Recorder) -> None:
     # exhaustive small cases (p chosen with p not dividing n)
     grids = [(3, 2), (2, 3)]
@@ -451,13 +460,14 @@ def suite_commuting_pairs(cfg: SuiteConfig, rec: Recorder) -> None:
         if p not in cfg.primes:
             continue
         nilpotents = list(enumerate_nilpotents(p, n))
-        exps = [ah_exp(x) for x in nilpotents]
-        for i, x in enumerate(nilpotents):
-            for j, y in enumerate(nilpotents):
-                commute_lie = (x @ y) == (y @ x)
-                commute_grp = (exps[i] @ exps[j]) == (exps[j] @ exps[i])
+        xs = np.stack([x.planes for x in nilpotents])
+        agree = _commuting_grid(xs, p) == _commuting_grid(
+            np.stack([ah_exp(x).planes for x in nilpotents]), p
+        )
+        for x, row in zip(nilpotents, agree.tolist()):
+            for y, ok in zip(nilpotents, row):
                 rec.check(
-                    commute_lie == commute_grp,
+                    ok,
                     lambda x=x, y=y: {"p": p, "n": n, "X": _mat_json(x), "Y": _mat_json(y)},
                 )
     # seeded pairs in gl_4(F_3)

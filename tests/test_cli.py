@@ -121,6 +121,52 @@ def test_malformed_matrix_file_exits_2_with_location(tmp_path, capsys):
     assert "bad.json" in err
 
 
+def test_missing_matrix_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    for argv in (
+        ("exp", "--matrix", missing),
+        ("log", "--matrix", missing),
+        ("embed", "--matrix", missing, "--vector", "1"),
+        ("parabolic", "eps", "--comp", "1,1", "--matrix", missing),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "absent.json" in err
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"p": 2, "e": 1, "n": 2, "entries": [[False, True], [False, False]]},
+        {"p": 2, "e": 2, "n": 1, "entries": [[[True, 0]]]},
+        {"p": 2, "e": 1, "n": True, "entries": [[0]]},
+    ],
+)
+def test_boolean_matrix_entries_exit_2(tmp_path, capsys, obj):
+    src = tmp_path / "bools.json"
+    src.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "exp", "--matrix", str(src))
+    assert code == 2
+    assert "bools.json" in err
+
+
+def test_empty_matrix_exits_2(tmp_path, capsys):
+    src = tmp_path / "empty.json"
+    src.write_text(json.dumps({"p": 2, "e": 1, "n": 0, "entries": []}))
+    code, _, err = run_cli(capsys, "exp", "--matrix", str(src))
+    assert code == 2
+    assert "dimension" in err and "nilpotent" not in err
+
+
+def test_prime_above_exact_bound_exits_2(tmp_path, capsys):
+    # at p = 65537 the int64 planes could overflow; it must be refused
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps({"p": 65537, "e": 1, "n": 2, "entries": [[0, 1], [0, 0]]}))
+    code, out, err = run_cli(capsys, "exp", "--matrix", str(src))
+    assert (code, out) == (2, "")
+    assert "65536" in err
+
+
 def test_verify_small_run(tmp_path, capsys):
     report_path = tmp_path / "out.json"
     code, out, _ = run_cli(

@@ -1,0 +1,42 @@
+"""Golden digests of seeded verify reports.
+
+Each config is one part of `verify --suite all` at seed 42; the pinned
+value is the SHA-256 of its report without the `generated_at` field, as
+produced by the per-object code these kernels replaced.  A change that
+draws different samples, reorders cases or alters a witness changes the
+digest; re-pin only when the report is meant to change, and say so in
+CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ahspringer.suites import SuiteConfig, run_suite
+
+GOLDEN = {
+    "matrix": (
+        dict(suites=("frobenius-compat", "order-preservation", "commuting-pairs", "equivariance"),
+             primes=(2, 3, 5), trials=4),
+        "65fb1944d35cde8a2dc16a60d23792aee94f4e1cc79316c46ac2a91dffdbd93f",
+    ),
+    "structure": (
+        dict(suites=("eps-parabolic", "centralizer-equality"), primes=(2, 3, 5), trials=2),
+        "386f5bbaaa8966a26bba9ef99cd9201c679cf5cc0063a77dbd96c3c48e83b7d4",
+    ),
+    "fields": (
+        dict(suites=("ah-integrality", "witt-group", "witt-hom", "one-parameter",
+                     "frobenius-descent", "form-preservation"), trials=10),
+        "28c5910b6c775866d4a79d2d338fb2e8bff4cf819c8cfbfbc6555ed6eef3dcbb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_digest_is_pinned(name):
+    kwargs, digest = GOLDEN[name]
+    report = run_suite(SuiteConfig(seed=42, **kwargs)).to_json()
+    body = {k: v for k, v in report.items() if k != "generated_at"}
+    encoded = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(encoded).hexdigest() == digest

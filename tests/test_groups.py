@@ -241,6 +241,9 @@ class TestSampling:
 
 
 def test_enumerate_nilpotents_counts():
-    # the number of nilpotent n x n matrices over F_p is p^(n^2 - n)
-    assert len(list(enumerate_nilpotents(3, 2))) == 3 ** 2
-    assert len(list(enumerate_nilpotents(2, 3))) == 2 ** 6
+    # Fine-Herstein: gl_n(F_q) has q^(n^2 - n) nilpotent matrices, q = p^e
+    for p, n, e in ((2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)):
+        found = list(enumerate_nilpotents(p, n, e))
+        assert len(found) == p ** (e * n * (n - 1))
+        assert len(set(found)) == len(found)
+        assert all((x.p, x.e, x.n) == (p, e, n) and nilpotency_degree(x) <= n for x in found)

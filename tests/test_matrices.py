@@ -32,7 +32,7 @@ def naive_matmul(rows_a, rows_b, p, e):
     return out
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 2), (3, 2), (7, 2)])
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 2), (3, 2), (7, 2), (65521, 2)])
 def test_matmul_matches_scalar_oracle(p, e):
     st = stream(11, f"matmul/{p}/{e}")
     for trial in range(8):
@@ -170,3 +170,12 @@ def test_constructor_validation():
 def test_repr_smoke():
     assert "p=3" in repr(FpMatrix.identity(3, 1, 2))
     assert "e=2" in repr(FpMatrix.identity(3, 2, 2))
+
+
+def test_prime_bound_keeps_products_exact():
+    # 65521 is the largest prime below the bound 2^16, 65537 the first above
+    p = 65521
+    a = FpMatrix.from_rows(p, 1, [[p - 1, p - 1], [p - 1, p - 1]])
+    assert (a @ a).planes[0].tolist() == [[2, 2], [2, 2]]
+    with pytest.raises(ValueError, match="below 65536"):
+        FpMatrix.identity(65537, 1, 2)
