@@ -11,7 +11,8 @@ Subcommands::
     verify      run named property suites and write a JSON report
 
 Exit codes: 0 success / all properties pass, 1 any property failed,
-2 usage error (bad arguments or malformed input files).
+2 usage error (bad arguments or malformed input files) or a requested
+suite that ran no case.
 """
 
 from __future__ import annotations
@@ -174,12 +175,19 @@ def _cmd_verify(args) -> int:
         report_path=args.report,
     )
     report = run_suite(cfg)
+    skipped = False
     for record in report.suites:
+        if record["cases"] == 0:
+            skipped = True
+            print(f"SKIP {record['name']}: 0 cases (no grid point for the requested primes)")
+            continue
         status = "PASS" if record["failed"] == 0 else "FAIL"
         print(f"{status} {record['name']}: {record['passed']}/{record['cases']} cases")
     if args.report:
         print(f"report written to {args.report}")
-    return 0 if report.failed == 0 else 1
+    if report.failed:
+        return 1
+    return 2 if skipped else 0
 
 
 _COMMANDS = {

@@ -108,17 +108,6 @@ def rank(m: FpMatrix) -> int:
     return rank_planes(m.planes, p=m.p, e=m.e)
 
 
-def matrix_rows_rank(mats) -> int:
-    """Rank of the span of the given matrices inside the full matrix space."""
-    mats = list(mats)
-    if not mats:
-        return 0
-    first = mats[0]
-    p, e, n = first.p, first.e, first.n
-    stacked = np.stack([m.planes.reshape(e, n * n) for m in mats], axis=1)
-    return rank_planes(stacked, p, e)
-
-
 def span_basis(mats):
     """Reduce a list of matrices to a basis of their span (rref rows)."""
     mats = list(mats)

@@ -265,6 +265,8 @@ def load_matrix(path: str) -> FpMatrix:
         raise ValueError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
     try:
         return FpMatrix.from_json_obj(obj)
     except ValueError as exc:

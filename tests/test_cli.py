@@ -121,6 +121,15 @@ def test_malformed_matrix_file_exits_2_with_location(tmp_path, capsys):
     assert "bad.json" in err
 
 
+def test_deeply_nested_matrix_file_exits_2(tmp_path, capsys):
+    # json.load raises RecursionError long before this depth
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "exp", "--matrix", str(deep))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "deep.json" in err and "nested too deeply" in err
+
+
 def test_missing_matrix_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     for argv in (
@@ -189,6 +198,36 @@ def test_verify_unknown_suite_exits_2(capsys):
 def test_verify_empty_suite_list_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "")
     assert code == 2
+
+
+def test_verify_suites_without_cases_skip_and_exit_2(tmp_path, capsys):
+    # neither grid has a point at p = 7, so both suites run zero cases
+    report_path = tmp_path / "out.json"
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "commuting-pairs,frobenius-compat", "--p", "7",
+        "--report", str(report_path),
+    )
+    assert code == 2
+    assert out.splitlines()[:2] == [
+        "SKIP commuting-pairs: 0 cases (no grid point for the requested primes)",
+        "SKIP frobenius-compat: 0 cases (no grid point for the requested primes)",
+    ]
+    assert "PASS" not in out
+    obj = json.loads(report_path.read_text())
+    assert [(r["name"], r["cases"]) for r in obj["suites"]] == [
+        ("commuting-pairs", 0), ("frobenius-compat", 0),
+    ]
+
+
+def test_verify_mixed_pass_and_skip_exits_2(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "ah-integrality,frobenius-compat", "--p", "7",
+    )
+    assert code == 2
+    assert out.splitlines() == [
+        "PASS ah-integrality: 69/69 cases",
+        "SKIP frobenius-compat: 0 cases (no grid point for the requested primes)",
+    ]
 
 
 def test_missing_subcommand_exits_2(capsys):

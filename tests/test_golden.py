@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from ahspringer.suites import SuiteConfig, run_suite
+from ahspringer.suites import Recorder, SuiteConfig, run_suite
 
 GOLDEN = {
     "matrix": (
@@ -40,3 +40,25 @@ def test_report_digest_is_pinned(name):
     body = {k: v for k, v in report.items() if k != "generated_at"}
     encoded = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(encoded).hexdigest() == digest
+
+
+# Every check of `verify --suite all` at seed 42 (p in {2, 3, 5}, two trials,
+# dimensions up to 5) recorded as failing: 7,349 witnesses.  Passing reports
+# carry no witnesses, so only this digest pins the witness encoding and the
+# samples behind each case.
+FORCED_FAILURE_DIGEST = "f9d9740b68d8e79cbd2e4b94a4531af0e3949f93a4b6102b7ea3f483db12d59e"
+
+
+def test_forced_failure_witnesses_are_pinned(monkeypatch):
+    orig = Recorder.check
+
+    def failing(self, ok, *args, **kwargs):
+        return orig(self, False, *args, **kwargs)
+
+    monkeypatch.setattr(Recorder, "check", failing)
+    cfg = SuiteConfig(suites=("all",), primes=(2, 3, 5), trials=2, max_dim=5, seed=42)
+    report = run_suite(cfg).to_json()
+    body = {k: v for k, v in report.items() if k != "generated_at"}
+    assert sum(len(r["witnesses"]) for r in body["suites"]) == 7349
+    encoded = json.dumps(body, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == FORCED_FAILURE_DIGEST

@@ -40,8 +40,8 @@ def test_every_suite_has_nonempty_anchor():
 
 def test_recorder_counts_and_witnesses():
     rec = Recorder("demo", "anchor")
-    rec.check(True, {"unused": 1})
-    rec.check(False, lambda: {"input": 7})
+    rec.check(True, unused=1)
+    rec.check(False, input=7)
     record = rec.to_json()
     assert record["cases"] == 2
     assert record["passed"] == 1
@@ -101,10 +101,15 @@ def test_witnesses_serialize_complete_inputs(monkeypatch):
     from ahspringer import suites as suites_mod
 
     def fake_suite(cfg, rec):
+        from ahspringer.gf import FieldScalar
         from ahspringer.groups import JordanType, jordan_nilpotent
+        from ahspringer.witt import WittVector
 
         x = jordan_nilpotent(JordanType((3,)), 2)
-        rec.check(False, {"X": suites_mod._mat_json(x)})
+        w = WittVector.from_ints(3, 2, (1, 2))
+        s = FieldScalar(3, 2, (1, 2))
+        rec.check(True, X=x)
+        rec.check(False, X=x, w=w, s=s, note="as given")
 
     monkeypatch.setitem(suites_mod.SUITES, "fake", ("fake anchor", fake_suite))
     report = run_suite(SuiteConfig(suites=("fake",)))
@@ -113,3 +118,8 @@ def test_witnesses_serialize_complete_inputs(monkeypatch):
     witness = record["witnesses"][0]
     assert witness["X"]["entries"] == [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
     assert report.failed == 1
+    assert witness["X"] == {"p": 2, "e": 1, "n": 3, "entries": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]}
+    assert witness["w"] == {"p": 3, "e": 1, "m": 2, "entries": [1, 2]}
+    assert witness["s"] == [1, 2]
+    assert witness["note"] == "as given"
+    json.dumps(report.to_json())
