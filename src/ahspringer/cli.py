@@ -126,6 +126,9 @@ def _cmd_log(args) -> int:
 def _cmd_embed(args) -> int:
     x = load_matrix(args.matrix)
     m = nilpotent_order(x)
+    if m == 0:
+        raise ValueError("embed needs a nonzero nilpotent matrix: the zero matrix has "
+                         "nilpotent order 0, and Witt lengths start at 1")
     w = witt_entries_from_string(x.p, m, args.vector, x.e)
     print(witt_embed(x, w).dumps())
     return 0

@@ -1,16 +1,20 @@
 """Witt vectors of length m <= 3 over F_{p^e}, additive group only.
 
-The sum polynomials S_0, ..., S_{m-1} are computed once over Z from the
-ghost components w_n(x) = sum_{i<=n} p^i x_i^(p^(n-i)) by the exact
-recursion
+The group law is computed from ghost components.  Entries are lifted to
+R_n = (Z/p^(n+1))[w]/(w^2 + b*w + c), with (b, c) from
+``quadratic_modulus(p)`` (plain Z/p^(n+1) for e = 1), and the sum or
+negative is the vector s whose ghost components
+w_n(x) = sum_{i<=n} p^i x_i^(p^(n-i)) hit the target (w_n(a) + w_n(b),
+or -w_n(a)), found coordinate by coordinate:
 
-    p^n S_n = w_n(a) + w_n(b) - sum_{i<n} p^i S_i^(p^(n-i)),
+    p^n s_n = target_n - sum_{i<n} p^i s_i^(p^(n-i))   (mod p^(n+1)).
 
-asserting exact divisibility at every step (a failed division would be
-a correctness bug, never a rounding issue).  The reduced polynomials are
-cached per (p, m) and evaluated over any F_{p^e}.  Length is capped at
-m = 3; the symbolic S_2 is the largest polynomial the desk-scale suites
-need.
+Any lift of s_i will do, because x = y (mod p) implies
+x^(p^k) = y^(p^k) (mod p^(k+1)).  Exact divisibility by p^n is checked
+at every step (a failed division would be a correctness bug, never a
+rounding issue).  The integral sum polynomials S_n of the same recursion
+are kept as the symbolic reference the tests compare against; no runtime
+path evaluates them.  Length is capped at m = 3.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf import FieldScalar, _check_field_params
+from .gf import FieldScalar, _check_field_params, quadratic_modulus
 
 MAX_LENGTH = 3
 
@@ -169,11 +173,6 @@ def witt_sum_polys(p: int, m: int) -> tuple[ZPoly, ...]:
     return tuple(polys)
 
 
-@lru_cache(maxsize=None)
-def _sum_polys_mod_p(p: int, m: int) -> tuple[ZPoly, ...]:
-    return tuple(s.reduce_mod(p) for s in witt_sum_polys(p, m))
-
-
 @dataclass(frozen=True)
 class WittVector:
     """Length-m Witt vector with entries in F_{p^e}."""
@@ -218,29 +217,74 @@ def _check_pair(u: WittVector, v: WittVector) -> None:
         raise ValueError("Witt vector parameter mismatch")
 
 
+def _ring_mul(x, y, q: int, bc):
+    # product in (Z/q)[w]/(w^2 + b*w + c) on coordinate tuples; bc is None for e = 1
+    if bc is None:
+        return (x[0] * y[0] % q,)
+    b, c = bc
+    hi = x[1] * y[1]
+    return ((x[0] * y[0] - c * hi) % q, (x[0] * y[1] + x[1] * y[0] - b * hi) % q)
+
+
+def _ring_pow(x, k: int, q: int, bc):
+    if bc is None:
+        return (pow(x[0], k, q),)
+    result = (1, 0)
+    while k:
+        if k & 1:
+            result = _ring_mul(result, x, q, bc)
+        x = _ring_mul(x, x, q, bc)
+        k >>= 1
+    return result
+
+
+def _ghost_sum(p: int, n: int, coords, bc) -> list[int]:
+    # sum_i p^i coords[i]^(p^(n-i)) over the given coords, mod p^(n+1)
+    q = p ** (n + 1)
+    acc = [0] * (1 if bc is None else 2)
+    for i, x in enumerate(coords):
+        term = _ring_pow(x, p ** (n - i), q, bc)
+        acc = [a + p ** i * t for a, t in zip(acc, term)]
+    return [a % q for a in acc]
+
+
+def _ghosts(w: WittVector, bc) -> list[list[int]]:
+    """Ghost components w_n mod p^(n+1), n < m, of the [0, p) lifts of w."""
+    coords = [a.coords for a in w.entries]
+    return [_ghost_sum(w.p, n, coords[: n + 1], bc) for n in range(w.m)]
+
+
+def _from_ghosts(p: int, e: int, targets, bc) -> WittVector:
+    """The Witt vector whose ghost components are targets[n] mod p^(n+1)."""
+    coords: list[tuple[int, ...]] = []
+    for n, target in enumerate(targets):
+        q, pn = p ** (n + 1), p ** n
+        s_n = []
+        for t, g in zip(target, _ghost_sum(p, n, coords, bc)):
+            quo, rem = divmod((t - g) % q, pn)
+            if rem:
+                raise ArithmeticError(f"ghost residue {(t - g) % q} not divisible by {pn}")
+            s_n.append(quo)
+        coords.append(tuple(s_n))
+    return WittVector(p, e, len(coords), tuple(FieldScalar(p, e, c) for c in coords))
+
+
+def _modulus(w: WittVector):
+    return quadratic_modulus(w.p) if w.e == 2 else None
+
+
 def witt_add(u: WittVector, v: WittVector) -> WittVector:
-    """Group law, via the mod-p reduced sum polynomials."""
+    """Group law: the vector with ghost components w_n(u) + w_n(v)."""
     _check_pair(u, v)
-    polys = _sum_polys_mod_p(u.p, u.m)
-    values = u.entries + v.entries
-    one = FieldScalar.one(u.p, u.e)
-    return WittVector(u.p, u.e, u.m, tuple(s.eval(values, one) for s in polys))
+    bc = _modulus(u)
+    ghosts = zip(_ghosts(u, bc), _ghosts(v, bc))
+    return _from_ghosts(u.p, u.e, [[x + y for x, y in zip(gu, gv)] for gu, gv in ghosts], bc)
 
 
 def witt_neg(w: WittVector) -> WittVector:
-    """Group inverse, solved coordinate-by-coordinate.
-
-    Each S_k is b_k plus terms in lower-index coordinates, so setting
-    b_k = 0 and negating the evaluation yields the k-th inverse entry.
-    """
-    polys = _sum_polys_mod_p(w.p, w.m)
-    one = FieldScalar.one(w.p, w.e)
-    zero = FieldScalar.zero(w.p, w.e)
-    neg_entries: list[FieldScalar] = []
-    for k in range(w.m):
-        values = w.entries + tuple(neg_entries) + (zero,) * (w.m - k)
-        neg_entries.append(-polys[k].eval(values, one))
-    return WittVector(w.p, w.e, w.m, tuple(neg_entries))
+    """Group inverse: the vector with ghost components -w_n(w)."""
+    bc = _modulus(w)
+    return _from_ghosts(w.p, w.e, [[-x for x in g] for g in _ghosts(w, bc)], bc)
 
 
 def witt_pow_p(w: WittVector) -> WittVector:
@@ -274,6 +318,8 @@ def witt_from_integer(p: int, m: int, value: int) -> WittVector:
 
 def witt_entries_from_string(p: int, m: int, text: str, e: int = 1) -> WittVector:
     """Parse the CLI form "a_0,a_1,...": integer entries lifted into F_{p^e}."""
+    if not 1 <= m <= MAX_LENGTH:
+        raise ValueError(f"Witt length must be 1..{MAX_LENGTH}, got {m}")
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != m:
         raise ValueError(f"expected {m} comma-separated entries, got {len(parts)}")

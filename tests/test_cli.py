@@ -93,6 +93,28 @@ def test_witt_bad_vector_exits_2(capsys):
     assert "integers" in err
 
 
+@pytest.mark.parametrize("m", ["-1", "0"])
+def test_witt_length_below_one_exits_2(capsys, m):
+    code, _, err = run_cli(capsys, "witt", "neg", "--p", "2", "--m", m, "--vector", "1")
+    assert code == 2
+    assert f"Witt length must be 1..3, got {m}" in err
+
+
+def test_embed_zero_matrix_exits_2(tmp_path, capsys):
+    src = tmp_path / "zero.json"
+    src.write_text(FpMatrix.zeros(2, 1, 3).dumps())
+    code, _, err = run_cli(capsys, "embed", "--matrix", str(src), "--vector", "")
+    assert code == 2
+    assert "zero matrix has nilpotent order 0" in err
+
+
+def test_witt_length_three_at_large_prime(capsys):
+    # checked against the Teichmuller oracle in tests/test_witt.py
+    code, out, _ = run_cli(capsys, "witt", "add", "--p", "47", "--m", "3", "--e", "2",
+                           "--lhs", "1,2,3", "--rhs", "4,5,6")
+    assert (code, out.strip()) == (0, "(5+0w),(35+0w),(27+0w)")
+
+
 def test_parabolic_class_and_eps(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "parabolic", "class", "--comp", "1,1,1")
     assert (code, out.strip()) == (0, "2")

@@ -1,10 +1,12 @@
-"""Witt group tests: symbolic ghost identities plus the Z/p^m oracle."""
+"""Witt group tests: symbolic ghost identities, the symbolic sum polynomials
+as a reference for the runtime law, and the Z/p^m and Teichmuller oracles."""
 
+import random
 from itertools import product
 
 import pytest
 
-from ahspringer.gf import FieldScalar, all_scalars
+from ahspringer.gf import FieldScalar, all_scalars, quadratic_modulus
 from ahspringer.witt import (
     MAX_LENGTH,
     WittVector,
@@ -65,6 +67,98 @@ class TestSumPolynomials:
     def test_exact_division_guard(self):
         with pytest.raises(ArithmeticError):
             ZPoly.const(1, 3).exact_div(2)
+
+
+def symbolic_sum(u, v):
+    """u + v by evaluating the mod-p sum polynomials S_n, the reference law."""
+    one = FieldScalar.one(u.p, u.e)
+    polys = [s.reduce_mod(u.p) for s in witt_sum_polys(u.p, u.m)]
+    return WittVector(u.p, u.e, u.m, tuple(s.eval(u.entries + v.entries, one) for s in polys))
+
+
+def seeded_elements(p, m, e, count, seed):
+    rng = random.Random(seed)
+    return [WittVector(p, e, m, tuple(FieldScalar(p, e, [rng.randrange(p) for _ in range(e)])
+                                      for _ in range(m)))
+            for _ in range(count)]
+
+
+class TestSymbolicReference:
+    @pytest.mark.parametrize("p,m,e", [(2, 3, 1), (3, 3, 1), (5, 2, 1), (2, 3, 2), (3, 2, 2)])
+    def test_matches_sum_polynomials_exhaustive(self, p, m, e):
+        els = elements(p, m, e)
+        zero = WittVector.zero(p, m, e)
+        for u in els:
+            assert symbolic_sum(u, witt_neg(u)) == zero
+            for v in els:
+                assert witt_add(u, v) == symbolic_sum(u, v)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_matches_sum_polynomials_sampled(self, p):
+        els = seeded_elements(p, 3, 1, 40, seed=p)
+        zero = WittVector.zero(p, 3)
+        for u, v in zip(els, els[1:] + els[:1]):
+            assert witt_add(u, v) == symbolic_sum(u, v)
+            assert symbolic_sum(u, witt_neg(u)) == zero
+
+
+def teichmuller_image(w):
+    """sum_i p^i tau(a_i^(p^i)) in (Z/p^m)[x]/(x^2 + b x + c), tau the Teichmuller lift.
+
+    tau(a) = a~^(q^(m-1)) for any lift a~ and q = p^e.  This map is an
+    isomorphism from W_m(F_{p^e}) onto the unramified ring (Z/p^m for e = 1);
+    Frobenius has order e <= 2, so a_i^(p^i) is also a_i^(p^-i).  It shares
+    no code with the ghost recursion or the sum polynomials.
+    """
+    p, e, m = w.p, w.e, w.m
+    mod = p ** m
+    b, c = quadratic_modulus(p) if e == 2 else (0, 0)
+
+    def mul(x, y):
+        hi = x[1] * y[1]
+        return ((x[0] * y[0] - c * hi) % mod, (x[0] * y[1] + x[1] * y[0] - b * hi) % mod)
+
+    total = (0, 0)
+    for i, a in enumerate(w.entries):
+        x, k, t = tuple(a.coords) + (0,) * (2 - e), p ** i * p ** (e * (m - 1)), (1, 0)
+        while k:
+            if k & 1:
+                t = mul(t, x)
+            x, k = mul(x, x), k >> 1
+        total = ((total[0] + p ** i * t[0]) % mod, (total[1] + p ** i * t[1]) % mod)
+    return total
+
+
+class TestTeichmullerOracle:
+    @pytest.mark.parametrize("p", [11, 47, 65521])
+    @pytest.mark.parametrize("e", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_additive_and_negating(self, p, e, m):
+        mod = p ** m
+        els = seeded_elements(p, m, e, 80, seed=1000 * p + 10 * e + m)
+        for u, v in zip(els, els[1:] + els[:1]):
+            tu, tv = teichmuller_image(u), teichmuller_image(v)
+            assert teichmuller_image(witt_add(u, v)) == tuple((x + y) % mod for x, y in zip(tu, tv))
+            assert teichmuller_image(witt_neg(u)) == tuple(-x % mod for x in tu)
+
+    @pytest.mark.parametrize("p,m,e", [(2, 3, 1), (3, 2, 1), (2, 2, 2), (3, 2, 2)])
+    def test_injective_and_additive_exhaustive(self, p, m, e):
+        els = elements(p, m, e)
+        images = {w: teichmuller_image(w) for w in els}
+        assert len(set(images.values())) == len(els)
+        mod = p ** m
+        for u in els:
+            for v in els:
+                expected = tuple((x + y) % mod for x, y in zip(images[u], images[v]))
+                assert images[witt_add(u, v)] == expected
+
+    def test_large_prime_example(self):
+        u = WittVector.from_ints(47, 3, [1, 2, 3], e=2)
+        v = WittVector.from_ints(47, 3, [4, 5, 6], e=2)
+        total = witt_add(u, v)
+        assert total == WittVector.from_ints(47, 3, [5, 35, 27], e=2)
+        tu, tv = teichmuller_image(u), teichmuller_image(v)
+        assert teichmuller_image(total) == tuple((x + y) % 47 ** 3 for x, y in zip(tu, tv))
 
 
 class TestZpmOracle:
