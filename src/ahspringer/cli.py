@@ -104,12 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ah_coeffs(args) -> int:
-    if args.rational:
-        series = ah_rational_coeffs(args.p, args.n)
-        print(" ".join(str(c) for c in series.coeffs))
-    else:
-        series = ah_coeffs_mod_p(args.p, args.n)
-        print(" ".join(str(c) for c in series.coeffs))
+    series = (ah_rational_coeffs if args.rational else ah_coeffs_mod_p)(args.p, args.n)
+    print(" ".join(str(c) for c in series.coeffs))
     return 0
 
 

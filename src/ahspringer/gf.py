@@ -4,11 +4,26 @@ Elements are represented by their coordinates in [0, p) over the basis
 {1, w}, where w is a root of a fixed irreducible monic quadratic.  Only
 extension degrees 1 and 2 are supported; everything is plain integer
 arithmetic, no floating point anywhere.
+
+This module owns that presentation: ``field_modulus`` chooses it, and
+``_field_mul``, ``_field_pow`` and ``_frobenius`` are the one product,
+power and Frobenius that every layer calls, on ints or on arrays.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
+from itertools import product
+
+# The plane kernels sum k products before they reduce mod p.  Each term
+# is a coordinate times a coordinate, times a coefficient of the
+# quadratic modulus for e = 2, so it is below p^3 in magnitude and the
+# largest unreduced sum is below k * p^3: k = n for an F_{p^2} matrix
+# product, the basis size (at most n^2) for a sampled combination.  With
+# p < 2^16 that is below k * 2^48 < 2^63 for every k < 2^15, and
+# matrices.MAX_DIM = 128 keeps k below 2^14.
+PRIME_BOUND = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -23,6 +38,10 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> None:
+    """Refuse p unless it is a prime below PRIME_BOUND.  The bound is
+    tested first, so trial division never runs on a large p."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p must be below {PRIME_BOUND} for exact int64 arithmetic, got {p}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
 
@@ -44,21 +63,54 @@ def quadratic_modulus(p: int) -> tuple[int, int]:
     raise AssertionError("unreachable: F_p always has an irreducible quadratic")
 
 
-# The plane kernels sum k products before they reduce mod p.  Each term
-# is a coordinate times a coordinate, times a coefficient of the
-# quadratic modulus for e = 2, so it is below p^3 in magnitude and the
-# largest unreduced sum is below k * p^3: k = n for an F_{p^2} matrix
-# product, the basis size (at most n^2) for a sampled combination.  With
-# p < 2^16 that is below k * 2^48 < 2^63 for every k < 2^15, and
-# matrices.MAX_DIM = 128 keeps k below 2^14.
-PRIME_BOUND = 1 << 16
+def field_modulus(p: int, e: int):
+    """The presentation of F_{p^e} every layer computes in:
+    quadratic_modulus(p) for e = 2, None for e = 1."""
+    return quadratic_modulus(p) if e == 2 else None
+
+
+def _field_mul(a, b, q: int, mod, op):
+    """Coordinates of the product of a and b in (Z/q)[w]/(w^2 + b*w + c).
+
+    a and b hold e coordinates each (ints or arrays) and op is the bilinear
+    map that combines one coordinate of a with one of b: multiply, matmul,
+    an outer product or a contraction.  mod is field_modulus(p, e); q is p
+    for F_{p^e}, or p^(n+1) for the Witt ghost ring.  This is the one
+    place that applies w^2 = -b*w - c.
+    """
+    if mod is None:
+        return (op(a[0], b[0]) % q,)
+    mb, mc = mod
+    hi = op(a[1], b[1])
+    return ((op(a[0], b[0]) - mc * hi) % q, (op(a[0], b[1]) + op(a[1], b[0]) - mb * hi) % q)
+
+
+def _field_pow(x, k: int, q: int, mod):
+    """x^k for k >= 0 on integer coordinates, in the ring of _field_mul."""
+    if mod is None:
+        return (pow(x[0], k, q),)
+    result = (1, 0)
+    while k:
+        if k & 1:
+            result = _field_mul(result, x, q, mod, operator.mul)
+        x = _field_mul(x, x, q, mod, operator.mul)
+        k >>= 1
+    return result
+
+
+def _frobenius(a, p: int, mod):
+    """Coordinates of a^p for e coordinates a (ints or arrays): the
+    identity for e = 1; for e = 2, w^p is the conjugate root -b - w of
+    x^2 + b*x + c."""
+    if mod is None:
+        return a
+    a0, a1 = a
+    return ((a0 - mod[0] * a1) % p, (-a1) % p)
 
 
 @lru_cache(maxsize=None)
 def _check_field_params(p: int, e: int) -> None:
     check_prime(p)
-    if p >= PRIME_BOUND:
-        raise ValueError(f"p must be below {PRIME_BOUND} for exact int64 arithmetic, got {p}")
     if e not in (1, 2):
         raise ValueError(f"extension degree must be 1 or 2, got {e!r}")
 
@@ -119,9 +171,7 @@ class FieldScalar:
         return hash((self.p, self.e, self.coords))
 
     def __repr__(self):
-        if self.e == 1:
-            return f"FieldScalar({self.p}, 1, ({self.coords[0]},))"
-        return f"FieldScalar({self.p}, 2, {self.coords})"
+        return f"FieldScalar({self.p}, {self.e}, {self.coords})"
 
     def __add__(self, other: "FieldScalar") -> "FieldScalar":
         self._check_match(other)
@@ -137,18 +187,14 @@ class FieldScalar:
         p = self.p
         return FieldScalar(p, self.e, tuple((-x) % p for x in self.coords))
 
+    @property
+    def _mod(self):
+        return field_modulus(self.p, self.e)
+
     def __mul__(self, other: "FieldScalar") -> "FieldScalar":
         self._check_match(other)
-        p = self.p
-        if self.e == 1:
-            return FieldScalar(p, 1, ((self.coords[0] * other.coords[0]) % p,))
-        a0, a1 = self.coords
-        b0, b1 = other.coords
-        mb, mc = quadratic_modulus(p)
-        hi = a1 * b1
-        return FieldScalar(
-            p, 2, ((a0 * b0 - mc * hi) % p, (a0 * b1 + a1 * b0 - mb * hi) % p)
-        )
+        coords = _field_mul(self.coords, other.coords, self.p, self._mod, operator.mul)
+        return FieldScalar(self.p, self.e, coords)
 
     def __rmul__(self, k: int) -> "FieldScalar":
         # integer scaling, used by generic polynomial evaluation
@@ -160,14 +206,7 @@ class FieldScalar:
     def __pow__(self, n: int) -> "FieldScalar":
         if n < 0:
             return self.inverse() ** (-n)
-        result = FieldScalar.one(self.p, self.e)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return FieldScalar(self.p, self.e, _field_pow(self.coords, n, self.p, self._mod))
 
     def inverse(self) -> "FieldScalar":
         return FieldScalar(self.p, self.e, inverse_coords(self.p, self.e, self.coords))
@@ -177,12 +216,7 @@ class FieldScalar:
 
     def frobenius(self) -> "FieldScalar":
         """The p-th power map x -> x^p (identity on F_p)."""
-        if self.e == 1:
-            return self
-        # w^p is the conjugate root -b - w of x^2 + b*x + c
-        a0, a1 = self.coords
-        mb, _ = quadratic_modulus(self.p)
-        return FieldScalar(self.p, 2, ((a0 - mb * a1) % self.p, (-a1) % self.p))
+        return FieldScalar(self.p, self.e, _frobenius(self.coords, self.p, self._mod))
 
     def lift(self) -> int:
         """Canonical integer representative; only valid for e=1."""
@@ -216,13 +250,8 @@ def is_json_int(obj) -> bool:
 def all_scalars(p: int, e: int):
     """Iterate every element of F_{p^e} in a fixed order."""
     _check_field_params(p, e)
-    if e == 1:
-        for x in range(p):
-            yield FieldScalar(p, 1, (x,))
-    else:
-        for x0 in range(p):
-            for x1 in range(p):
-                yield FieldScalar(p, 2, (x0, x1))
+    for coords in product(range(p), repeat=e):
+        yield FieldScalar(p, e, coords)
 
 
 @lru_cache(maxsize=None)
@@ -238,18 +267,17 @@ def inverse_coords(p: int, e: int, coords) -> tuple[int, ...]:
     """Coordinates of 1/a for a in F_{p^e} given by reduced coordinates.
 
     Looks 1/a up in the per-p table for e=1; for e=2 it is a^p / N(a),
-    with a^p = (a0 - b*a1) - a1*w and the norm N(a) = a * a^p in F_p.
-    Raises ZeroDivisionError for a = 0.
+    with the norm N(a) = a * a^p in F_p.  Raises ZeroDivisionError for a = 0.
     """
     if not any(coords):
         raise ZeroDivisionError("inverse of zero in a finite field")
     inv = _prime_field_inverses(p)
     if e == 1:
         return (inv[coords[0]],)
-    a0, a1 = coords
-    mb, mc = quadratic_modulus(p)
-    norm_inv = inv[(a0 * a0 - mb * a0 * a1 + mc * a1 * a1) % p]
-    return ((a0 - mb * a1) * norm_inv % p, -a1 * norm_inv % p)
+    mod = field_modulus(p, e)
+    conj = _frobenius(coords, p, mod)
+    norm_inv = inv[_field_mul(coords, conj, p, mod, operator.mul)[0]]
+    return tuple(x * norm_inv % p for x in conj)
 
 
 def inverse_mod(a: int, p: int) -> int:

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError
-from .gf import FieldScalar, _check_field_params, quadratic_modulus
-from .matrices import FpMatrix, _field_mul, _lin_comb, _mat_mul_planes
+from .gf import FieldScalar, _check_field_params, _field_mul, field_modulus
+from .matrices import FpMatrix, _lin_comb, _mat_mul_planes
 from .rng import Stream, stream
 
 KINDS = ("GL", "SL", "SO", "Sp")
@@ -147,14 +147,6 @@ def nilpotency_degree(x: FpMatrix) -> int:
     return len(nilpotent_powers(x))
 
 
-def is_nilpotent(x: FpMatrix) -> bool:
-    try:
-        nilpotent_powers(x)
-    except DomainError:
-        return False
-    return True
-
-
 def nilpotent_order(x: FpMatrix) -> int:
     """Least m with x^(p^m) = 0 (0 iff x = 0); DomainError if not nilpotent."""
     d = nilpotency_degree(x)
@@ -167,8 +159,7 @@ def nilpotent_order(x: FpMatrix) -> int:
 def unipotent_order_exponent(u: FpMatrix) -> int:
     """Least j with u^(p^j) = identity; DomainError if u is not unipotent."""
     ident = FpMatrix.identity(u.p, u.e, u.n)
-    if not is_nilpotent(u - ident):
-        raise DomainError("matrix is not unipotent")
+    nilpotent_powers(u - ident, message="matrix is not unipotent")
     j = 0
     y = u
     while y != ident:
@@ -300,8 +291,7 @@ def _combine(basis: np.ndarray, p: int, e: int, st: Stream) -> FpMatrix:
     """
     k, _, n, _ = basis.shape
     coords = np.array([st.below(p) for _ in range(k * e)], dtype=np.int64).reshape(k, e)
-    mod = quadratic_modulus(p) if e == 2 else None
-    return FpMatrix._wrap(p, e, n, _lin_comb(coords, basis, p, mod))
+    return FpMatrix._wrap(p, e, n, _lin_comb(coords, basis, p, field_modulus(p, e)))
 
 
 def random_group_element(spec: GroupSpec, p: int, e: int, st: Stream) -> FpMatrix:
@@ -411,8 +401,7 @@ def enumerate_nilpotents(p: int, n: int, e: int = 1):
     digits = np.arange(total, dtype=np.int64)[:, None] // p ** np.arange(e * n * n) % p
     cube = digits.reshape(total, e, n, n)
     power = cube
-    mod = quadratic_modulus(p) if e == 2 else None
     for _ in range((n - 1).bit_length()):
-        power = _mat_mul_planes(power, power, p, mod)
+        power = _mat_mul_planes(power, power, p, field_modulus(p, e))
     for planes in cube[~power.any(axis=(1, 2, 3))]:
         yield FpMatrix._wrap(p, e, n, planes)

@@ -12,8 +12,8 @@ import operator
 
 import numpy as np
 
-from .gf import FieldScalar, inverse_coords, quadratic_modulus
-from .matrices import FpMatrix, _field_mul
+from .gf import FieldScalar, _field_mul, field_modulus, inverse_coords
+from .matrices import FpMatrix
 
 
 def _as_planes(a, e):
@@ -31,7 +31,7 @@ def _eliminate(planes, p, e):
     product of the pivots as found, negated once per row swap: the
     determinant's coordinates when the input is square of full rank.
     """
-    mod = quadratic_modulus(p) if e == 2 else None
+    mod = field_modulus(p, e)
     r_mat = _as_planes(planes, e) % p
     nrows, ncols = r_mat.shape[1], r_mat.shape[2]
     pivots = []

@@ -13,26 +13,10 @@ import json
 
 import numpy as np
 
-from .gf import FieldScalar, _check_field_params, is_json_int, quadratic_modulus
+from .gf import FieldScalar, _check_field_params, _field_mul, _frobenius, field_modulus, is_json_int
 
 
 MAX_DIM = 128  # keeps every kernel's unreduced sum exact (see gf.PRIME_BOUND)
-
-
-def _field_mul(a, b, p, mod, op):
-    """Coordinates of the F_{p^e} product of a and b.
-
-    a and b hold e coordinates each (ints or arrays) and op is the bilinear
-    map that combines one coordinate of a with one of b: multiply, matmul,
-    an outer product or a contraction.  This is the one place the array
-    kernels apply w^2 = -b*w - c; mod is quadratic_modulus(p), or None
-    for e = 1.
-    """
-    if mod is None:
-        return (op(a[0], b[0]) % p,)
-    mb, mc = mod
-    hi = op(a[1], b[1])
-    return ((op(a[0], b[0]) - mc * hi) % p, (op(a[0], b[1]) + op(a[1], b[0]) - mb * hi) % p)
 
 
 def _mat_mul_planes(a, b, p, mod):
@@ -92,7 +76,7 @@ class FpMatrix:
 
     @property
     def _mod(self):
-        return quadratic_modulus(self.p) if self.e == 2 else None
+        return field_modulus(self.p, self.e)
 
     # -- constructors -------------------------------------------------
 
@@ -216,11 +200,8 @@ class FpMatrix:
 
     def frobenius_entries(self) -> "FpMatrix":
         """Apply x -> x^p to every entry (identity when e=1)."""
-        if self.e == 1:
-            return self
-        mb, _ = quadratic_modulus(self.p)
-        a0, a1 = self.planes
-        return FpMatrix(self.p, 2, np.stack(((a0 - mb * a1) % self.p, (-a1) % self.p)))
+        planes = np.stack(_frobenius(self.planes, self.p, self._mod))
+        return FpMatrix._wrap(self.p, self.e, self.n, planes)
 
     # -- serialization ------------------------------------------------
 

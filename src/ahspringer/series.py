@@ -59,9 +59,6 @@ class RationalSeries:
                 out[i + j] += a[i] * b[j]
         return RationalSeries(out)
 
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
 
 class FpSeries:
     """Truncated series over F_p; coefficients are canonical ints in [0, p)."""
@@ -86,9 +83,6 @@ class FpSeries:
 
     def __repr__(self):
         return f"FpSeries({self.p}, {list(self.coeffs)!r})"
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
 
 
 def _exp_of_term(k: int, c: Fraction, degree: int) -> RationalSeries:

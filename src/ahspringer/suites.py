@@ -25,7 +25,7 @@ from .expmaps import (
     truncated_exp,
     witt_embed,
 )
-from .gf import FieldScalar, all_scalars, is_prime
+from .gf import FieldScalar, all_scalars, check_prime
 from .groups import (
     GroupSpec,
     JordanType,
@@ -72,8 +72,7 @@ class SuiteConfig:
         if unknown:
             raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
         for p in self.primes:
-            if not is_prime(p):
-                raise ValueError(f"--p entries must be prime, got {p}")
+            check_prime(p)
         if not self.primes:
             raise ValueError("at least one prime is required")
         for k in self.kinds:

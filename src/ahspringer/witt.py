@@ -2,10 +2,10 @@
 
 The group law is computed from ghost components.  Entries are lifted to
 R_n = (Z/p^(n+1))[w]/(w^2 + b*w + c), with (b, c) from
-``quadratic_modulus(p)`` (plain Z/p^(n+1) for e = 1), and the sum or
-negative is the vector s whose ghost components
-w_n(x) = sum_{i<=n} p^i x_i^(p^(n-i)) hit the target (w_n(a) + w_n(b),
-or -w_n(a)), found coordinate by coordinate:
+``gf.field_modulus`` (plain Z/p^(n+1) for e = 1) and powers from
+``gf._field_pow``, and the sum or negative is the vector s whose ghost
+components w_n(x) = sum_{i<=n} p^i x_i^(p^(n-i)) hit the target
+(w_n(a) + w_n(b), or -w_n(a)), found coordinate by coordinate:
 
     p^n s_n = target_n - sum_{i<n} p^i s_i^(p^(n-i))   (mod p^(n+1)).
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf import FieldScalar, _check_field_params, quadratic_modulus
+from .gf import FieldScalar, _check_field_params, _field_pow, field_modulus
 
 MAX_LENGTH = 3
 
@@ -217,50 +217,29 @@ def _check_pair(u: WittVector, v: WittVector) -> None:
         raise ValueError("Witt vector parameter mismatch")
 
 
-def _ring_mul(x, y, q: int, bc):
-    # product in (Z/q)[w]/(w^2 + b*w + c) on coordinate tuples; bc is None for e = 1
-    if bc is None:
-        return (x[0] * y[0] % q,)
-    b, c = bc
-    hi = x[1] * y[1]
-    return ((x[0] * y[0] - c * hi) % q, (x[0] * y[1] + x[1] * y[0] - b * hi) % q)
-
-
-def _ring_pow(x, k: int, q: int, bc):
-    if bc is None:
-        return (pow(x[0], k, q),)
-    result = (1, 0)
-    while k:
-        if k & 1:
-            result = _ring_mul(result, x, q, bc)
-        x = _ring_mul(x, x, q, bc)
-        k >>= 1
-    return result
-
-
-def _ghost_sum(p: int, n: int, coords, bc) -> list[int]:
+def _ghost_sum(p: int, n: int, coords, mod) -> list[int]:
     # sum_i p^i coords[i]^(p^(n-i)) over the given coords, mod p^(n+1)
     q = p ** (n + 1)
-    acc = [0] * (1 if bc is None else 2)
+    acc = [0] * (1 if mod is None else 2)
     for i, x in enumerate(coords):
-        term = _ring_pow(x, p ** (n - i), q, bc)
+        term = _field_pow(x, p ** (n - i), q, mod)
         acc = [a + p ** i * t for a, t in zip(acc, term)]
     return [a % q for a in acc]
 
 
-def _ghosts(w: WittVector, bc) -> list[list[int]]:
+def _ghosts(w: WittVector, mod) -> list[list[int]]:
     """Ghost components w_n mod p^(n+1), n < m, of the [0, p) lifts of w."""
     coords = [a.coords for a in w.entries]
-    return [_ghost_sum(w.p, n, coords[: n + 1], bc) for n in range(w.m)]
+    return [_ghost_sum(w.p, n, coords[: n + 1], mod) for n in range(w.m)]
 
 
-def _from_ghosts(p: int, e: int, targets, bc) -> WittVector:
+def _from_ghosts(p: int, e: int, targets, mod) -> WittVector:
     """The Witt vector whose ghost components are targets[n] mod p^(n+1)."""
     coords: list[tuple[int, ...]] = []
     for n, target in enumerate(targets):
         q, pn = p ** (n + 1), p ** n
         s_n = []
-        for t, g in zip(target, _ghost_sum(p, n, coords, bc)):
+        for t, g in zip(target, _ghost_sum(p, n, coords, mod)):
             quo, rem = divmod((t - g) % q, pn)
             if rem:
                 raise ArithmeticError(f"ghost residue {(t - g) % q} not divisible by {pn}")
@@ -269,22 +248,18 @@ def _from_ghosts(p: int, e: int, targets, bc) -> WittVector:
     return WittVector(p, e, len(coords), tuple(FieldScalar(p, e, c) for c in coords))
 
 
-def _modulus(w: WittVector):
-    return quadratic_modulus(w.p) if w.e == 2 else None
-
-
 def witt_add(u: WittVector, v: WittVector) -> WittVector:
     """Group law: the vector with ghost components w_n(u) + w_n(v)."""
     _check_pair(u, v)
-    bc = _modulus(u)
-    ghosts = zip(_ghosts(u, bc), _ghosts(v, bc))
-    return _from_ghosts(u.p, u.e, [[x + y for x, y in zip(gu, gv)] for gu, gv in ghosts], bc)
+    mod = field_modulus(u.p, u.e)
+    ghosts = zip(_ghosts(u, mod), _ghosts(v, mod))
+    return _from_ghosts(u.p, u.e, [[x + y for x, y in zip(gu, gv)] for gu, gv in ghosts], mod)
 
 
 def witt_neg(w: WittVector) -> WittVector:
     """Group inverse: the vector with ghost components -w_n(w)."""
-    bc = _modulus(w)
-    return _from_ghosts(w.p, w.e, [[-x for x in g] for g in _ghosts(w, bc)], bc)
+    mod = field_modulus(w.p, w.e)
+    return _from_ghosts(w.p, w.e, [[-x for x in g] for g in _ghosts(w, mod)], mod)
 
 
 def witt_pow_p(w: WittVector) -> WittVector:
@@ -307,12 +282,19 @@ def witt_from_integer(p: int, m: int, value: int) -> WittVector:
     """The image of an integer under Z -> W_m(F_p), n -> n * (1, 0, ..., 0).
 
     This is the independent oracle for the group law: it realizes the
-    isomorphism Z/p^m = W_m(F_p).  Base field only (e = 1).
+    isomorphism Z/p^m = W_m(F_p).  Base field only (e = 1).  The multiple
+    is built by double-and-add over the bits of n mod p^m, so it takes at
+    most 2 * ceil(log2(p^m)) calls to witt_add.
     """
-    unit = WittVector.from_ints(p, m, [1] + [0] * (m - 1))
     acc = WittVector.zero(p, m)
-    for _ in range(value % (p ** m)):
-        acc = witt_add(acc, unit)
+    power = WittVector.from_ints(p, m, [1] + [0] * (m - 1))
+    k = value % (p ** m)
+    while k:
+        if k & 1:
+            acc = witt_add(acc, power)
+        k >>= 1
+        if k:
+            power = witt_add(power, power)
     return acc
 
 

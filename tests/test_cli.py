@@ -1,6 +1,7 @@
 """CLI tests, exercising the documented subcommands and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -31,6 +32,24 @@ def test_ah_coeffs_non_prime_exits_2(capsys):
     code, _, err = run_cli(capsys, "ah-coeffs", "--p", "4", "--n", "3")
     assert code == 2
     assert "prime" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "neg", "--p", str(2**61 - 1), "--m", "1", "--vector", "1"],
+    ["verify", "--suite", "witt-group", "--p", str(2**61 - 1)],
+    ["ah-coeffs", "--p", str(2**61 - 1), "--n", "3"],
+])
+def test_large_prime_is_refused_before_trial_division(capsys, monkeypatch, argv):
+    # 2^61 - 1 is prime; trial division on it would run for minutes
+    def no_trial_division(n):
+        raise AssertionError(f"trial division ran on {n}")
+
+    monkeypatch.setattr("ahspringer.gf.is_prime", no_trial_division)
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "65536" in err
+    assert time.monotonic() - start < 5
 
 
 def test_exp_log_round_trip(tmp_path, capsys):

@@ -141,7 +141,7 @@ _SCALAR = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([2**63, -2**64, 10**30]),
 )
 _ENTRY = _SCALAR | st.lists(_SCALAR, max_size=3)
-_HEADER = st.sampled_from([65521, 65537, 2**64]) | _SCALAR
+_HEADER = st.sampled_from([65521, 65537, 2**61 - 1, 2**64]) | _SCALAR
 MALFORMED_TEXT = st.one_of(
     st.fixed_dictionaries(
         {},

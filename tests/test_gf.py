@@ -1,8 +1,21 @@
-"""Field scalar tests: exhaustive axioms for the small fields in scope."""
+"""Field scalar tests: exhaustive axioms for the small fields in scope, and
+F_{p^2} arithmetic against its companion-matrix representation."""
+
+import random
+import re
+from pathlib import Path
 
 import pytest
 
-from ahspringer.gf import FieldScalar, all_scalars, inverse_mod, is_prime, quadratic_modulus
+import ahspringer
+from ahspringer.gf import (
+    FieldScalar,
+    all_scalars,
+    check_prime,
+    inverse_mod,
+    is_prime,
+    quadratic_modulus,
+)
 
 
 def test_quadratic_modulus_frozen():
@@ -107,3 +120,80 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         a.coords = (1,)
     assert len({FieldScalar(3, 1, (1,)), FieldScalar(3, 1, (1,))}) == 1
+
+
+def test_check_prime_tests_the_bound_first():
+    for p in (65536, 65537, 2**61 - 1):  # composite, prime, prime
+        with pytest.raises(ValueError, match="below 65536"):
+            check_prime(p)
+    with pytest.raises(ValueError, match="must be prime"):
+        check_prime(65535)
+    check_prime(65521)
+
+
+# -- companion-matrix oracle ---------------------------------------------
+#
+# a0 + a1*w maps to a0*I + a1*C, with C = [[0, -c], [1, -b]] the companion
+# matrix of x^2 + b*x + c.  This is an injective ring map into 2x2 integer
+# matrices mod p, so it checks the reduction rule of the scalar product,
+# power, Frobenius and inverse without sharing their code.
+
+
+def _rep(a):
+    b, c = quadratic_modulus(a.p)
+    a0, a1 = a.coords
+    return ((a0 % a.p, -c * a1 % a.p), (a1 % a.p, (a0 - b * a1) % a.p))
+
+
+def _mat_mul(x, y, p):
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(2)) % p for j in range(2)) for i in range(2)
+    )
+
+
+def _mat_pow(x, k, p):
+    result = ((1, 0), (0, 1))
+    for bit in bin(k)[2:]:
+        result = _mat_mul(result, result, p)
+        if bit == "1":
+            result = _mat_mul(result, x, p)
+    return result
+
+
+def _check_against_companion(a, b, exponents):
+    p = a.p
+    assert _rep(a * b) == _mat_mul(_rep(a), _rep(b), p)
+    assert _rep(a.frobenius()) == _mat_pow(_rep(a), p, p)
+    for k in exponents:
+        assert _rep(a ** k) == _mat_pow(_rep(a), k, p)
+    if not a.is_zero():
+        identity = ((1, 0), (0, 1))
+        assert _mat_mul(_rep(a.inverse()), _rep(a), p) == identity
+        assert _mat_mul(_rep(a ** -3), _mat_pow(_rep(a), 3, p), p) == identity
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_scalar_arithmetic_matches_companion_matrices_exhaustive(p):
+    elements = list(all_scalars(p, 2))
+    exponents = [0, 1, 2, p, p + 1, p * p - 1, p * p]
+    for a in elements:
+        for b in elements:
+            _check_against_companion(a, b, exponents if b == a else ())
+
+
+def test_scalar_arithmetic_matches_companion_matrices_seeded():
+    p = 65521
+    rng = random.Random(p)
+    exponents = [0, 1, p, p * p - 1, rng.randrange(p ** 3)]
+    for _ in range(200):
+        a, b = (FieldScalar(p, 2, (rng.randrange(p), rng.randrange(p))) for _ in range(2))
+        _check_against_companion(a, b, exponents)
+
+
+def test_only_gf_names_quadratic_modulus():
+    # the presentation of F_{p^2} stays behind gf: every other module asks
+    # gf.field_modulus and calls the gf product, power and Frobenius
+    src = Path(ahspringer.__file__).parent
+    offenders = [f.name for f in sorted(src.glob("*.py"))
+                 if f.name != "gf.py" and re.search(r"\bquadratic_modulus\b", f.read_text())]
+    assert offenders == []

@@ -210,11 +210,6 @@ class TestReversion:
             series_reversion(FpSeries(3, [0, 0, 1]))
 
 
-def test_series_json_rendering():
-    assert ah_rational_coeffs(2, 3).to_json() == ["1", "1", "1", "2/3"]
-    assert ah_coeffs_mod_p(3, 3).to_json() == ["1", "1", "2", "2"]
-
-
 def test_series_construction_validation():
     with pytest.raises(ValueError):
         FpSeries(2, [])

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from ahspringer import witt as witt_module
 from ahspringer.gf import FieldScalar, all_scalars, quadratic_modulus
 from ahspringer.witt import (
     MAX_LENGTH,
@@ -178,6 +179,22 @@ class TestZpmOracle:
 
     def test_negative_integers_wrap(self):
         assert witt_from_integer(2, 2, -1) == witt_from_integer(2, 2, 3)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_ghost_components_at_large_prime(self, m, monkeypatch):
+        # w_k(x) = sum_{i<=k} p^i x_i^(p^(k-i)) must be n mod p^(k+1), in plain ints
+        p = 65521
+        calls = []
+        monkeypatch.setattr(witt_module, "witt_add", lambda u, v: calls.append(1) or witt_add(u, v))
+        rng = random.Random(m)
+        for n in [1, p - 1, p, 10**6, p ** m - 1, -1] + [rng.randrange(p ** m) for _ in range(4)]:
+            calls.clear()
+            x = [a.lift() for a in witt_from_integer(p, m, n).entries]
+            for k in range(m):
+                q = p ** (k + 1)
+                ghost = sum(p ** i * pow(x[i], p ** (k - i), q) for i in range(k + 1)) % q
+                assert ghost == n % q
+            assert len(calls) <= 2 * (p ** m - 1).bit_length()
 
 
 class TestGroupLaw:
