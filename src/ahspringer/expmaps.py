@@ -37,12 +37,13 @@ def eval_series_in_matrix(coeffs, x: FpMatrix, limit: int | None = None,
 
     One reduction over the walked powers x^0, ..., x^(d-1); the terms from
     the nilpotency degree d on are zero.  DomainError(message) unless
-    x^limit = 0 (limit defaults to n).
+    x^limit = 0 (limit defaults to n).  A stack x is evaluated lane by
+    lane, so every map built on this one takes stacks too.
     """
     powers = nilpotent_powers(x, limit, message)
     k = min(len(powers), len(coeffs))
     total = np.array(coeffs[:k], dtype=np.int64) @ powers[:k].reshape(k, -1)
-    return FpMatrix._wrap(x.p, x.e, x.n, total.reshape(x.e, x.n, x.n) % x.p)
+    return FpMatrix._wrap(x.p, x.e, x.n, total.reshape(x.planes.shape) % x.p)
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +215,8 @@ def bch_dynkin(x: FpMatrix, y: FpMatrix, maxdeg: int) -> FpMatrix:
     An oracle for bch(): the nested-bracket words are summed with exact
     rational coefficients reduced mod p, a computation sharing nothing
     with the truncated exp/log route.  maxdeg must stay below p, where
-    the coefficient denominators are units.
+    the coefficient denominators are units.  Stacks x, y are expanded
+    lane by lane.
     """
     if maxdeg < 1:
         raise ValueError("maxdeg must be >= 1")
@@ -238,7 +240,8 @@ def bch_dynkin(x: FpMatrix, y: FpMatrix, maxdeg: int) -> FpMatrix:
         brackets[word] = result
         return result
 
-    acc = FpMatrix.zeros(x.p, x.e, x.n)
+    acc = FpMatrix._wrap(x.p, x.e, x.n, np.zeros(np.broadcast_shapes(x.planes.shape, y.planes.shape),
+                                                  dtype=np.int64))
     for word, coeff in _dynkin_table_mod_p(x.p, maxdeg):
         term = bracket(word)
         if not term.is_zero():

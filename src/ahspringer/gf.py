@@ -6,8 +6,9 @@ extension degrees 1 and 2 are supported; everything is plain integer
 arithmetic, no floating point anywhere.
 
 This module owns that presentation: ``field_modulus`` chooses it, and
-``_field_mul``, ``_field_pow`` and ``_frobenius`` are the one product,
-power and Frobenius that every layer calls, on ints or on arrays.
+``_field_mul``, ``_field_pow``, ``_field_inv`` and ``_frobenius`` are
+the one product, power, inverse and Frobenius that every layer calls, on
+ints or on arrays.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 # The plane kernels sum k products before they reduce mod p.  Each term
 # is a coordinate times a coordinate, times a coefficient of the
@@ -255,29 +258,36 @@ def all_scalars(p: int, e: int):
 
 
 @lru_cache(maxsize=None)
-def _prime_field_inverses(p: int) -> tuple[int, ...]:
+def _prime_field_inverses(p: int) -> np.ndarray:
     # 1/a mod p for a = 0..p-1 (0 -> 0), by 1/a = -(p // a) / (p mod a)
     inv = [0, 1]
     for a in range(2, p):
         inv.append(-(p // a) * inv[p % a] % p)
-    return tuple(inv)
+    table = np.array(inv, dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _field_inv(a, p: int, mod):
+    """Coordinates of 1/a for e reduced coordinates a (ints or arrays),
+    with 0 -> 0: the per-p table for e = 1; a^p / N(a) for e = 2, with the
+    norm N(a) = a * a^p in F_p."""
+    table = _prime_field_inverses(p)
+    if mod is None:
+        return (table[a[0]],)
+    conj = _frobenius(a, p, mod)
+    norm_inv = table[_field_mul(a, conj, p, mod, np.multiply)[0]]
+    return tuple(x * norm_inv % p for x in conj)
 
 
 def inverse_coords(p: int, e: int, coords) -> tuple[int, ...]:
     """Coordinates of 1/a for a in F_{p^e} given by reduced coordinates.
 
-    Looks 1/a up in the per-p table for e=1; for e=2 it is a^p / N(a),
-    with the norm N(a) = a * a^p in F_p.  Raises ZeroDivisionError for a = 0.
+    Raises ZeroDivisionError for a = 0.
     """
     if not any(coords):
         raise ZeroDivisionError("inverse of zero in a finite field")
-    inv = _prime_field_inverses(p)
-    if e == 1:
-        return (inv[coords[0]],)
-    mod = field_modulus(p, e)
-    conj = _frobenius(coords, p, mod)
-    norm_inv = inv[_field_mul(coords, conj, p, mod, operator.mul)[0]]
-    return tuple(x * norm_inv % p for x in conj)
+    return tuple(int(x) for x in _field_inv(coords, p, field_modulus(p, e)))
 
 
 def inverse_mod(a: int, p: int) -> int:

@@ -19,7 +19,7 @@ from . import linalg
 from .errors import DomainError
 from .gf import FieldScalar, _check_field_params, _field_mul, field_modulus
 from .matrices import FpMatrix, _lin_comb, _mat_mul_planes
-from .rng import Stream, stream
+from .rng import Stream, below_lanes, stream
 
 KINDS = ("GL", "SL", "SO", "Sp")
 
@@ -127,10 +127,13 @@ def nilpotent_powers(x: FpMatrix, limit: int | None = None,
     The one power walk of the package: x, x^2, ... are multiplied out once,
     stopping at the first zero power.  Raises DomainError(message) unless
     x^limit = 0 (limit defaults to n, where that means x is nilpotent).
+    A stack x with planes (B, e, n, n) is walked lane by lane at once: the
+    result is (d, B, e, n, n) with d the largest degree of any lane, and a
+    single lane with x^limit != 0 raises.
     """
     limit = x.n if limit is None else min(limit, x.n)
-    powers = np.zeros((limit, x.e, x.n, x.n), dtype=np.int64)
-    powers[0, 0] = np.eye(x.n, dtype=np.int64)
+    powers = np.zeros((limit,) + x.planes.shape, dtype=np.int64)
+    powers[0, ..., 0, :, :] = np.eye(x.n, dtype=np.int64)
     y = x.planes
     d = 1
     while y.any():
@@ -166,6 +169,15 @@ def unipotent_order_exponent(u: FpMatrix) -> int:
         y = y ** u.p
         j += 1
     return j
+
+
+def _unipotent_inverse(u: FpMatrix) -> FpMatrix:
+    """u^-1 = sum_k (1 - u)^k for unipotent u (lane by lane for a stack),
+    from the power walk of the nilpotent 1 - u; DomainError if u is not
+    unipotent."""
+    ident = FpMatrix.identity(u.p, u.e, u.n)
+    powers = nilpotent_powers(ident - u, message="matrix is not unipotent")
+    return FpMatrix._wrap(u.p, u.e, u.n, powers.sum(axis=0) % u.p)
 
 
 def in_group(spec: GroupSpec, g: FpMatrix) -> bool:
@@ -235,18 +247,70 @@ def jordan_type_of(x: FpMatrix) -> JordanType:
 
 
 def random_matrix(p: int, e: int, n: int, st: Stream) -> FpMatrix:
-    planes = np.array(
-        [[[st.below(p) for _ in range(n)] for _ in range(n)] for _ in range(e)],
-        dtype=np.int64,
-    )
-    return FpMatrix(p, e, planes)
+    """Seeded matrix with uniform entries: one lane of ``_matrix_lanes``."""
+    states = np.array([st.state], dtype=np.uint64)
+    planes = _matrix_lanes(p, e, np.array([n]), states, n)[0, 0]
+    st.state = int(states[0])
+    return FpMatrix._wrap(p, e, n, planes)
 
 
 def random_invertible(p: int, e: int, n: int, st: Stream) -> FpMatrix:
-    while True:
-        g = random_matrix(p, e, n, st)
-        if not linalg.det(g).is_zero():
-            return g
+    """Seeded uniform invertible matrix: one lane of ``invertible_lanes``."""
+    states = np.array([st.state], dtype=np.uint64)
+    planes = invertible_lanes(p, e, [n], states)[0]
+    st.state = int(states[0])
+    return FpMatrix._wrap(p, e, n, planes)
+
+
+def _matrix_lanes(p: int, e: int, sizes: np.ndarray, states: np.ndarray, size: int,
+                  count: int = 1) -> np.ndarray:
+    """count successive matrices diag(A, 1) from each lane, as planes
+    (B, count, e, size, size): A of size sizes[i] has uniform entries, drawn
+    plane by plane, row by row."""
+    inner = np.arange(size) < sizes[:, None]
+    block = inner[:, None, None, :, None] & inner[:, None, None, None, :]
+    block = np.broadcast_to(block, (len(sizes), count, e, size, size))
+    total = count * e * sizes * sizes
+    draws = below_lanes(states, p, total)
+    planes = np.zeros(block.shape, dtype=np.int64)
+    planes[:, :, 0] = ~block[:, :, 0] & np.eye(size, dtype=bool)
+    planes[block] = draws[np.arange(draws.shape[1]) < total[:, None]]
+    return planes
+
+
+# Matrices drawn per lane and round by invertible_lanes.  Over F_2 about
+# 70% of matrices are singular; four candidates per elimination settle
+# most lanes in one round, where one per round needs three or four.
+_CANDIDATES = 4
+
+
+def invertible_lanes(p: int, e: int, sizes, states: np.ndarray) -> np.ndarray:
+    """diag(G_i, 1) per lane, (B, e, S, S) with S = max(sizes), where G_i
+    is a uniform invertible matrix of size sizes[i] over F_{p^e} drawn
+    from the SplitMix64 lane states[i] (advanced in place).
+
+    Lane i keeps the first invertible matrix of its stream, as drawing one
+    matrix at a time and redrawing while the determinant is zero would.
+    Each round draws the next _CANDIDATES matrices of every lane still
+    open from a copy of its state, keeps the first invertible one, and
+    then advances the lane's state past exactly the matrices it used; the
+    lanes with none invertible, and only they, go on to another round.
+    """
+    sizes = np.asarray(sizes)
+    size = max(int(sizes.max(initial=0)), 1)
+    planes = np.zeros((len(sizes), e, size, size), dtype=np.int64)
+    todo = np.arange(len(sizes))
+    while todo.size:
+        start = states[todo]
+        cands = _matrix_lanes(p, e, sizes[todo], start.copy(), size, _CANDIDATES)
+        ok = linalg.det_planes(cands, p, e).any(axis=-1)
+        found, pick = ok.any(axis=1), ok.argmax(axis=1)
+        planes[todo[found]] = cands[found, pick[found]]
+        used = np.where(found, pick + 1, _CANDIDATES)
+        below_lanes(start, p, used * e * sizes[todo] ** 2)
+        states[todo] = start
+        todo = todo[~found]
+    return planes
 
 
 @lru_cache(maxsize=None)
@@ -380,9 +444,10 @@ def _sample_lie_nilpotent(spec: GroupSpec, p: int, e: int, st: Stream) -> FpMatr
         from .expmaps import ah_exp
 
         lower = _nilradical_planes(spec.kind, spec.n, p, e, lower=True)
-        g = ah_exp(_combine(lower, p, e, st)) if len(lower) else FpMatrix.identity(p, e, spec.n)
-        g = g @ ah_exp(_combine(basis, p, e, st))
-        x = g @ x @ linalg.inv(g)
+        a = ah_exp(_combine(lower, p, e, st)) if len(lower) else FpMatrix.identity(p, e, spec.n)
+        b = ah_exp(_combine(basis, p, e, st))
+        inverses = _unipotent_inverse(FpMatrix._wrap(p, e, spec.n, np.stack([a.planes, b.planes])))
+        x = a @ b @ x @ inverses.lane(1) @ inverses.lane(0)
     return x
 
 

@@ -1,68 +1,90 @@
 """Exact Gaussian elimination over F_{p^e}.
 
-Works on coefficient-plane arrays of shape (e, rows, cols); the FpMatrix
-wrappers at the bottom are what the rest of the package uses.  Row
-operations are vectorized per plane, pivot inverses come from the per-p
-table in ``gf``, and everything stays in integer arithmetic.
+Works on coefficient-plane arrays of shape (e, rows, cols), or on stacks
+(..., e, rows, cols) of them: ``_eliminate`` reduces every lane of a
+stack at once, with each lane's own pivots, so ``det_planes`` and
+``inv_planes`` take many matrices in one call.  The FpMatrix wrappers at
+the bottom are what the rest of the package uses.  Pivot inverses come
+from the per-p table in ``gf``, and everything stays in integer
+arithmetic.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 
 import numpy as np
 
-from .gf import FieldScalar, _field_mul, field_modulus, inverse_coords
+from .gf import FieldScalar, _field_inv, _field_mul, field_modulus
 from .matrices import FpMatrix
-
-
-def _as_planes(a, e):
-    a = np.array(a, dtype=np.int64)
-    if a.ndim == 2:
-        a = a[np.newaxis, :, :]
-    assert a.ndim == 3 and a.shape[0] == e
-    return a
 
 
 def _eliminate(planes, p, e):
     """Gauss-Jordan elimination, the one routine behind every function here.
 
-    Returns the reduced row echelon form, its pivot columns, and the
-    product of the pivots as found, negated once per row swap: the
-    determinant's coordinates when the input is square of full rank.
+    Works on a stack (..., e, rows, cols), every lane at once.  For each
+    column, each lane's pivot is its first row that is not yet a pivot
+    row and is nonzero there, marked by a one-hot row mask (empty in a
+    lane with no such row).  One rank-one update r -= m (x) (row / s)
+    then clears the column and scales the pivot row in every lane, where
+    row is the pivot row, s the pivot and m the column with s - 1 at the
+    pivot; a lane without a pivot has row = 0 and is left unchanged.
+    Rows are not swapped while eliminating: each lane's pivot rows are
+    moved to the top, in pivot order, at the end.
+
+    Returns the reduced row echelon forms, a boolean (..., cols) marking
+    each lane's pivot columns, and (..., e) coordinates of the product of
+    the pivots times the sign of the final row order: the determinant
+    when the lane is square of full rank.
     """
+    planes = np.asarray(planes, dtype=np.int64)
+    if planes.ndim == 2:
+        planes = planes[np.newaxis]
+    batch, (rows, cols) = planes.shape[:-3], planes.shape[-2:]
+    assert planes.shape[-3] == e
     mod = field_modulus(p, e)
-    r_mat = _as_planes(planes, e) % p
-    nrows, ncols = r_mat.shape[1], r_mat.shape[2]
-    pivots = []
-    factor = (1,) + (0,) * (e - 1)
-    for c in range(ncols):
-        r = len(pivots)
-        if r >= nrows:
+    # coordinate-major: r_mat[k] holds coordinate k of every lane
+    r_mat = planes.reshape((math.prod(batch), e, rows, cols)).swapaxes(0, 1) % p
+    lanes = np.arange(r_mat.shape[1])[:, None]
+    first = np.arange(rows)
+    unit = np.eye(e, 1, dtype=np.int64)[:, :, None]  # coordinates of 1
+    # a pivot row's key is its pivot column; the other rows sort after them
+    key = np.empty((len(lanes), rows), dtype=np.intp)
+    key[:] = first + cols
+    factor = tuple(unit[:, :, 0])
+    for c in range(cols):
+        free = key >= cols
+        if c >= rows and not free.any():
             break
-        nonzero = r_mat[:, r:, c].any(axis=0)
-        piv = r + int(nonzero.argmax())
-        if not nonzero[piv - r]:
-            continue
-        if piv != r:
-            r_mat[:, [r, piv], :] = r_mat[:, [piv, r], :]
-            factor = tuple(-x % p for x in factor)
-        s = tuple(r_mat[:, r, c].tolist())
-        factor = _field_mul(factor, s, p, mod, operator.mul)
-        r_mat[:, r, :] = _field_mul(inverse_coords(p, e, s), r_mat[:, r, :], p, mod, np.multiply)
-        col = r_mat[:, :, c].copy()
-        col[:, r] = 0
-        if col.any():
-            outer = _field_mul(col[:, :, None], r_mat[:, None, r, :], p, mod, np.multiply)
-            r_mat = (r_mat - outer) % p
-        pivots.append(c)
-    return r_mat, pivots, factor
+        col = r_mat[..., c]
+        nonzero = col.any(axis=0) & free
+        onehot = (first == nonzero.argmax(axis=1)[:, None]) & nonzero
+        row = np.matmul(onehot[:, None, :], r_mat)[..., 0, :]
+        s = row[..., c, None]  # 0 in a lane without a pivot here, where row = 0
+        row = _field_mul(_field_inv(s, p, mod), row, p, mod, np.multiply)
+        outer = _field_mul((col - unit * onehot)[..., None], tuple(x[:, None, :] for x in row),
+                           p, mod, np.multiply)
+        for k in range(e):
+            r_mat[k] -= outer[k]
+        r_mat %= p
+        factor = _field_mul(factor, s, p, mod, np.multiply)
+        key[onehot] = c
+    perm = np.argsort(key, axis=1)
+    r_mat = r_mat[:, lanes, perm].swapaxes(0, 1)
+    pivot = np.zeros((len(lanes), cols + rows), dtype=bool)
+    pivot[lanes, key] = True
+    inversions = (key[:, :, None] > key[:, None, :]) & (first[:, None] < first)
+    factor = np.concatenate(np.broadcast_arrays(*factor, lanes), axis=-1)[:, :e]
+    factor[inversions.sum(axis=(1, 2)) % 2 == 1] *= -1
+    return (r_mat.reshape(*batch, e, rows, cols), pivot[:, :cols].reshape(*batch, cols),
+            (factor % p).reshape(*batch, e))
 
 
 def rref_planes(planes, p, e):
-    """Reduced row echelon form; returns (array, pivot column list)."""
-    r_mat, pivots, _ = _eliminate(planes, p, e)
-    return r_mat, pivots
+    """Reduced row echelon form of one (e, rows, cols) array; returns
+    (array, pivot column list)."""
+    r_mat, pivot, _ = _eliminate(planes, p, e)
+    return r_mat, np.flatnonzero(pivot).tolist()
 
 
 def rank_planes(planes, p, e) -> int:
@@ -84,24 +106,39 @@ def null_space_planes(planes, p, e):
     return basis
 
 
+def det_planes(planes, p, e) -> np.ndarray:
+    """Determinant coordinates (..., e) of a stack (..., e, n, n); zero for
+    a singular lane."""
+    _, pivot, factor = _eliminate(planes, p, e)
+    return np.where(pivot.all(axis=-1, keepdims=True), factor, 0)
+
+
+def inv_planes(planes, p, e):
+    """Inverses of a stack (..., e, n, n) and a boolean (...) of which lanes
+    are invertible; a singular lane's inverse planes are zero.  One
+    elimination of [A | 1] per lane."""
+    planes = np.asarray(planes)
+    n = planes.shape[-1]
+    aug = np.zeros(planes.shape[:-1] + (2 * n,), dtype=np.int64)
+    aug[..., :n] = planes
+    aug[..., 0, :, n:] = np.eye(n, dtype=np.int64)
+    r_mat, pivot, _ = _eliminate(aug, p, e)
+    ok = pivot[..., :n].all(axis=-1)
+    return np.where(ok[..., None, None, None], r_mat[..., n:], 0), ok
+
+
 def det(m: FpMatrix) -> FieldScalar:
     """Determinant from the pivots of the elimination, exact over the field."""
-    _, pivots, factor = _eliminate(m.planes, m.p, m.e)
-    if len(pivots) < m.n:
-        return FieldScalar.zero(m.p, m.e)
-    return FieldScalar(m.p, m.e, factor)
+    return FieldScalar(m.p, m.e, det_planes(m.planes, m.p, m.e))
 
 
 def inv(m: FpMatrix) -> FpMatrix:
-    """Matrix inverse; raises ZeroDivisionError when singular."""
-    p, e, n = m.p, m.e, m.n
-    aug = np.zeros((e, n, 2 * n), dtype=np.int64)
-    aug[:, :, :n] = m.planes
-    aug[0, :, n:] = np.eye(n, dtype=np.int64)
-    r_mat, pivots = rref_planes(aug, p, e)
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
+    """Matrix inverse, lane by lane for a stack; raises ZeroDivisionError
+    when a matrix is singular."""
+    planes, ok = inv_planes(m.planes, m.p, m.e)
+    if not ok.all():
         raise ZeroDivisionError("matrix is not invertible")
-    return FpMatrix(p, e, r_mat[:, :, n:])
+    return FpMatrix._wrap(m.p, m.e, m.n, planes)
 
 
 def rank(m: FpMatrix) -> int:

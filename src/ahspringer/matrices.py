@@ -5,6 +5,13 @@ int64 array reduced into [0, p).  The bounds p < 2^16 and n <= MAX_DIM
 keep every intermediate sum in int64 before reduction (see
 ``gf.PRIME_BOUND``), so all arithmetic is exact.  The plane kernels below
 take stacks of matrices as well; matrices are immutable once constructed.
+
+An FpMatrix whose planes carry a leading batch axis, (B, e, n, n), is a
+stack of B matrices (lanes), as the lane samplers return.  Sums, products,
+integer scaling, powers, the power walk and the series maps built on it
+act lane by lane, broadcasting a single matrix against every lane;
+``lane(i)`` and ``lanes_equal`` read lanes back out.  Entry access,
+traces, transposes, Frobenius and JSON are for single matrices.
 """
 
 from __future__ import annotations
@@ -73,6 +80,15 @@ class FpMatrix:
         object.__setattr__(m, "n", n)
         object.__setattr__(m, "planes", planes)
         return m
+
+    def lane(self, i: int) -> "FpMatrix":
+        """Matrix i of a stack."""
+        return FpMatrix._wrap(self.p, self.e, self.n, self.planes[i])
+
+    def lanes_equal(self, other: "FpMatrix") -> np.ndarray:
+        """Boolean per lane: whether the two (stacked) matrices agree there."""
+        self._check_match(other)
+        return (self.planes == other.planes).all(axis=(-3, -2, -1))
 
     @property
     def _mod(self):

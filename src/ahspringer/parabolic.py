@@ -5,22 +5,36 @@ subgroup P, its unipotent radical U_P (identity blocks on the diagonal)
 and the nilradical u_P (strictly block-upper matrices).  The nilpotence
 class of u_P is r - 1; when that is below p, the degree-(p-1) truncated
 exponential is a bijection u_P -> U_P, and that is what eps_P computes.
+
+The class is read off boolean support masks.  u_P is spanned by the
+matrix units E_ab on its support M_1 = {(a, b): block(a) < block(b)},
+and the bracket of two such units is [E_ab, E_cd] = d_bc E_ad - d_da E_cb
+with at most one term nonzero (both would need block(a) < block(b) =
+block(c) < block(d) = block(a)).  So by induction the i-th term of the
+lower central series is spanned by the units on a mask M_i, with
+M_{i+1} = M_1 M_i or M_i M_1 as boolean matrix products, and the class
+is the number of nonempty masks, over any field.
+
+The samplers draw many elements at once, one lane per (parabolic, seed),
+from SplitMix64 lanes (``rng.stream_lanes``); ``random_p_element`` and
+``random_radical_element`` are their one-lane views.  ``eps_p`` and
+``in_nilradical`` take a stack with one parabolic per lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
-from . import linalg
 from .errors import DomainError
 from .expmaps import truncated_exp
 from .gf import _check_field_params
-from .groups import random_invertible
-from .matrices import FpMatrix
-from .rng import stream
+from .groups import invertible_lanes
+from .matrices import MAX_DIM, FpMatrix
+from .rng import below_lanes, stream_lanes
 
 
 @dataclass(frozen=True)
@@ -59,6 +73,8 @@ class ParabolicGL:
 
     def __post_init__(self):
         _check_field_params(self.p, self.e)
+        if self.n > MAX_DIM:
+            raise ValueError(f"matrix dimension must be between 1 and {MAX_DIM}, got {self.n}")
 
     @property
     def n(self) -> int:
@@ -84,12 +100,6 @@ def _support_mask(par: "ParabolicGL") -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _support_positions(par: "ParabolicGL") -> tuple[tuple[int, int], ...]:
-    mask = _support_mask(par)
-    return tuple((i, j) for i in range(par.n) for j in range(par.n) if mask[i, j])
-
-
 def nilradical_basis(par: ParabolicGL) -> list[FpMatrix]:
     """Matrix units spanning u_P, row-major over the block-upper support."""
     mask = par.radical_support()
@@ -101,29 +111,48 @@ def nilradical_basis(par: ParabolicGL) -> list[FpMatrix]:
     ]
 
 
-def in_nilradical(par: ParabolicGL, x: FpMatrix) -> bool:
-    if (x.p, x.e, x.n) != (par.p, par.e, par.n):
+def _runs(pars) -> list[tuple[ParabolicGL, int]]:
+    """(parabolic, run length) for each run of one object in a lane list,
+    so per-parabolic work is done once per run, not once per lane."""
+    return [(run[0], len(run)) for run in (list(g) for _, g in groupby(pars, key=id))]
+
+
+def _lane_support(par) -> np.ndarray:
+    """The radical support (n, n) of one parabolic, or (B, n, n) of a
+    sequence of B parabolics (one per lane) over one field."""
+    if isinstance(par, ParabolicGL):
+        return _support_mask(par)
+    runs = _runs(par)
+    return np.repeat(np.stack([_support_mask(q) for q, _ in runs]), [k for _, k in runs], axis=0)
+
+
+def _lane_labels(pars, prefix: str) -> list[str]:
+    return [label for q, k in _runs(pars) for label in [f"{prefix}/{q.comp.blocks}/{q.p}/{q.e}"] * k]
+
+
+def _field_of(par):
+    q = par if isinstance(par, ParabolicGL) else par[0]
+    return q.p, q.e, q.n
+
+
+def in_nilradical(par, x: FpMatrix) -> bool:
+    """Whether x lies in u_P; for a stack x, par holds each lane's parabolic
+    and the answer is whether every lane lies in its own."""
+    if (x.p, x.e, x.n) != _field_of(par):
         return False
-    mask = par.radical_support()
-    return not x.planes[:, ~mask].any()
+    return not (x.planes * ~_lane_support(par)[..., None, :, :]).any()
 
 
 @lru_cache(maxsize=None)
 def nilpotence_class(par: ParabolicGL) -> int:
-    """Length of the descending central series of u_P, computed by
-    iterating Lie brackets until the span dies (equals r - 1)."""
-    basis = nilradical_basis(par)
-    current = linalg.span_basis(basis)
+    """Length of the lower central series of u_P (equals r - 1), from the
+    support-mask closure M_{i+1} = M_1 M_i or M_i M_1 (see module notes)."""
+    first = _support_mask(par).astype(np.int64)
+    mask = first
     cls = 0
-    while current:
+    while mask.any():
         cls += 1
-        brackets = []
-        for a in current:
-            for b in basis:
-                c = a @ b - b @ a
-                if not c.is_zero():
-                    brackets.append(c)
-        current = linalg.span_basis(brackets)
+        mask = (first @ mask + mask @ first > 0).astype(np.int64)
     return cls
 
 
@@ -132,45 +161,77 @@ def is_restricted(par: ParabolicGL) -> bool:
     return nilpotence_class(par) < par.p
 
 
-def eps_p(par: ParabolicGL, x: FpMatrix) -> FpMatrix:
+def eps_p(par, x: FpMatrix) -> FpMatrix:
     """The block exponential u_P -> U_P on a restricted parabolic.
 
     Elements of u_P satisfy x^p = 0 (the class bound gives x^r = 0 with
-    r <= p), so the truncated exponential applies exactly.
+    r <= p), so the truncated exponential applies exactly.  For a stack
+    x, par holds one parabolic per lane.
     """
-    if not is_restricted(par):
-        raise DomainError(
-            f"parabolic {par.comp.blocks} has nilpotence class >= {par.p}"
-        )
+    for q in [par] if isinstance(par, ParabolicGL) else [q for q, _ in _runs(par)]:
+        if not is_restricted(q):
+            raise DomainError(
+                f"parabolic {q.comp.blocks} has nilpotence class >= {q.p}"
+            )
     if not in_nilradical(par, x):
         raise DomainError("matrix is not in the nilradical of this parabolic")
     return truncated_exp(x)
 
 
+def _radical_draws(pars, states: np.ndarray) -> np.ndarray:
+    """Planes (B, e, n, n) of u_P elements drawn from the lanes: e
+    coordinates per support position, positions in row-major order."""
+    p, e, n = _field_of(pars)
+    mask = _lane_support(pars)
+    counts = mask.sum(axis=(1, 2)) * e
+    draws = below_lanes(states, p, counts)
+    planes = np.zeros((len(pars), n, n, e), dtype=np.int64)
+    planes[mask] = draws[np.arange(draws.shape[1]) < counts[:, None]].reshape(-1, e)
+    return planes.transpose(0, 3, 1, 2)
+
+
+def p_elements(pars, seeds) -> FpMatrix:
+    """Seeded invertible block-upper-triangular matrices, lane i in P_i.
+
+    Lane i draws from stream(seeds[i], "p-element/<blocks>/<p>/<e>"):
+    first each diagonal block, in block order, as a uniform invertible
+    matrix (``groups.invertible_lanes``), then the entries above the
+    blocks, as ``_radical_draws``.
+    """
+    p, e, n = _field_of(pars)
+    states = stream_lanes(seeds, _lane_labels(pars, "p-element"))
+    runs = _runs(pars)
+    lengths = [k for _, k in runs]
+    index = np.repeat([q.block_index() for q, _ in runs], lengths, axis=0)
+    planes = np.zeros((len(pars), e, n, n), dtype=np.int64)
+    for b in range(max(len(q.comp.blocks) for q, _ in runs)):
+        sizes = np.repeat([q.comp.blocks[b] if b < len(q.comp.blocks) else 0 for q, _ in runs], lengths)
+        g = invertible_lanes(p, e, sizes, states)
+        inner = np.arange(g.shape[-1]) < sizes[:, None]
+        slot = index == b
+        for k in range(e):
+            planes[:, k][slot[:, :, None] & slot[:, None, :]] = g[:, k][inner[:, :, None] & inner[:, None, :]]
+    planes += _radical_draws(pars, states)
+    return FpMatrix._wrap(p, e, n, planes)
+
+
+def radical_elements(pars, seeds, index=0) -> FpMatrix:
+    """Seeded elements of u_P, lane i in the nilradical of P_i, drawn from
+    stream(seeds[i], "radical/<blocks>/<p>/<e>", index)."""
+    p, e, n = _field_of(pars)
+    states = stream_lanes(seeds, _lane_labels(pars, "radical"), index)
+    return FpMatrix._wrap(p, e, n, np.ascontiguousarray(_radical_draws(pars, states)))
+
+
 def random_p_element(par: ParabolicGL, seed: int) -> FpMatrix:
-    """Seeded invertible block-upper-triangular matrix in P."""
-    st = stream(seed, f"p-element/{par.comp.blocks}/{par.p}/{par.e}")
-    n = par.n
-    planes = np.zeros((par.e, n, n), dtype=np.int64)
-    offset = 0
-    for size in par.comp.blocks:
-        g = random_invertible(par.p, par.e, size, st)
-        planes[:, offset : offset + size, offset : offset + size] = g.planes
-        offset += size
-    for i, j in _support_positions(par):
-        for k in range(par.e):
-            planes[k, i, j] = st.below(par.p)
-    return FpMatrix(par.p, par.e, planes)
+    """Seeded invertible block-upper-triangular matrix in P: one lane of
+    ``p_elements``."""
+    return p_elements([par], [seed]).lane(0)
 
 
 def random_radical_element(par: ParabolicGL, seed: int, index: int = 0) -> FpMatrix:
-    """Seeded element of u_P (suite plumbing)."""
-    st = stream(seed, f"radical/{par.comp.blocks}/{par.p}/{par.e}", index)
-    planes = np.zeros((par.e, par.n, par.n), dtype=np.int64)
-    for i, j in _support_positions(par):
-        for k in range(par.e):
-            planes[k, i, j] = st.below(par.p)
-    return FpMatrix(par.p, par.e, planes)
+    """Seeded element of u_P: one lane of ``radical_elements``."""
+    return radical_elements([par], [seed], index).lane(0)
 
 
 def restricted_compositions(n: int, p: int):

@@ -5,9 +5,17 @@ streams are derived by folding suite labels through 64-bit FNV-1a and
 the SplitMix64 finalizer.  Everything is pure 64-bit integer arithmetic,
 so a (seed, label, index) triple reproduces the same sample sequence on
 any platform or implementation.
+
+``Stream`` is one stream.  The lane functions at the bottom run many
+streams at once, one per lane of a numpy ``uint64`` state array, whose
+arithmetic wraps mod 2^64 exactly like the masked ints above:
+``stream_lanes`` derives the states ``stream`` would, and ``below_lanes``
+consumes from each lane exactly the draws ``Stream.below`` would.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -57,3 +65,80 @@ def stream(seed: int, label: str = "", index: int = 0) -> Stream:
     s = _mix64(s ^ _fnv1a(label))
     s = _mix64(s ^ (index & _MASK))
     return Stream(s)
+
+
+# -- lanes ---------------------------------------------------------------
+
+
+def _mix64_lanes(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def stream_lanes(seeds, labels, indices=0) -> np.ndarray:
+    """States of stream(seed, label, index) lane by lane, as a uint64 array.
+
+    seeds and indices are ints or int arrays, labels one str or a sequence
+    of str; the three broadcast against each other.
+    """
+    if isinstance(labels, str):
+        labels = [labels]
+    hashes = {label: _fnv1a(label) for label in set(labels)}
+    label_h = np.array([hashes[label] for label in labels], dtype=np.uint64)
+    s = _mix64_lanes(_as_u64(seeds))
+    s = _mix64_lanes(s ^ label_h)
+    return _mix64_lanes(s ^ _as_u64(indices))
+
+
+def _as_u64(values) -> np.ndarray:
+    """values & _MASK as uint64; Python ints of any sign or size are masked
+    the way ``stream`` masks them."""
+    values = np.atleast_1d(values)
+    if values.dtype != np.uint64:
+        values = np.array(np.asarray(values, dtype=object) & _MASK, dtype=np.uint64)
+    return values
+
+
+def u64_lanes(states: np.ndarray) -> np.ndarray:
+    """One raw draw per lane, as ``Stream.u64``; advances states in place."""
+    states += np.uint64(_GAMMA)
+    return _mix64_lanes(states)
+
+
+def below_lanes(states: np.ndarray, n: int, counts=1) -> np.ndarray:
+    """counts[i] uniform draws in [0, n) from lane i, as successive
+    ``Stream.below(n)`` calls on that lane would give them.
+
+    states (B,) uint64 is advanced in place by exactly the draws consumed,
+    rejected ones included.  counts is an int or one int per lane; the
+    result is (B, max count) uint64, each lane's draws first in its row
+    and zeros after them.  Each round draws, for every lane still short,
+    as many candidates as it is short, so a lane never draws past its
+    last accepted value; only lanes that had a candidate rejected go on
+    to another round.
+    """
+    if not 0 < n < 1 << 64:
+        raise ValueError("below() needs a bound in 1..2^64 - 1")
+    counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), states.shape)
+    out = np.zeros((len(states), int(counts.max(initial=0))), dtype=np.uint64)
+    # a bound dividing 2^64 (a power of two) rejects nothing
+    rem = (1 << 64) % n
+    limit = np.uint64((1 << 64) - rem) if rem else None
+    gamma = np.uint64(_GAMMA)
+    short = counts.copy()
+    lanes = np.flatnonzero(short)
+    while lanes.size:
+        need = short[lanes]
+        steps = np.arange(1, int(need.max()) + 1, dtype=np.uint64)
+        draws = _mix64_lanes(states[lanes, None] + steps * gamma)
+        states[lanes] += need.astype(np.uint64) * gamma
+        keep = steps <= need[:, None]
+        if limit is not None:
+            keep &= draws < limit
+        rows, cols = np.nonzero(keep)
+        slots = (counts[lanes] - need)[rows] + np.cumsum(keep, axis=1)[rows, cols] - 1
+        out[lanes[rows], slots] = draws[rows, cols] % np.uint64(n)
+        short[lanes] -= keep.sum(axis=1)
+        lanes = lanes[short[lanes] > 0]
+    return out

@@ -43,11 +43,11 @@ from .matrices import FpMatrix, _mat_mul_planes
 from .parabolic import (
     ParabolicGL,
     eps_p,
-    random_p_element,
-    random_radical_element,
+    p_elements,
+    radical_elements,
     restricted_compositions,
 )
-from .rng import stream
+from .rng import stream, stream_lanes, u64_lanes
 from .series import ah_coeffs_mod_p, ah_inverse_coeffs, ah_rational_coeffs, series_mul
 from .witt import WittVector, witt_add, witt_from_integer, witt_neg, witt_order, witt_pow_p
 
@@ -329,58 +329,75 @@ def suite_eps_parabolic(cfg: SuiteConfig, rec: Recorder) -> None:
         if p > 5:
             continue
         for n in range(2, min(6, cfg.max_dim) + 1):
-            for comp in restricted_compositions(n, p):
-                par = ParabolicGL(comp, p)
-                _eps_parabolic_config(cfg, rec, par, trials)
+            pars = [ParabolicGL(comp, p) for comp in restricted_compositions(n, p)]
+            _eps_parabolic_lanes(cfg, rec, pars, trials)
 
 
-def _eps_parabolic_config(cfg: SuiteConfig, rec: Recorder, par: ParabolicGL, trials: int) -> None:
-    p, comp = par.p, par.comp
-    label = f"eps-parabolic/{p}/{','.join(map(str, comp.blocks))}"
-    base = {"p": p, "comp": list(comp.blocks)}
+def _eps_parabolic_lanes(cfg: SuiteConfig, rec: Recorder, pars: list, trials: int) -> None:
+    """Every eps-parabolic check for the parabolics of one (p, n).
+
+    Each property is computed once on stacks with one lane per
+    (parabolic, trial); the cases are then recorded parabolic by
+    parabolic, in the order and with the samples of one case at a time.
+    """
+    p = pars[0].p
+    labels = [f"eps-parabolic/{p}/{','.join(map(str, par.comp.blocks))}" for par in pars]
+    lanes = [par for par in pars for _ in range(trials)]
+
+    def case_seeds(prop: str, per: int = trials):
+        names = [f"{label}/{prop}" for label in labels for _ in range(per)]
+        return u64_lanes(stream_lanes(cfg.seed, names, np.tile(np.arange(per), len(pars))))
+
     # P-equivariance
-    for k in range(trials):
-        seed_k = _case_seed(cfg.seed, label + "/equivariance", k)
-        g = random_p_element(par, seed_k)
-        x = random_radical_element(par, seed_k, 1)
-        ginv = linalg.inv(g)
-        rec.check(eps_p(par, g @ x @ ginv) == g @ eps_p(par, x) @ ginv, **base, g=g, X=x)
+    seeds = case_seeds("equivariance")
+    g, gx = p_elements(lanes, seeds), radical_elements(lanes, seeds, 1)
+    ginv = linalg.inv(g)
+    equivariant = eps_p(lanes, g @ gx @ ginv).lanes_equal(g @ eps_p(lanes, gx) @ ginv)
     # BCH homomorphism
-    for k in range(trials):
-        seed_k = _case_seed(cfg.seed, label + "/bch", k)
-        x = random_radical_element(par, seed_k, 0)
-        y = random_radical_element(par, seed_k, 1)
-        rec.check(eps_p(par, bch(x, y)) == eps_p(par, x) @ eps_p(par, y), **base, X=x, Y=y)
+    seeds = case_seeds("bch")
+    bx, by = radical_elements(lanes, seeds, 0), radical_elements(lanes, seeds, 1)
+    homomorphic = eps_p(lanes, bch(bx, by)).lanes_equal(eps_p(lanes, bx) @ eps_p(lanes, by))
     # truncated-log/exp route vs Dynkin expansion
     if p >= 3:
-        for k in range(trials):
-            seed_k = _case_seed(cfg.seed, label + "/dynkin", k)
-            x = random_radical_element(par, seed_k, 0)
-            y = random_radical_element(par, seed_k, 1)
-            rec.check(bch(x, y) == bch_dynkin(x, y, p - 1), **base, X=x, Y=y)
+        seeds = case_seeds("dynkin")
+        dx, dy = radical_elements(lanes, seeds, 0), radical_elements(lanes, seeds, 1)
+        dynkin = bch(dx, dy).lanes_equal(bch_dynkin(dx, dy, p - 1))
     # tangent map is the identity: interpolate eps(sX) in s and read the
     # degree-1 coefficient
-    x = random_radical_element(par, _case_seed(cfg.seed, label + "/tangent", 0), 0)
-    coeffs = _interpolate_matrix_poly(par, x)
-    ident = FpMatrix.identity(p, par.e, par.n)
-    rec.check(coeffs[0] == ident and coeffs[1] == x, **base, X=x)
+    tx = radical_elements(pars, case_seeds("tangent", 1), 0)
+    coeffs = _interpolate_matrix_poly(pars, tx)
+    ident = FpMatrix.identity(p, tx.e, tx.n)
+    tangent = coeffs[0].lanes_equal(ident) & coeffs[1].lanes_equal(tx)
     # the Artin-Hasse map restricts to eps_P on the nilradical
-    for k in range(trials):
-        x = random_radical_element(par, _case_seed(cfg.seed, label + "/restrict", k), 0)
-        rec.check(ah_exp(x) == eps_p(par, x), **base, X=x)
+    rx = radical_elements(lanes, case_seeds("restrict"), 0)
+    restricts = ah_exp(rx).lanes_equal(eps_p(lanes, rx))
+
+    for i, par in enumerate(pars):
+        base = {"p": p, "comp": list(par.comp.blocks)}
+        cases = range(i * trials, (i + 1) * trials)
+        for k in cases:
+            rec.check(bool(equivariant[k]), **base, g=g.lane(k), X=gx.lane(k))
+        for k in cases:
+            rec.check(bool(homomorphic[k]), **base, X=bx.lane(k), Y=by.lane(k))
+        if p >= 3:
+            for k in cases:
+                rec.check(bool(dynkin[k]), **base, X=dx.lane(k), Y=dy.lane(k))
+        rec.check(bool(tangent[i]), **base, X=tx.lane(i))
+        for k in cases:
+            rec.check(bool(restricts[k]), **base, X=rx.lane(k))
 
 
-def _interpolate_matrix_poly(par: ParabolicGL, x: FpMatrix) -> list[FpMatrix]:
+def _interpolate_matrix_poly(pars, x: FpMatrix) -> list[FpMatrix]:
     """Coefficients of s -> eps_P(sX), an exact matrix polynomial of degree
     < p, recovered from its values at every s in F_p via the Vandermonde
-    inverse."""
-    p = par.p
-    values = [eps_p(par, x.scale(s)) for s in range(p)]
+    inverse; lane by lane for a stack x with one parabolic per lane."""
+    p = x.p
+    values = [eps_p(pars, x.scale(s)) for s in range(p)]
     vand = FpMatrix.from_rows(p, 1, [[pow(s, i, p) for i in range(p)] for s in range(p)])
     vinv = linalg.inv(vand)
     coeffs = []
     for i in range(p):
-        acc = FpMatrix.zeros(p, par.e, par.n)
+        acc = FpMatrix.zeros(p, x.e, x.n)
         for s in range(p):
             acc = acc + values[s].scale(vinv.entry(i, s).lift())
         coeffs.append(acc)

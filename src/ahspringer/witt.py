@@ -173,6 +173,11 @@ def witt_sum_polys(p: int, m: int) -> tuple[ZPoly, ...]:
     return tuple(polys)
 
 
+def _check_length(m: int) -> None:
+    if not 1 <= m <= MAX_LENGTH:
+        raise ValueError(f"Witt length must be 1..{MAX_LENGTH}, got {m}")
+
+
 @dataclass(frozen=True)
 class WittVector:
     """Length-m Witt vector with entries in F_{p^e}."""
@@ -184,8 +189,7 @@ class WittVector:
 
     def __post_init__(self):
         _check_field_params(self.p, self.e)
-        if self.m < 1 or self.m > MAX_LENGTH:
-            raise ValueError(f"Witt length must be 1..{MAX_LENGTH}")
+        _check_length(self.m)
         if len(self.entries) != self.m:
             raise ValueError("entry count does not match length")
         for a in self.entries:
@@ -194,6 +198,7 @@ class WittVector:
 
     @classmethod
     def from_ints(cls, p: int, m: int, values, e: int = 1) -> "WittVector":
+        _check_length(m)  # before any entry is built
         return cls(p, e, m, tuple(FieldScalar.from_int(p, e, v) for v in values))
 
     @classmethod
@@ -300,8 +305,7 @@ def witt_from_integer(p: int, m: int, value: int) -> WittVector:
 
 def witt_entries_from_string(p: int, m: int, text: str, e: int = 1) -> WittVector:
     """Parse the CLI form "a_0,a_1,...": integer entries lifted into F_{p^e}."""
-    if not 1 <= m <= MAX_LENGTH:
-        raise ValueError(f"Witt length must be 1..{MAX_LENGTH}, got {m}")
+    _check_length(m)
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != m:
         raise ValueError(f"expected {m} comma-separated entries, got {len(parts)}")

@@ -119,6 +119,15 @@ def test_witt_length_below_one_exits_2(capsys, m):
     assert f"Witt length must be 1..3, got {m}" in err
 
 
+def test_witt_from_int_refuses_a_huge_length_at_once(capsys):
+    # the length is checked before any entry is built
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "witt", "from-int", "--p", "2", "--m", "300000", "--int", "1")
+    assert time.perf_counter() - start < 0.5  # building 300,000 entries took over a second
+    assert code == 2
+    assert "Witt length must be 1..3, got 300000" in err
+
+
 def test_embed_zero_matrix_exits_2(tmp_path, capsys):
     src = tmp_path / "zero.json"
     src.write_text(FpMatrix.zeros(2, 1, 3).dumps())
@@ -144,6 +153,20 @@ def test_parabolic_class_and_eps(tmp_path, capsys):
     assert code == 0
     expected = FpMatrix.from_rows(3, 1, [[1, 1, 2], [0, 1, 1], [0, 0, 1]])
     assert FpMatrix.from_json_obj(json.loads(out)) == expected
+
+
+def test_parabolic_class_of_128_blocks(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "parabolic", "class", "--comp", ",".join(["1"] * 128))
+    assert time.perf_counter() - start < 5
+    assert (code, out.strip()) == (0, "127")
+
+
+@pytest.mark.parametrize("comp", ["129", "1,128"])
+def test_parabolic_class_beyond_128_exits_2(capsys, comp):
+    code, _, err = run_cli(capsys, "parabolic", "class", "--comp", comp)
+    assert code == 2
+    assert "matrix dimension must be between 1 and 128, got 129" in err
 
 
 def test_parabolic_eps_rejects_non_restricted(tmp_path, capsys):

@@ -62,3 +62,24 @@ def test_forced_failure_witnesses_are_pinned(monkeypatch):
     assert sum(len(r["witnesses"]) for r in body["suites"]) == 7349
     encoded = json.dumps(body, sort_keys=True).encode()
     assert hashlib.sha256(encoded).hexdigest() == FORCED_FAILURE_DIGEST
+
+
+# eps-parabolic alone at the default max_dim, so its n = 6 compositions
+# are included: every one of its 1,049 seed-42 checks recorded as failing.
+# Computed with the per-object samplers, before the suite ran on stacks.
+EPS_PARABOLIC_FAILURE_DIGEST = "8f7e683f35340645cf62a3e53f2221bbee25aafdfa05e8806fdbe106d8ada9b1"
+
+
+def test_eps_parabolic_witnesses_through_n6_are_pinned(monkeypatch):
+    orig = Recorder.check
+
+    def failing(self, ok, *args, **kwargs):
+        return orig(self, False, *args, **kwargs)
+
+    monkeypatch.setattr(Recorder, "check", failing)
+    cfg = SuiteConfig(suites=("eps-parabolic",), primes=(2, 3, 5), trials=2, seed=42)
+    report = run_suite(cfg).to_json()
+    body = {k: v for k, v in report.items() if k != "generated_at"}
+    assert sum(len(r["witnesses"]) for r in body["suites"]) == 1049
+    encoded = json.dumps(body, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == EPS_PARABOLIC_FAILURE_DIGEST

@@ -247,3 +247,18 @@ def test_enumerate_nilpotents_counts():
         assert len(found) == p ** (e * n * (n - 1))
         assert len(set(found)) == len(found)
         assert all((x.p, x.e, x.n) == (p, e, n) and nilpotency_degree(x) <= n for x in found)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 5), (3, 2, 4), (5, 1, 6)])
+def test_unipotent_inverse_from_the_power_walk(p, e, n):
+    import numpy as np
+
+    from ahspringer.expmaps import ah_exp
+    from ahspringer.groups import _unipotent_inverse
+
+    us = [ah_exp(random_nilpotent(GroupSpec("GL", n), "any", 40 + k, p, e=e)) for k in range(4)]
+    stacked = _unipotent_inverse(FpMatrix._wrap(p, e, n, np.stack([u.planes for u in us])))
+    for k, u in enumerate(us):
+        assert stacked.lane(k) == _unipotent_inverse(u) == linalg.inv(u)
+    with pytest.raises(DomainError, match="not unipotent"):
+        _unipotent_inverse(FpMatrix.zeros(p, e, n))

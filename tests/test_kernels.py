@@ -5,10 +5,14 @@ of rows of coordinate tuples, F_{p^2} uses the moduli listed in the
 README, and series are evaluated power by power.
 """
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
-from ahspringer.expmaps import ah_exp, truncated_exp, truncated_log
+from ahspringer import linalg
+from ahspringer.errors import DomainError
+from ahspringer.expmaps import ah_exp, bch, bch_dynkin, truncated_exp, truncated_log
 from ahspringer.groups import GroupSpec, JordanType, _combine, _nilradical_planes, random_nilpotent
 from ahspringer.matrices import FpMatrix, _mat_mul_planes
 from ahspringer.rng import stream
@@ -130,3 +134,91 @@ def test_batched_matmul_is_the_pairwise_product(p, e):
         for j in range(4):
             ref = ref_matmul(rows_of(FpMatrix(p, e, stack[i])), rows_of(FpMatrix(p, e, stack[j])), p)
             assert rows_of(FpMatrix(p, e, prod[i, j])) == ref
+
+
+def ref_det(a, p):
+    """Permutation expansion."""
+    n, e = len(a), len(a[0][0])
+    total = (0,) * e
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = (1,) + (0,) * (e - 1)
+        for i in range(n):
+            term = f_mul(term, a[i][perm[i]], p)
+        total = f_add(total, tuple(sign * t % p for t in term), p)
+    return total
+
+
+def stack_of(mats):
+    return FpMatrix._wrap(mats[0].p, mats[0].e, mats[0].n, np.stack([m.planes for m in mats]))
+
+
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 6)])
+def test_stacked_series_maps_match_plain_python(p, n, e):
+    xs = [random_nilpotent(GroupSpec("GL", n), "any", 900 + k, p, e=e) for k in range(5)]
+    ys = [p_nilpotent(p, n, e, 950 + k) for k in range(5)]
+    exps, texps = ah_exp(stack_of(xs)), truncated_exp(stack_of(ys))
+    ident = FpMatrix.identity(p, e, n)
+    tlogs = truncated_log(stack_of([ident + y for y in ys]))
+    coeffs = ah_coeffs_mod_p(p, n + 2).coeffs
+    for k in range(5):
+        assert rows_of(exps.lane(k)) == ref_series(coeffs, rows_of(xs[k]), p)
+        assert rows_of(texps.lane(k)) == ref_series(inv_factorials(p), rows_of(ys[k]), p)
+        assert rows_of(tlogs.lane(k)) == ref_series(log_coeffs(p), rows_of(ys[k]), p)
+
+
+def test_stacked_dynkin_brackets_match_one_pair_at_a_time():
+    # strictly upper triangular 4 x 4 over F_5: class 3 < 5, so bch is defined
+    basis = _nilradical_planes("GL", 4, 5, 1)
+    xs = [_combine(basis, 5, 1, stream(k, "dynkin-x")) for k in range(4)]
+    ys = [_combine(basis, 5, 1, stream(k, "dynkin-y")) for k in range(4)]
+    got = bch_dynkin(stack_of(xs), stack_of(ys), 4)
+    assert all(got.lane(k) == bch_dynkin(x, y, 4) for k, (x, y) in enumerate(zip(xs, ys)))
+    assert bch(stack_of(xs), stack_of(ys)).lanes_equal(got).tolist() == [
+        bch(x, y) == bch_dynkin(x, y, 4) for x, y in zip(xs, ys)]
+
+
+def test_one_bad_lane_raises_the_single_matrix_message():
+    good = p_nilpotent(3, 4, 1, 5)
+    bad = FpMatrix.from_rows(3, 1, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    stack = stack_of([good, bad, good])
+    for fn, msg in ((truncated_exp, "truncated exponential needs x^p = 0"),
+                    (lambda s: truncated_log(FpMatrix.identity(3, 1, 4) + s),
+                     "truncated logarithm needs (u - 1)^p = 0")):
+        with pytest.raises(DomainError, match=msg.replace("^", "\\^").replace("(", "\\(").replace(")", "\\)")):
+            fn(stack)
+    unit = FpMatrix.identity(3, 1, 4)
+    with pytest.raises(DomainError, match="matrix is not nilpotent"):
+        ah_exp(stack_of([good, unit]))
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 4), (5, 1, 2), (2, 2, 3), (3, 2, 3), (5, 2, 2)])
+def test_stacked_det_and_inv_match_plain_python(p, e, n):
+    st = stream(11, f"det/{p}/{e}/{n}")
+    planes = np.array([[[[st.below(p) for _ in range(n)] for _ in range(n)] for _ in range(e)]
+                       for _ in range(24)], dtype=np.int64)
+    planes[3] = 0
+    planes[5, :, 1] = planes[5, :, 0]  # equal rows
+    planes[8, :, :, 2 % n] = 0  # a zero column
+    dets = linalg.det_planes(planes, p, e)
+    invs, ok = linalg.inv_planes(planes, p, e)
+    ident = [[(int(i == j),) + (0,) * (e - 1) for j in range(n)] for i in range(n)]
+    singular = 0
+    for k in range(24):
+        a = rows_of(FpMatrix(p, e, planes[k]))
+        det = ref_det(a, p)
+        assert tuple(int(v) for v in dets[k]) == det
+        assert bool(ok[k]) == any(det)
+        if any(det):
+            assert ref_matmul(a, rows_of(FpMatrix(p, e, invs[k])), p) == ident
+        else:
+            singular += 1
+            assert not invs[k].any()
+    assert singular >= 3
+    with pytest.raises(ZeroDivisionError):
+        linalg.inv(FpMatrix._wrap(p, e, n, planes))

@@ -1,5 +1,8 @@
 """Parabolic subgroup tests: nilradicals, classes, the block exponential."""
 
+from itertools import product
+
+import numpy as np
 import pytest
 
 from ahspringer import linalg
@@ -15,10 +18,40 @@ from ahspringer.parabolic import (
     is_restricted,
     nilpotence_class,
     nilradical_basis,
+    p_elements,
+    radical_elements,
     random_p_element,
     random_radical_element,
     restricted_compositions,
 )
+from ahspringer.rng import stream
+
+
+def compositions(total):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+def bracket_span_class(par):
+    """Reference class: iterate Lie brackets of u_P with the current term
+    of the lower central series until the span dies."""
+    basis = nilradical_basis(par)
+    current = linalg.span_basis(basis)
+    cls = 0
+    while current:
+        cls += 1
+        brackets = []
+        for a in current:
+            for b in basis:
+                c = a @ b - b @ a
+                if not c.is_zero():
+                    brackets.append(c)
+        current = linalg.span_basis(brackets)
+    return cls
 
 
 class TestComposition:
@@ -78,6 +111,18 @@ class TestNilpotenceClass:
             for blocks in comps(n):
                 par = ParabolicGL(Composition(blocks), p)
                 assert nilpotence_class(par) == len(blocks) - 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_mask_closure_matches_the_bracket_span(self, p):
+        for n in range(1, 8):
+            for blocks in compositions(n):
+                par = ParabolicGL(Composition(blocks), p)
+                assert nilpotence_class(par) == bracket_span_class(par), blocks
+
+    def test_dimension_is_bounded(self):
+        assert nilpotence_class(ParabolicGL(Composition((1,) * 128), 2)) == 127
+        with pytest.raises(ValueError, match="between 1 and 128"):
+            ParabolicGL(Composition((64, 65)), 2)
 
     def test_restricted(self):
         assert not is_restricted(ParabolicGL(Composition((1, 1, 1)), 2))
@@ -191,3 +236,99 @@ class TestRandomPElement:
         par = ParabolicGL(Composition((2, 2)), 2)
         assert random_p_element(par, 11) == random_p_element(par, 11)
         assert random_p_element(par, 11) != random_p_element(par, 12)
+
+
+# x^2 + b*x + c defining F_{p^2}, as (b, c), from the README
+README_MODULI = {2: (1, 1), 3: (0, 1), 5: (0, 2), 7: (0, 1)}
+
+
+def ref_det_is_zero(rows, p, e):
+    """Plain Gaussian elimination over F_{p^e} on lists of coordinate tuples."""
+    def mul(a, b):
+        if e == 1:
+            return ((a[0] * b[0]) % p,)
+        mb, mc = README_MODULI[p]
+        hi = a[1] * b[1]
+        return ((a[0] * b[0] - mc * hi) % p, (a[0] * b[1] + a[1] * b[0] - mb * hi) % p)
+
+    def inverse(a):
+        one = (1,) + (0,) * (e - 1)
+        return next(c for c in product(range(p), repeat=e) if mul(a, c) == one)
+
+    m = [list(r) for r in rows]
+    n = len(m)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if any(m[r][c])), None)
+        if piv is None:
+            return True
+        m[c], m[piv] = m[piv], m[c]
+        inv = inverse(m[c][c])
+        for r in range(c + 1, n):
+            f = mul(m[r][c], inv)
+            m[r] = [tuple((x - y) % p for x, y in zip(m[r][j], mul(f, m[c][j]))) for j in range(n)]
+    return False
+
+
+def ref_p_element(par, seed):
+    """The draw order of random_p_element on one Stream: each diagonal
+    block drawn plane by plane, row by row until it is invertible, then the
+    entries above the blocks, e coordinates per position, row-major."""
+    p, e, n = par.p, par.e, par.n
+    st = stream(seed, f"p-element/{par.comp.blocks}/{p}/{e}")
+    planes = np.zeros((e, n, n), dtype=np.int64)
+    offset = 0
+    for size in par.comp.blocks:
+        while True:
+            g = [[[st.below(p) for _ in range(size)] for _ in range(size)] for _ in range(e)]
+            rows = [[tuple(g[k][i][j] for k in range(e)) for j in range(size)] for i in range(size)]
+            if not ref_det_is_zero(rows, p, e):
+                break
+        planes[:, offset:offset + size, offset:offset + size] = g
+        offset += size
+    index = par.block_index()
+    for i in range(n):
+        for j in range(n):
+            if index[i] < index[j]:
+                for k in range(e):
+                    planes[k, i, j] = st.below(p)
+    return planes
+
+
+def ref_radical_element(par, seed, index):
+    p, e, n = par.p, par.e, par.n
+    st = stream(seed, f"radical/{par.comp.blocks}/{p}/{e}", index)
+    planes = np.zeros((e, n, n), dtype=np.int64)
+    blocks = par.block_index()
+    for i in range(n):
+        for j in range(n):
+            if blocks[i] < blocks[j]:
+                for k in range(e):
+                    planes[k, i, j] = st.below(p)
+    return planes
+
+
+class TestLaneSamplers:
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+    def test_lanes_follow_the_one_stream_draw_order(self, p, e):
+        pars = [ParabolicGL(Composition(b), p, e) for b in ((3, 1), (1, 1, 2), (4,), (2, 2), (1, 3))]
+        lanes = [par for par in pars for _ in range(3)]
+        seeds = list(range(100, 100 + len(lanes)))
+        g = p_elements(lanes, seeds)
+        x = radical_elements(lanes, seeds, 2)
+        for k, (par, seed) in enumerate(zip(lanes, seeds)):
+            assert (g.lane(k).planes == ref_p_element(par, seed)).all()
+            assert g.lane(k) == random_p_element(par, seed)
+            assert (x.lane(k).planes == ref_radical_element(par, seed, 2)).all()
+            assert x.lane(k) == random_radical_element(par, seed, 2)
+
+    def test_eps_p_on_a_stack_is_eps_p_per_lane(self):
+        pars = [ParabolicGL(Composition(b), 5) for b in ((1, 1, 2), (2, 2), (4,), (1, 1, 1, 1))]
+        x = radical_elements(pars, [7, 8, 9, 10])
+        u = eps_p(pars, x)
+        assert all(u.lane(k) == eps_p(par, x.lane(k)) for k, par in enumerate(pars))
+        assert in_nilradical(pars, x)
+        # lane 2 lies in the nilradical of the Borel, not in that of (4,)
+        y = radical_elements([pars[3]] * 4, [7, 8, 9, 10])
+        assert not in_nilradical(pars, y)
+        with pytest.raises(DomainError):
+            eps_p(pars, y)
