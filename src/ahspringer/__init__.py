@@ -10,7 +10,6 @@ from .series import (
     ah_coeffs_mod_p,
     ah_inverse_coeffs,
     ah_rational_coeffs,
-    series_compose,
     series_mul,
     series_reversion,
 )
@@ -30,21 +29,17 @@ from .groups import (
 )
 from .witt import (
     WittVector,
-    ZPoly,
     witt_add,
     witt_from_integer,
     witt_neg,
     witt_order,
     witt_pow_p,
-    witt_sum_polys,
 )
 from .expmaps import (
-    CoefficientSequence,
     ah_exp,
     ah_log,
     bch,
     bch_dynkin,
-    phi_seq,
     truncated_exp,
     truncated_log,
     witt_embed,
@@ -64,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CentralizerSpace",
-    "CoefficientSequence",
     "Composition",
     "DomainError",
     "FieldScalar",
@@ -77,7 +71,6 @@ __all__ = [
     "Report",
     "SuiteConfig",
     "WittVector",
-    "ZPoly",
     "ah_coeffs_mod_p",
     "ah_exp",
     "ah_inverse_coeffs",
@@ -96,11 +89,9 @@ __all__ = [
     "nilpotency_degree",
     "nilpotent_order",
     "nilradical_basis",
-    "phi_seq",
     "random_nilpotent",
     "random_p_element",
     "run_suite",
-    "series_compose",
     "series_mul",
     "series_reversion",
     "truncated_exp",
@@ -112,5 +103,4 @@ __all__ = [
     "witt_neg",
     "witt_order",
     "witt_pow_p",
-    "witt_sum_polys",
 ]

@@ -9,24 +9,22 @@ corresponding group.  The plain degree-(p-1) truncated exponential only
 behaves on matrices with X^p = 0; e_p is the extension beyond that
 range.
 
-Also here: the inverse map via compositional reversion, the general
-coefficient-sequence map 1 + sum a_i X^i, the Witt-vector product
-embedding, and the truncated Baker-Campbell-Hausdorff product with its
-independent Dynkin-expansion oracle.
+Also here: the inverse map via compositional reversion, the Witt-vector
+product embedding, and the truncated Baker-Campbell-Hausdorff product
+with its independent Dynkin-expansion oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .gf import FieldScalar, inverse_mod
+from .gf import inverse_mod
 from .groups import nilpotent_order, nilpotent_powers
-from .matrices import FpMatrix, _lin_comb
+from .matrices import FpMatrix
 from .series import ah_coeffs_mod_p, series_reversion
 from .witt import WittVector
 
@@ -74,36 +72,6 @@ def truncated_log(u: FpMatrix) -> FpMatrix:
         _log_coeffs(u.p), u - FpMatrix.identity(u.p, u.e, u.n), u.p,
         "truncated logarithm needs (u - 1)^p = 0",
     )
-
-
-@dataclass(frozen=True)
-class CoefficientSequence:
-    """Coefficients a_1, ..., a_{n-1} of a polynomial map 1 + sum a_i X^i."""
-
-    p: int
-    a: tuple[FieldScalar, ...]
-
-    @classmethod
-    def from_ints(cls, p: int, values, e: int = 1) -> "CoefficientSequence":
-        return cls(p, tuple(FieldScalar.from_int(p, e, v) for v in values))
-
-
-def phi_seq(seq: CoefficientSequence, y: FpMatrix) -> FpMatrix:
-    """The map 1 + sum_{i=1}^{n-1} a_i y^i on nilpotent y.
-
-    Any such sequence with a_1 != 0 sends the nilpotent cone of gl_n
-    bijectively onto the unipotent variety.
-    """
-    if len(seq.a) != y.n - 1:
-        raise ValueError(f"need {y.n - 1} coefficients for dimension {y.n}, got {len(seq.a)}")
-    if seq.a and seq.a[0].is_zero():
-        raise ValueError("the linear coefficient a_1 must be nonzero")
-    if any((a.p, a.e) != (y.p, y.e) for a in seq.a):
-        raise ValueError("coefficient field does not match matrix field")
-    powers = nilpotent_powers(y, message="phi_seq is only defined on nilpotent matrices")
-    coords = np.array([(1,) + (0,) * (y.e - 1)] + [a.coords for a in seq.a], dtype=np.int64)
-    k = len(powers)
-    return FpMatrix._wrap(y.p, y.e, y.n, _lin_comb(coords[:k], powers, y.p, y._mod))
 
 
 def ah_exp(x: FpMatrix) -> FpMatrix:
@@ -224,21 +192,16 @@ def bch_dynkin(x: FpMatrix, y: FpMatrix, maxdeg: int) -> FpMatrix:
         raise ValueError("maxdeg must be below p (denominators reach p)")
     for z in (x, y):
         nilpotent_powers(z, z.p, "bch_dynkin needs x^p = y^p = 0")
-    letters = {"X": x, "Y": y}
-    brackets: dict[str, FpMatrix] = {}
+    brackets = {"X": x, "Y": y}
 
     def bracket(word: str) -> FpMatrix:
-        # right-nested: [w_0, [w_1, [... w_k]]]
-        if word in brackets:
-            return brackets[word]
-        if len(word) == 1:
-            result = letters[word]
-        else:
-            head = letters[word[0]]
-            tail = bracket(word[1:])
-            result = head @ tail - tail @ head
-        brackets[word] = result
-        return result
+        # right-nested: [w_0, [w_1, [... w_k]]], built up from the shortest missing
+        # suffix; a recursive closure would form a cycle holding every stack
+        for i in range(len(word) - 2, -1, -1):
+            if word[i:] not in brackets:
+                head, tail = brackets[word[i]], brackets[word[i + 1:]]
+                brackets[word[i:]] = head @ tail - tail @ head
+        return brackets[word]
 
     acc = FpMatrix._wrap(x.p, x.e, x.n, np.zeros(np.broadcast_shapes(x.planes.shape, y.planes.shape),
                                                   dtype=np.int64))

@@ -199,13 +199,6 @@ class FieldScalar:
         coords = _field_mul(self.coords, other.coords, self.p, self._mod, operator.mul)
         return FieldScalar(self.p, self.e, coords)
 
-    def __rmul__(self, k: int) -> "FieldScalar":
-        # integer scaling, used by generic polynomial evaluation
-        if not isinstance(k, int):
-            return NotImplemented
-        p = self.p
-        return FieldScalar(p, self.e, tuple((k * x) % p for x in self.coords))
-
     def __pow__(self, n: int) -> "FieldScalar":
         if n < 0:
             return self.inverse() ** (-n)

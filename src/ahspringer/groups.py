@@ -3,7 +3,7 @@
 Covers nilpotent generation by Jordan type, group / Lie algebra
 membership for the classical forms, nilpotent order, exact centralizer
 computation, and seeded random sampling of nilpotents and group
-elements.  The default bilinear forms are antidiagonal so that the
+elements.  SO and Sp preserve a fixed antidiagonal form, so the
 strictly upper triangular part of each Lie algebra is a nilpotent
 subalgebra we can sample from directly.
 """
@@ -47,11 +47,11 @@ class JordanType:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """One of GL_n, SL_n, SO_n, Sp_n, with an optional explicit bilinear form."""
+    """One of GL_n, SL_n, SO_n, Sp_n; SO and Sp preserve the antidiagonal
+    form of ``default_form``."""
 
     kind: str
     n: int
-    form: FpMatrix | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -60,12 +60,6 @@ class GroupSpec:
             raise ValueError("dimension must be positive")
         if self.kind == "Sp" and self.n % 2:
             raise ValueError("Sp requires even dimension")
-        if self.form is not None:
-            if self.form.n != self.n:
-                raise ValueError("form dimension does not match group dimension")
-            if self.kind in ("GL", "SL"):
-                raise ValueError(f"{self.kind} does not carry a bilinear form")
-            _validate_form(self.kind, self.form)
 
     def form_for(self, p: int, e: int) -> FpMatrix | None:
         """The bilinear form over F_{p^e}; checks the good-prime constraint."""
@@ -73,25 +67,7 @@ class GroupSpec:
             return None
         if p == 2:
             raise ValueError(f"{self.kind} is not supported in characteristic 2")
-        if self.form is not None:
-            if (self.form.p, self.form.e) != (p, e):
-                raise ValueError("form field does not match requested field")
-            return self.form
         return default_form(self.kind, self.n, p, e)
-
-    def has_default_form(self, p: int, e: int) -> bool:
-        if self.kind in ("GL", "SL"):
-            return True
-        return self.form is None or self.form == default_form(self.kind, self.n, p, e)
-
-
-def _validate_form(kind: str, form: FpMatrix) -> None:
-    if linalg.det(form).is_zero():
-        raise ValueError("bilinear form must be invertible")
-    if kind == "Sp" and form.transpose() != -form:
-        raise ValueError("Sp form must be skew-symmetric")
-    if kind == "SO" and form.transpose() != form:
-        raise ValueError("SO form must be symmetric")
 
 
 @lru_cache(maxsize=None)
@@ -409,11 +385,8 @@ def random_nilpotent(
 ) -> FpMatrix:
     """Seeded nilpotent element of Lie(G), optionally of a given Jordan type.
 
-    Requires the default antidiagonal form (the triangular sampling
-    needs it).  Deterministic for fixed arguments.
+    Deterministic for fixed arguments.
     """
-    if not spec.has_default_form(p, e):
-        raise ValueError("random_nilpotent requires the default antidiagonal form")
     type_label = "any" if jordan_type == "any" else ",".join(map(str, jordan_type.partition))
     st = stream(seed, f"nilpotent/{spec.kind}/{spec.n}/{p}/{e}/{type_label}")
     if jordan_type != "any":

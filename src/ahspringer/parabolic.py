@@ -2,18 +2,11 @@
 
 A composition (b_1, ..., b_r) of n determines the block-upper-triangular
 subgroup P, its unipotent radical U_P (identity blocks on the diagonal)
-and the nilradical u_P (strictly block-upper matrices).  The nilpotence
-class of u_P is r - 1; when that is below p, the degree-(p-1) truncated
-exponential is a bijection u_P -> U_P, and that is what eps_P computes.
-
-The class is read off boolean support masks.  u_P is spanned by the
-matrix units E_ab on its support M_1 = {(a, b): block(a) < block(b)},
-and the bracket of two such units is [E_ab, E_cd] = d_bc E_ad - d_da E_cb
-with at most one term nonzero (both would need block(a) < block(b) =
-block(c) < block(d) = block(a)).  So by induction the i-th term of the
-lower central series is spanned by the units on a mask M_i, with
-M_{i+1} = M_1 M_i or M_i M_1 as boolean matrix products, and the class
-is the number of nonempty masks, over any field.
+and the nilradical u_P (strictly block-upper matrices).  The i-th term
+of the lower central series of u_P is spanned by the matrix units at
+least i blocks above the diagonal, so its nilpotence class is r - 1;
+when that is below p, the degree-(p-1) truncated exponential is a
+bijection u_P -> U_P, and that is what eps_P computes.
 
 The samplers draw many elements at once, one lane per (parabolic, seed),
 from SplitMix64 lanes (``rng.stream_lanes``); ``random_p_element`` and
@@ -143,17 +136,9 @@ def in_nilradical(par, x: FpMatrix) -> bool:
     return not (x.planes * ~_lane_support(par)[..., None, :, :]).any()
 
 
-@lru_cache(maxsize=None)
 def nilpotence_class(par: ParabolicGL) -> int:
-    """Length of the lower central series of u_P (equals r - 1), from the
-    support-mask closure M_{i+1} = M_1 M_i or M_i M_1 (see module notes)."""
-    first = _support_mask(par).astype(np.int64)
-    mask = first
-    cls = 0
-    while mask.any():
-        cls += 1
-        mask = (first @ mask + mask @ first > 0).astype(np.int64)
-    return cls
+    """Length of the lower central series of u_P: r - 1 for r blocks."""
+    return len(par.comp.blocks) - 1
 
 
 def is_restricted(par: ParabolicGL) -> bool:

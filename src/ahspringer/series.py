@@ -176,27 +176,6 @@ def series_mul(a: FpSeries, b: FpSeries) -> FpSeries:
     return FpSeries(p, out)
 
 
-def series_compose(f: FpSeries, g: FpSeries) -> FpSeries:
-    """f(g(t)) truncated to the shorter input; needs g(0) = 0."""
-    if f.p != g.p:
-        raise ValueError(f"characteristic mismatch: {f.p} vs {g.p}")
-    if g.coeffs[0] != 0:
-        raise ValueError("composition requires zero constant term in the inner series")
-    p = f.p
-    n = min(f.degree, g.degree)
-    g = FpSeries(p, g.coeffs[: n + 1])
-    out = [f.coeffs[0]] + [0] * n
-    power = FpSeries(p, [0 if i != 0 else 1 for i in range(n + 1)])  # g^0
-    for k in range(1, n + 1):
-        power = series_mul(power, g)
-        ck = f.coeffs[k]
-        if ck == 0:
-            continue
-        for i in range(k, n + 1):
-            out[i] = (out[i] + ck * power.coeffs[i]) % p
-    return FpSeries(p, out)
-
-
 def series_reversion(s: FpSeries) -> FpSeries:
     """Compositional inverse: the series l with l(s(t)) = t up to truncation.
 

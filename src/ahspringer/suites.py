@@ -53,6 +53,7 @@ from .witt import WittVector, witt_add, witt_from_integer, witt_neg, witt_order,
 
 INTEGRALITY_DEGREE = 60
 NEGATIVE_CONTROL_CAP = 10_000
+LANE_BUDGET = 512  # the most lanes one eps-parabolic stack holds
 
 
 @dataclass(frozen=True)
@@ -324,67 +325,85 @@ def _find_truncation_counterexample(seed: int):
 
 
 def suite_eps_parabolic(cfg: SuiteConfig, rec: Recorder) -> None:
+    """Each property runs on stacks, one lane per (parabolic, trial); the
+    cases are recorded parabolic by parabolic, property by property, with
+    the samples of one case at a time.  A stack holds as many whole
+    parabolics as fit in LANE_BUDGET lanes; a parabolic whose trials do
+    not fit runs alone, each property in chunks of LANE_BUDGET trials
+    recorded as they finish, so memory does not grow with the trials."""
     trials = cfg.trials_or(100)
     for p in cfg.primes:
         if p > 5:
             continue
+        checks = [(prop, fn) for prop, fn in _EPS_CHECKS.items() if p >= 3 or prop != "dynkin"]
         for n in range(2, min(6, cfg.max_dim) + 1):
             pars = [ParabolicGL(comp, p) for comp in restricted_compositions(n, p)]
-            _eps_parabolic_lanes(cfg, rec, pars, trials)
+            step = max(1, LANE_BUDGET // trials)
+            for group in (pars[i:i + step] for i in range(0, len(pars), step)):
+                runs = [_eps_chunks(cfg, group, prop, 1 if prop == "tangent" else trials, fn)
+                        for prop, fn in checks]
+                if len(group) > 1:  # each stack serves every parabolic of the group
+                    runs = [list(chunks) for chunks in runs]
+                for i, par in enumerate(group):
+                    base = {"p": p, "comp": list(par.comp.blocks)}
+                    for chunks in runs:
+                        for ok, inputs in chunks:
+                            width = len(ok) // len(group)
+                            for k in range(i * width, (i + 1) * width):
+                                witness = {name: v.lane(k) for name, v in inputs.items()}
+                                rec.check(bool(ok[k]), **base, **witness)
 
 
-def _eps_parabolic_lanes(cfg: SuiteConfig, rec: Recorder, pars: list, trials: int) -> None:
-    """Every eps-parabolic check for the parabolics of one (p, n).
+def _eps_chunks(cfg: SuiteConfig, pars: list, prop: str, count: int, check):
+    """check on the lanes (par, k) for each par and k < count, in chunks of
+    at most LANE_BUDGET trials; lane (par, k) draws its case seed from
+    stream(seed, "eps-parabolic/<p>/<blocks>/<prop>", k)."""
+    for lo in range(0, count, LANE_BUDGET):
+        ks = np.arange(lo, min(count, lo + LANE_BUDGET))
+        names = [f"eps-parabolic/{par.p}/{','.join(map(str, par.comp.blocks))}/{prop}"
+                 for par in pars for _ in ks]
+        seeds = u64_lanes(stream_lanes(cfg.seed, names, np.tile(ks, len(pars))))
+        yield check([par for par in pars for _ in ks], seeds)
 
-    Each property is computed once on stacks with one lane per
-    (parabolic, trial); the cases are then recorded parabolic by
-    parabolic, in the order and with the samples of one case at a time.
-    """
-    p = pars[0].p
-    labels = [f"eps-parabolic/{p}/{','.join(map(str, par.comp.blocks))}" for par in pars]
-    lanes = [par for par in pars for _ in range(trials)]
 
-    def case_seeds(prop: str, per: int = trials):
-        names = [f"{label}/{prop}" for label in labels for _ in range(per)]
-        return u64_lanes(stream_lanes(cfg.seed, names, np.tile(np.arange(per), len(pars))))
+# Each check maps lanes (one parabolic per lane) and their case seeds to a
+# verdict per lane and the stacked witness inputs.
 
-    # P-equivariance
-    seeds = case_seeds("equivariance")
-    g, gx = p_elements(lanes, seeds), radical_elements(lanes, seeds, 1)
+def _eps_equivariance(lanes, seeds):
+    g, x = p_elements(lanes, seeds), radical_elements(lanes, seeds, 1)
     ginv = linalg.inv(g)
-    equivariant = eps_p(lanes, g @ gx @ ginv).lanes_equal(g @ eps_p(lanes, gx) @ ginv)
-    # BCH homomorphism
-    seeds = case_seeds("bch")
-    bx, by = radical_elements(lanes, seeds, 0), radical_elements(lanes, seeds, 1)
-    homomorphic = eps_p(lanes, bch(bx, by)).lanes_equal(eps_p(lanes, bx) @ eps_p(lanes, by))
-    # truncated-log/exp route vs Dynkin expansion
-    if p >= 3:
-        seeds = case_seeds("dynkin")
-        dx, dy = radical_elements(lanes, seeds, 0), radical_elements(lanes, seeds, 1)
-        dynkin = bch(dx, dy).lanes_equal(bch_dynkin(dx, dy, p - 1))
-    # tangent map is the identity: interpolate eps(sX) in s and read the
-    # degree-1 coefficient
-    tx = radical_elements(pars, case_seeds("tangent", 1), 0)
-    coeffs = _interpolate_matrix_poly(pars, tx)
-    ident = FpMatrix.identity(p, tx.e, tx.n)
-    tangent = coeffs[0].lanes_equal(ident) & coeffs[1].lanes_equal(tx)
-    # the Artin-Hasse map restricts to eps_P on the nilradical
-    rx = radical_elements(lanes, case_seeds("restrict"), 0)
-    restricts = ah_exp(rx).lanes_equal(eps_p(lanes, rx))
+    return eps_p(lanes, g @ x @ ginv).lanes_equal(g @ eps_p(lanes, x) @ ginv), {"g": g, "X": x}
 
-    for i, par in enumerate(pars):
-        base = {"p": p, "comp": list(par.comp.blocks)}
-        cases = range(i * trials, (i + 1) * trials)
-        for k in cases:
-            rec.check(bool(equivariant[k]), **base, g=g.lane(k), X=gx.lane(k))
-        for k in cases:
-            rec.check(bool(homomorphic[k]), **base, X=bx.lane(k), Y=by.lane(k))
-        if p >= 3:
-            for k in cases:
-                rec.check(bool(dynkin[k]), **base, X=dx.lane(k), Y=dy.lane(k))
-        rec.check(bool(tangent[i]), **base, X=tx.lane(i))
-        for k in cases:
-            rec.check(bool(restricts[k]), **base, X=rx.lane(k))
+
+def _eps_bch(lanes, seeds):
+    x, y = radical_elements(lanes, seeds, 0), radical_elements(lanes, seeds, 1)
+    return eps_p(lanes, bch(x, y)).lanes_equal(eps_p(lanes, x) @ eps_p(lanes, y)), {"X": x, "Y": y}
+
+
+def _eps_dynkin(lanes, seeds):
+    # the truncated-log/exp route against the Dynkin expansion
+    x, y = radical_elements(lanes, seeds, 0), radical_elements(lanes, seeds, 1)
+    return bch(x, y).lanes_equal(bch_dynkin(x, y, x.p - 1)), {"X": x, "Y": y}
+
+
+def _eps_tangent(lanes, seeds):
+    # the tangent map is the identity: interpolate eps(sX) in s and read
+    # the degree-1 coefficient
+    x = radical_elements(lanes, seeds, 0)
+    one, linear = _interpolate_matrix_poly(lanes, x)[:2]
+    return one.lanes_equal(FpMatrix.identity(x.p, x.e, x.n)) & linear.lanes_equal(x), {"X": x}
+
+
+def _eps_restriction(lanes, seeds):
+    # the Artin-Hasse map restricts to eps_P on the nilradical
+    x = radical_elements(lanes, seeds, 0)
+    return ah_exp(x).lanes_equal(eps_p(lanes, x)), {"X": x}
+
+
+# stream label -> check, in record order; "tangent" has one case per
+# parabolic, the others one per trial
+_EPS_CHECKS = {"equivariance": _eps_equivariance, "bch": _eps_bch, "dynkin": _eps_dynkin,
+               "tangent": _eps_tangent, "restrict": _eps_restriction}
 
 
 def _interpolate_matrix_poly(pars, x: FpMatrix) -> list[FpMatrix]:

@@ -12,165 +12,18 @@ components w_n(x) = sum_{i<=n} p^i x_i^(p^(n-i)) hit the target
 Any lift of s_i will do, because x = y (mod p) implies
 x^(p^k) = y^(p^k) (mod p^(k+1)).  Exact divisibility by p^n is checked
 at every step (a failed division would be a correctness bug, never a
-rounding issue).  The integral sum polynomials S_n of the same recursion
-are kept as the symbolic reference the tests compare against; no runtime
-path evaluates them.  Length is capped at m = 3.
+rounding issue).  Length is capped at m = 3.  The tests check this law
+against two references that share no code with it: the symbolic sum
+polynomials (``tests/witt_reference.py``) and the Teichmuller map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .gf import FieldScalar, _check_field_params, _field_pow, field_modulus
 
 MAX_LENGTH = 3
-
-
-class ZPoly:
-    """Multivariate polynomial with integer coefficients.
-
-    ``terms`` maps exponent tuples (one slot per variable) to nonzero
-    integer coefficients.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    self.terms[tuple(mono)] = self.terms.get(tuple(mono), 0) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
-
-    @classmethod
-    def const(cls, nvars: int, c: int) -> "ZPoly":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def var(cls, nvars: int, index: int) -> "ZPoly":
-        mono = [0] * nvars
-        mono[index] = 1
-        return cls(nvars, {tuple(mono): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __repr__(self):
-        return f"ZPoly({self.nvars}, {self.terms!r})"
-
-    def __add__(self, other: "ZPoly") -> "ZPoly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) + c
-        return ZPoly(self.nvars, out)
-
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) - c
-        return ZPoly(self.nvars, out)
-
-    def __neg__(self) -> "ZPoly":
-        return ZPoly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other: "ZPoly") -> "ZPoly":
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(x + y for x, y in zip(m1, m2))
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return ZPoly(self.nvars, out)
-
-    def __rmul__(self, k: int) -> "ZPoly":
-        return ZPoly(self.nvars, {m: k * c for m, c in self.terms.items()})
-
-    def __pow__(self, k: int) -> "ZPoly":
-        result = ZPoly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def exact_div(self, k: int) -> "ZPoly":
-        out = {}
-        for mono, c in self.terms.items():
-            q, r = divmod(c, k)
-            if r:
-                raise ArithmeticError(f"coefficient {c} not divisible by {k}")
-            out[mono] = q
-        return ZPoly(self.nvars, out)
-
-    def reduce_mod(self, p: int) -> "ZPoly":
-        return ZPoly(self.nvars, {m: c % p for m, c in self.terms.items()})
-
-    def eval(self, values, one):
-        """Evaluate at ring elements supporting *, +, and int * element."""
-        if len(values) != self.nvars:
-            raise ValueError("wrong number of values")
-        # power cache per variable
-        maxdeg = [0] * self.nvars
-        for mono in self.terms:
-            for i, k in enumerate(mono):
-                maxdeg[i] = max(maxdeg[i], k)
-        pows = []
-        for i, v in enumerate(values):
-            col = [one]
-            for _ in range(maxdeg[i]):
-                col.append(col[-1] * v)
-            pows.append(col)
-        total = None
-        for mono, c in self.terms.items():
-            term = one
-            for i, k in enumerate(mono):
-                if k:
-                    term = term * pows[i][k]
-            term = c * term
-            total = term if total is None else total + term
-        if total is None:
-            return 0 * one
-        return total
-
-
-def _ghost(nvars: int, var_indices, p: int, n: int) -> ZPoly:
-    # w_n(x) = sum_{i<=n} p^i x_i^(p^(n-i))
-    acc = ZPoly(nvars, {})
-    for i in range(n + 1):
-        acc = acc + (p ** i) * (ZPoly.var(nvars, var_indices[i]) ** (p ** (n - i)))
-    return acc
-
-
-@lru_cache(maxsize=None)
-def witt_sum_polys(p: int, m: int) -> tuple[ZPoly, ...]:
-    """The integral sum polynomials S_0..S_{m-1} in a_0..a_{m-1}, b_0..b_{m-1}.
-
-    Variables 0..m-1 are the a-coordinates, m..2m-1 the b-coordinates.
-    """
-    _check_field_params(p, 1)
-    if m < 1:
-        raise ValueError("length must be >= 1")
-    if m > MAX_LENGTH:
-        raise ValueError(f"Witt length {m} unsupported (max {MAX_LENGTH})")
-    nvars = 2 * m
-    avars = list(range(m))
-    bvars = list(range(m, 2 * m))
-    polys: list[ZPoly] = []
-    for n in range(m):
-        rhs = _ghost(nvars, avars, p, n) + _ghost(nvars, bvars, p, n)
-        for i in range(n):
-            rhs = rhs - (p ** i) * (polys[i] ** (p ** (n - i)))
-        polys.append(rhs.exact_div(p ** n))
-    return tuple(polys)
 
 
 def _check_length(m: int) -> None:

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from ahspringer import suites
 from ahspringer.suites import Recorder, SuiteConfig, run_suite
 
 GOLDEN = {
@@ -70,7 +71,7 @@ def test_forced_failure_witnesses_are_pinned(monkeypatch):
 EPS_PARABOLIC_FAILURE_DIGEST = "8f7e683f35340645cf62a3e53f2221bbee25aafdfa05e8806fdbe106d8ada9b1"
 
 
-def test_eps_parabolic_witnesses_through_n6_are_pinned(monkeypatch):
+def eps_parabolic_failure_body(monkeypatch):
     orig = Recorder.check
 
     def failing(self, ok, *args, **kwargs):
@@ -79,7 +80,22 @@ def test_eps_parabolic_witnesses_through_n6_are_pinned(monkeypatch):
     monkeypatch.setattr(Recorder, "check", failing)
     cfg = SuiteConfig(suites=("eps-parabolic",), primes=(2, 3, 5), trials=2, seed=42)
     report = run_suite(cfg).to_json()
-    body = {k: v for k, v in report.items() if k != "generated_at"}
+    return {k: v for k, v in report.items() if k != "generated_at"}
+
+
+def test_eps_parabolic_witnesses_through_n6_are_pinned(monkeypatch):
+    body = eps_parabolic_failure_body(monkeypatch)
+    assert sum(len(r["witnesses"]) for r in body["suites"]) == 1049
+    encoded = json.dumps(body, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == EPS_PARABOLIC_FAILURE_DIGEST
+
+
+# Budget 1 runs every parabolic alone, each property in one-trial chunks;
+# budget 3 runs every parabolic alone in one chunk per property.
+@pytest.mark.parametrize("budget", [1, 3])
+def test_eps_parabolic_witnesses_do_not_depend_on_the_lane_budget(monkeypatch, budget):
+    monkeypatch.setattr(suites, "LANE_BUDGET", budget)
+    body = eps_parabolic_failure_body(monkeypatch)
     assert sum(len(r["witnesses"]) for r in body["suites"]) == 1049
     encoded = json.dumps(body, sort_keys=True).encode()
     assert hashlib.sha256(encoded).hexdigest() == EPS_PARABOLIC_FAILURE_DIGEST

@@ -24,7 +24,7 @@ def det_by_permutation_expansion(m: FpMatrix) -> FieldScalar:
         term = FieldScalar.one(m.p, m.e)
         for i in range(n):
             term = term * m.entry(i, perm[i])
-        total = total + (sign * term)
+        total = total + term if sign > 0 else total - term
     return total
 
 

@@ -113,7 +113,7 @@ class TestNilpotenceClass:
                 assert nilpotence_class(par) == len(blocks) - 1
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_mask_closure_matches_the_bracket_span(self, p):
+    def test_closed_form_matches_the_bracket_span(self, p):
         for n in range(1, 8):
             for blocks in compositions(n):
                 par = ParabolicGL(Composition(blocks), p)
