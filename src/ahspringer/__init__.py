@@ -3,7 +3,6 @@ induce between nilpotent and unipotent elements of classical groups over
 small finite fields, plus a property-verification CLI."""
 
 from .errors import DomainError
-from .gf import FieldScalar
 from .series import (
     FpSeries,
     RationalSeries,
@@ -61,7 +60,6 @@ __all__ = [
     "CentralizerSpace",
     "Composition",
     "DomainError",
-    "FieldScalar",
     "FpMatrix",
     "FpSeries",
     "GroupSpec",

@@ -1,9 +1,10 @@
 """Exact scalar arithmetic in F_p and the quadratic extension F_{p^2}.
 
-Elements are represented by their coordinates in [0, p) over the basis
-{1, w}, where w is a root of a fixed irreducible monic quadratic.  Only
-extension degrees 1 and 2 are supported; everything is plain integer
-arithmetic, no floating point anywhere.
+An element of F_{p^e} is the tuple of its e coordinates in [0, p) over
+the basis {1, w}, where w is a root of a fixed irreducible monic
+quadratic; matrices hold the same coordinates as planes.  Only extension
+degrees 1 and 2 are supported; everything is plain integer arithmetic,
+no floating point anywhere.
 
 This module owns that presentation: ``field_modulus`` chooses it, and
 ``_field_mul``, ``_field_pow``, ``_field_inv`` and ``_frobenius`` are
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -118,136 +118,28 @@ def _check_field_params(p: int, e: int) -> None:
         raise ValueError(f"extension degree must be 1 or 2, got {e!r}")
 
 
-class FieldScalar:
-    """An element of F_{p^e}, immutable and hashable.
+def scalar_to_json(a):
+    """The file-format encoding of coordinates a: int for e=1, [int, int]
+    for e=2."""
+    return a[0] if len(a) == 1 else list(a)
 
-    ``coords`` holds e integers in [0, p); for e=2 the element is
-    coords[0] + coords[1]*w with w^2 + b*w + c = 0 from
-    ``quadratic_modulus(p)``.
-    """
 
-    __slots__ = ("p", "e", "coords")
-
-    def __init__(self, p: int, e: int, coords):
-        _check_field_params(p, e)
-        coords = tuple(int(x) % p for x in coords)
-        if len(coords) != e:
-            raise ValueError(f"expected {e} coordinates, got {len(coords)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldScalar is immutable")
-
-    @classmethod
-    def from_int(cls, p: int, e: int, value: int) -> "FieldScalar":
-        """Image of the integer ``value`` under Z -> F_p <= F_{p^e}."""
-        return cls(p, e, (value,) + (0,) * (e - 1))
-
-    @classmethod
-    def zero(cls, p: int, e: int) -> "FieldScalar":
-        return cls.from_int(p, e, 0)
-
-    @classmethod
-    def one(cls, p: int, e: int) -> "FieldScalar":
-        return cls.from_int(p, e, 1)
-
-    def _check_match(self, other: "FieldScalar") -> None:
-        if self.p != other.p or self.e != other.e:
-            raise ValueError(
-                f"field mismatch: F_{self.p}^{self.e} vs F_{other.p}^{other.e}"
-            )
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldScalar):
-            return NotImplemented
-        return (self.p, self.e, self.coords) == (other.p, other.e, other.coords)
-
-    def __hash__(self):
-        return hash((self.p, self.e, self.coords))
-
-    def __repr__(self):
-        return f"FieldScalar({self.p}, {self.e}, {self.coords})"
-
-    def __add__(self, other: "FieldScalar") -> "FieldScalar":
-        self._check_match(other)
-        p = self.p
-        return FieldScalar(p, self.e, tuple((x + y) % p for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "FieldScalar") -> "FieldScalar":
-        self._check_match(other)
-        p = self.p
-        return FieldScalar(p, self.e, tuple((x - y) % p for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "FieldScalar":
-        p = self.p
-        return FieldScalar(p, self.e, tuple((-x) % p for x in self.coords))
-
-    @property
-    def _mod(self):
-        return field_modulus(self.p, self.e)
-
-    def __mul__(self, other: "FieldScalar") -> "FieldScalar":
-        self._check_match(other)
-        coords = _field_mul(self.coords, other.coords, self.p, self._mod, operator.mul)
-        return FieldScalar(self.p, self.e, coords)
-
-    def __pow__(self, n: int) -> "FieldScalar":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return FieldScalar(self.p, self.e, _field_pow(self.coords, n, self.p, self._mod))
-
-    def inverse(self) -> "FieldScalar":
-        return FieldScalar(self.p, self.e, inverse_coords(self.p, self.e, self.coords))
-
-    def __truediv__(self, other: "FieldScalar") -> "FieldScalar":
-        return self * other.inverse()
-
-    def frobenius(self) -> "FieldScalar":
-        """The p-th power map x -> x^p (identity on F_p)."""
-        return FieldScalar(self.p, self.e, _frobenius(self.coords, self.p, self._mod))
-
-    def lift(self) -> int:
-        """Canonical integer representative; only valid for e=1."""
-        if self.e != 1:
-            raise ValueError("lift() only defined for prime-field elements")
-        return self.coords[0]
-
-    def to_json(self):
-        """int for e=1, [int, int] for e=2 — the file-format encoding."""
-        if self.e == 1:
-            return self.coords[0]
-        return list(self.coords)
-
-    @classmethod
-    def from_json(cls, p: int, e: int, obj) -> "FieldScalar":
-        if e == 1:
-            if not is_json_int(obj):
-                raise ValueError(f"expected integer entry, got {obj!r}")
-            return cls(p, 1, (obj,))
-        if not (isinstance(obj, list) and len(obj) == 2 and all(is_json_int(x) for x in obj)):
-            raise ValueError(f"expected [int, int] entry for e=2, got {obj!r}")
-        return cls(p, 2, tuple(obj))
+def scalar_from_json(p: int, e: int, obj) -> tuple[int, ...]:
+    """Reduced coordinates of one file-format entry of F_{p^e}."""
+    _check_field_params(p, e)
+    if e == 1:
+        if not is_json_int(obj):
+            raise ValueError(f"expected integer entry, got {obj!r}")
+        return (obj % p,)
+    if not (isinstance(obj, list) and len(obj) == 2 and all(is_json_int(x) for x in obj)):
+        raise ValueError(f"expected [int, int] entry for e=2, got {obj!r}")
+    return tuple(x % p for x in obj)
 
 
 def is_json_int(obj) -> bool:
     """Whether a decoded JSON value is an integer (true/false decode to bool,
     a subclass of int, and are not entries)."""
     return isinstance(obj, int) and not isinstance(obj, bool)
-
-
-def all_scalars(p: int, e: int):
-    """Iterate every element of F_{p^e} in a fixed order."""
-    _check_field_params(p, e)
-    for coords in product(range(p), repeat=e):
-        yield FieldScalar(p, e, coords)
 
 
 @lru_cache(maxsize=None)

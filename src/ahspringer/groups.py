@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError
-from .gf import FieldScalar, _check_field_params, _field_mul, field_modulus
+from .gf import _check_field_params, _field_mul, field_modulus, inverse_coords
 from .matrices import FpMatrix, _lin_comb, _mat_mul_planes
 from .rng import Stream, below_lanes, stream
 
@@ -160,13 +160,14 @@ def in_group(spec: GroupSpec, g: FpMatrix) -> bool:
     if g.n != spec.n:
         raise ValueError("matrix dimension does not match group")
     form = spec.form_for(g.p, g.e)
+    one = (1,) + (0,) * (g.e - 1)
     if spec.kind == "GL":
-        return not linalg.det(g).is_zero()
+        return any(linalg.det(g))
     if spec.kind == "SL":
-        return linalg.det(g) == FieldScalar.one(g.p, g.e)
+        return linalg.det(g) == one
     preserves = (g.transpose() @ form @ g) == form
     if spec.kind == "SO":
-        return preserves and linalg.det(g) == FieldScalar.one(g.p, g.e)
+        return preserves and linalg.det(g) == one
     return preserves
 
 
@@ -177,7 +178,7 @@ def in_lie_algebra(spec: GroupSpec, x: FpMatrix) -> bool:
     if spec.kind == "GL":
         return True
     if spec.kind == "SL":
-        return x.trace().is_zero()
+        return not any(x.trace())
     return (x.transpose() @ form + form @ x).is_zero()
 
 
@@ -345,9 +346,9 @@ def random_group_element(spec: GroupSpec, p: int, e: int, st: Stream) -> FpMatri
         return random_invertible(p, e, spec.n, st)
     if spec.kind == "SL":
         g = random_invertible(p, e, spec.n, st)
-        d = linalg.det(g)
+        d_inv = inverse_coords(p, e, linalg.det(g))
         planes = g.planes.copy()
-        planes[:, 0, :] = _field_mul(d.inverse().coords, planes[:, 0, :], p, g._mod, np.multiply)
+        planes[:, 0, :] = _field_mul(d_inv, planes[:, 0, :], p, g._mod, np.multiply)
         return FpMatrix(p, e, planes)
     from .expmaps import ah_exp
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .gf import FieldScalar, _field_inv, _field_mul, field_modulus
+from .gf import _field_inv, _field_mul, field_modulus
 from .matrices import FpMatrix
 
 
@@ -127,9 +127,10 @@ def inv_planes(planes, p, e):
     return np.where(ok[..., None, None, None], r_mat[..., n:], 0), ok
 
 
-def det(m: FpMatrix) -> FieldScalar:
-    """Determinant from the pivots of the elimination, exact over the field."""
-    return FieldScalar(m.p, m.e, det_planes(m.planes, m.p, m.e))
+def det(m: FpMatrix) -> tuple[int, ...]:
+    """Determinant coordinates from the pivots of the elimination, exact over
+    the field."""
+    return tuple(int(x) for x in det_planes(m.planes, m.p, m.e))
 
 
 def inv(m: FpMatrix) -> FpMatrix:

@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 
-from .gf import FieldScalar, _check_field_params, _field_mul, _frobenius, field_modulus, is_json_int
+from .gf import _check_field_params, _field_mul, _frobenius, field_modulus, is_json_int, scalar_from_json
 
 
 MAX_DIM = 128  # keeps every kernel's unreduced sum exact (see gf.PRIME_BOUND)
@@ -108,18 +108,14 @@ class FpMatrix:
 
     @classmethod
     def from_rows(cls, p: int, e: int, rows) -> "FpMatrix":
-        """Build from nested lists of ints (e=1), coordinate pairs, or FieldScalars."""
+        """Build from nested lists of ints (lifted from Z) or coordinate tuples."""
         n = len(rows)
         planes = np.zeros((e, n, n), dtype=np.int64)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("matrix rows must all have length n")
             for j, v in enumerate(row):
-                if isinstance(v, FieldScalar):
-                    if (v.p, v.e) != (p, e):
-                        raise ValueError("entry field does not match matrix field")
-                    coords = v.coords
-                elif isinstance(v, int):
+                if isinstance(v, int):
                     coords = (v,) + (0,) * (e - 1)
                 else:
                     coords = tuple(v)
@@ -137,8 +133,8 @@ class FpMatrix:
 
     # -- basic queries ------------------------------------------------
 
-    def entry(self, i: int, j: int) -> FieldScalar:
-        return FieldScalar(self.p, self.e, tuple(int(self.planes[k, i, j]) for k in range(self.e)))
+    def entry(self, i: int, j: int) -> tuple[int, ...]:
+        return tuple(int(x) for x in self.planes[:, i, j])
 
     def is_zero(self) -> bool:
         return not self.planes.any()
@@ -195,24 +191,23 @@ class FpMatrix:
         return result
 
     def scale(self, s) -> "FpMatrix":
-        """Multiply by a scalar (FieldScalar or int)."""
+        """Multiply by a scalar: an int, or the coordinate tuple of an element."""
         if isinstance(s, int):
             return FpMatrix._wrap(self.p, self.e, self.n, (s % self.p * self.planes) % self.p)
-        if (s.p, s.e) != (self.p, self.e):
-            raise ValueError("scalar field does not match matrix field")
+        if len(s) != self.e:
+            raise ValueError(f"scalar {s!r} does not have {self.e} coordinates")
+        s = tuple(x % self.p for x in s)
+        coords = tuple(self.planes[..., k, :, :] for k in range(self.e))  # lane by lane
         return FpMatrix._wrap(
             self.p, self.e, self.n,
-            np.stack(_field_mul(s.coords, self.planes, self.p, self._mod, np.multiply)),
+            np.stack(_field_mul(s, coords, self.p, self._mod, np.multiply), axis=-3),
         )
 
     def transpose(self) -> "FpMatrix":
         return FpMatrix._wrap(self.p, self.e, self.n, self.planes.transpose(0, 2, 1).copy())
 
-    def trace(self) -> FieldScalar:
-        return FieldScalar(
-            self.p, self.e,
-            tuple(int(np.trace(self.planes[k])) % self.p for k in range(self.e)),
-        )
+    def trace(self) -> tuple[int, ...]:
+        return tuple(int(x) % self.p for x in np.trace(self.planes, axis1=1, axis2=2))
 
     def frobenius_entries(self) -> "FpMatrix":
         """Apply x -> x^p to every entry (identity when e=1)."""
@@ -247,7 +242,7 @@ class FpMatrix:
         for i, row in enumerate(entries):
             if not (isinstance(row, list) and len(row) == n):
                 raise ValueError(f"matrix JSON row {i} must have {n} entries")
-            rows.append([FieldScalar.from_json(p, e, v) for v in row])
+            rows.append([scalar_from_json(p, e, v) for v in row])
         return cls.from_rows(p, e, rows)
 
     def dumps(self) -> str:

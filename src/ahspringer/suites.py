@@ -25,7 +25,7 @@ from .expmaps import (
     truncated_exp,
     witt_embed,
 )
-from .gf import FieldScalar, all_scalars, check_prime
+from .gf import check_prime, scalar_to_json
 from .groups import (
     GroupSpec,
     JordanType,
@@ -79,6 +79,11 @@ class SuiteConfig:
         for k in self.kinds:
             if k not in ("GL", "SL", "SO", "Sp"):
                 raise ValueError(f"unknown group kind {k!r}")
+        # a repeated entry would run its cases twice and overstate coverage
+        for what, values in (("suite", self.suites), ("prime", self.primes),
+                             ("group kind", self.kinds)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"repeated {what} in {','.join(map(str, values))}")
         if self.max_dim < 2:
             raise ValueError("max dimension must be at least 2")
         if self.trials is not None and self.trials < 1:
@@ -111,8 +116,8 @@ def _encode(value):
         return value.to_json_obj()
     if isinstance(value, WittVector):
         return {"p": value.p, "e": value.e, "m": value.m, "entries": value.to_json()}
-    if isinstance(value, FieldScalar):
-        return value.to_json()
+    if isinstance(value, tuple):  # the coordinates of a field element
+        return scalar_to_json(value)
     return value
 
 
@@ -225,7 +230,7 @@ def suite_witt_group(cfg: SuiteConfig, rec: Recorder) -> None:
             for _ in range(p):
                 acc = witt_add(acc, w)
             rec.check(acc == witt_pow_p(w), p=p, m=m, w=w)
-            lead = next((i for i, a in enumerate(w.entries) if not a.is_zero()), None)
+            lead = next((i for i, a in enumerate(w.entries) if any(a)), None)
             expected = 1 if lead is None else p ** (m - lead)
             order = witt_order(w)
             rec.check(order == expected, p=p, m=m, w=w, order=order)
@@ -387,11 +392,17 @@ def _eps_dynkin(lanes, seeds):
 
 
 def _eps_tangent(lanes, seeds):
-    # the tangent map is the identity: interpolate eps(sX) in s and read
-    # the degree-1 coefficient
+    # the tangent map is the identity.  s -> eps_P(sX) is a matrix polynomial
+    # of degree < p in s, so its constant term is eps_P(0) and its linear
+    # coefficient is -sum_{s in F_p} s^(p-2) eps_P(sX), because
+    # sum_{s in F_p} s^k is -1 when p - 1 divides k > 0 and 0 otherwise
+    # (0^0 = 1, which p = 2 needs); lane by lane, one parabolic per lane
     x = radical_elements(lanes, seeds, 0)
-    one, linear = _interpolate_matrix_poly(lanes, x)[:2]
-    return one.lanes_equal(FpMatrix.identity(x.p, x.e, x.n)) & linear.lanes_equal(x), {"X": x}
+    p = x.p
+    values = [eps_p(lanes, x.scale(s)) for s in range(p)]
+    linear = -sum(pow(s, p - 2, p) * v.planes for s, v in enumerate(values)) % p
+    ok = values[0].lanes_equal(FpMatrix.identity(p, x.e, x.n))
+    return ok & (linear == x.planes).all(axis=(-3, -2, -1)), {"X": x}
 
 
 def _eps_restriction(lanes, seeds):
@@ -404,23 +415,6 @@ def _eps_restriction(lanes, seeds):
 # parabolic, the others one per trial
 _EPS_CHECKS = {"equivariance": _eps_equivariance, "bch": _eps_bch, "dynkin": _eps_dynkin,
                "tangent": _eps_tangent, "restrict": _eps_restriction}
-
-
-def _interpolate_matrix_poly(pars, x: FpMatrix) -> list[FpMatrix]:
-    """Coefficients of s -> eps_P(sX), an exact matrix polynomial of degree
-    < p, recovered from its values at every s in F_p via the Vandermonde
-    inverse; lane by lane for a stack x with one parabolic per lane."""
-    p = x.p
-    values = [eps_p(pars, x.scale(s)) for s in range(p)]
-    vand = FpMatrix.from_rows(p, 1, [[pow(s, i, p) for i in range(p)] for s in range(p)])
-    vinv = linalg.inv(vand)
-    coeffs = []
-    for i in range(p):
-        acc = FpMatrix.zeros(p, x.e, x.n)
-        for s in range(p):
-            acc = acc + values[s].scale(vinv.entry(i, s).lift())
-        coeffs.append(acc)
-    return coeffs
 
 
 def _commuting_grid(planes, p: int):
@@ -511,10 +505,11 @@ def suite_one_parameter(cfg: SuiteConfig, rec: Recorder) -> None:
                 seed_k = _case_seed(cfg.seed, label, k)
                 x = random_nilpotent(spec, _p_nilpotent_type(n, p), seed_k, p, e=e)
                 rec.check(ah_exp(x) == truncated_exp(x), p=p, e=e, X=x)
-                exps = {s: ah_exp(x.scale(s)) for s in all_scalars(p, e)}
+                exps = {s: ah_exp(x.scale(s)) for s in product(range(p), repeat=e)}
                 for s in exps:
                     for t in exps:
-                        rec.check(exps[s + t] == exps[s] @ exps[t], p=p, e=e, X=x, s=s, t=t)
+                        s_t = tuple((a + b) % p for a, b in zip(s, t))
+                        rec.check(exps[s_t] == exps[s] @ exps[t], p=p, e=e, X=x, s=s, t=t)
 
 
 def suite_equivariance(cfg: SuiteConfig, rec: Recorder) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import FieldScalar, _check_field_params, _field_pow, field_modulus
+from .gf import _check_field_params, _field_pow, _frobenius, field_modulus, scalar_to_json
 
 MAX_LENGTH = 3
 
@@ -33,41 +33,43 @@ def _check_length(m: int) -> None:
 
 @dataclass(frozen=True)
 class WittVector:
-    """Length-m Witt vector with entries in F_{p^e}."""
+    """Length-m Witt vector with entries in F_{p^e}, each the tuple of its
+    e coordinates, reduced into [0, p) on construction."""
 
     p: int
     e: int
     m: int
-    entries: tuple[FieldScalar, ...]
+    entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         _check_field_params(self.p, self.e)
         _check_length(self.m)
         if len(self.entries) != self.m:
             raise ValueError("entry count does not match length")
-        for a in self.entries:
-            if (a.p, a.e) != (self.p, self.e):
-                raise ValueError("entry field mismatch")
+        if any(len(a) != self.e for a in self.entries):
+            raise ValueError(f"every entry needs {self.e} coordinates")
+        reduced = tuple(tuple(int(x) % self.p for x in a) for a in self.entries)
+        object.__setattr__(self, "entries", reduced)
 
     @classmethod
     def from_ints(cls, p: int, m: int, values, e: int = 1) -> "WittVector":
         _check_length(m)  # before any entry is built
-        return cls(p, e, m, tuple(FieldScalar.from_int(p, e, v) for v in values))
+        return cls(p, e, m, tuple((v,) + (0,) * (e - 1) for v in values))
 
     @classmethod
     def zero(cls, p: int, m: int, e: int = 1) -> "WittVector":
         return cls.from_ints(p, m, [0] * m, e)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.entries)
+        return not any(map(any, self.entries))
 
     def to_json(self) -> list:
-        return [a.to_json() for a in self.entries]
+        return [scalar_to_json(a) for a in self.entries]
 
     def __str__(self):
         if self.e == 1:
-            return ",".join(str(a.lift()) for a in self.entries)
-        return ",".join(f"({a.coords[0]}+{a.coords[1]}w)" for a in self.entries)
+            return ",".join(str(a[0]) for a in self.entries)
+        return ",".join(f"({a[0]}+{a[1]}w)" for a in self.entries)
 
 
 def _check_pair(u: WittVector, v: WittVector) -> None:
@@ -87,8 +89,7 @@ def _ghost_sum(p: int, n: int, coords, mod) -> list[int]:
 
 def _ghosts(w: WittVector, mod) -> list[list[int]]:
     """Ghost components w_n mod p^(n+1), n < m, of the [0, p) lifts of w."""
-    coords = [a.coords for a in w.entries]
-    return [_ghost_sum(w.p, n, coords[: n + 1], mod) for n in range(w.m)]
+    return [_ghost_sum(w.p, n, w.entries[: n + 1], mod) for n in range(w.m)]
 
 
 def _from_ghosts(p: int, e: int, targets, mod) -> WittVector:
@@ -103,7 +104,7 @@ def _from_ghosts(p: int, e: int, targets, mod) -> WittVector:
                 raise ArithmeticError(f"ghost residue {(t - g) % q} not divisible by {pn}")
             s_n.append(quo)
         coords.append(tuple(s_n))
-    return WittVector(p, e, len(coords), tuple(FieldScalar(p, e, c) for c in coords))
+    return WittVector(p, e, len(coords), tuple(coords))
 
 
 def witt_add(u: WittVector, v: WittVector) -> WittVector:
@@ -122,7 +123,8 @@ def witt_neg(w: WittVector) -> WittVector:
 
 def witt_pow_p(w: WittVector) -> WittVector:
     """The p-th power map: (a_0, ..., a_{m-1}) -> (0, a_0^p, ..., a_{m-2}^p)."""
-    entries = (FieldScalar.zero(w.p, w.e),) + tuple(a.frobenius() for a in w.entries[:-1])
+    mod = field_modulus(w.p, w.e)
+    entries = ((0,) * w.e,) + tuple(_frobenius(a, w.p, mod) for a in w.entries[:-1])
     return WittVector(w.p, w.e, w.m, entries)
 
 

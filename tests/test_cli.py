@@ -34,6 +34,21 @@ def test_ah_coeffs_non_prime_exits_2(capsys):
     assert "prime" in err
 
 
+def test_ah_coeffs_beyond_max_degree_exits_2_at_once(capsys):
+    # the rational expansion grows about as degree^2.7: --n 1000 took 48 s
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "ah-coeffs", "--p", "2", "--n", "257")
+    assert (code, out) == (2, "")
+    assert "256" in err
+    assert time.monotonic() - start < 5
+
+
+def test_ah_coeffs_at_max_degree(capsys):
+    code, out, _ = run_cli(capsys, "ah-coeffs", "--p", "2", "--n", "256")
+    assert code == 0
+    assert len(out.split()) == 257
+
+
 @pytest.mark.parametrize("argv", [
     ["witt", "neg", "--p", str(2**61 - 1), "--m", "1", "--vector", "1"],
     ["verify", "--suite", "witt-group", "--p", str(2**61 - 1)],
@@ -292,6 +307,17 @@ def test_verify_mixed_pass_and_skip_exits_2(capsys):
         "PASS ah-integrality: 69/69 cases",
         "SKIP frobenius-compat: 0 cases (no grid point for the requested primes)",
     ]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--p", "3,3"), ("--kinds", "GL,GL"), ("--suite", "frobenius-compat,frobenius-compat"),
+])
+def test_verify_repeated_entry_exits_2(capsys, flag, value):
+    # a repeated entry ran its cases twice: --p 3,3 reported 96/96 cases, --p 3 48/48
+    code, out, err = run_cli(capsys, "verify", "--suite", "frobenius-compat", "--trials", "2",
+                             flag, value)
+    assert (code, out) == (2, "")
+    assert "repeated" in err
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -1,21 +1,45 @@
-"""Field scalar tests: exhaustive axioms for the small fields in scope, and
-F_{p^2} arithmetic against its companion-matrix representation."""
+"""Field arithmetic tests: the gf kernels on coordinate tuples, checked
+exhaustively against the field axioms for the small fields in scope, and
+F_{p^2} arithmetic against its companion-matrix representation and the
+plain-integer reference field."""
 
+import operator
 import random
 import re
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import ahspringer
 from ahspringer.gf import (
-    FieldScalar,
-    all_scalars,
+    _field_mul,
+    _field_pow,
+    _frobenius,
     check_prime,
+    field_modulus,
+    inverse_coords,
     inverse_mod,
     is_prime,
     quadratic_modulus,
+    scalar_from_json,
+    scalar_to_json,
 )
+from ahspringer.matrices import FpMatrix
+from ahspringer.witt import WittVector
+from field_reference import first_irreducible_quadratic
+
+
+def mul(a, b, p):
+    return _field_mul(a, b, p, field_modulus(p, len(a)), operator.mul)
+
+
+def power(a, k, p):
+    return _field_pow(a, k, p, field_modulus(p, len(a)))
+
+
+def add(a, b, p):
+    return tuple((x + y) % p for x, y in zip(a, b))
 
 
 def test_quadratic_modulus_frozen():
@@ -32,94 +56,86 @@ def test_quadratic_modulus_is_irreducible(p):
     assert all((x * x + b * x + c) % p != 0 for x in range(p))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_reference_field_finds_the_same_quadratic(p):
+    assert first_irreducible_quadratic(p) == quadratic_modulus(p)
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
 def test_field_axioms_exhaustive(p, e):
-    elements = list(all_scalars(p, e))
-    assert len(elements) == p ** e
-    zero = FieldScalar.zero(p, e)
-    one = FieldScalar.one(p, e)
+    elements = list(product(range(p), repeat=e))
+    zero, one = (0,) * e, (1,) + (0,) * (e - 1)
     for a in elements:
-        assert a + zero == a
-        assert a * one == a
-        assert a - a == zero
-        assert a + (-a) == zero
-        if not a.is_zero():
-            assert a * a.inverse() == one
+        assert mul(a, one, p) == a
+        assert mul(a, zero, p) == zero
+        if any(a):
+            assert mul(a, inverse_coords(p, e, a), p) == one
     for a in elements:
         for b in elements:
-            assert a + b == b + a
-            assert a * b == b * a
+            assert mul(a, b, p) == mul(b, a, p)
     # associativity and distributivity on a subgrid (full triple loop for tiny fields)
     sample = elements if len(elements) <= 9 else elements[::3]
     for a in sample:
         for b in sample:
             for c in sample:
-                assert (a + b) + c == a + (b + c)
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
+                assert mul(mul(a, b, p), c, p) == mul(a, mul(b, c, p), p)
+                assert mul(a, add(b, c, p), p) == add(mul(a, b, p), mul(a, c, p), p)
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (5, 2)])
 def test_frobenius_is_field_automorphism_fixing_prime_field(p, e):
-    for a in all_scalars(p, e):
-        assert a.frobenius() == a ** p
-        assert a.frobenius().frobenius() == a  # order 2 on F_{p^2}
+    mod = field_modulus(p, e)
+    for a in product(range(p), repeat=e):
+        assert _frobenius(a, p, mod) == power(a, p, p)
+        assert _frobenius(_frobenius(a, p, mod), p, mod) == a  # order 2 on F_{p^2}
     for v in range(p):
-        a = FieldScalar.from_int(p, e, v)
-        assert a.frobenius() == a
+        assert _frobenius((v, 0), p, mod) == (v, 0)
 
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        FieldScalar.zero(3, 1).inverse()
+        inverse_coords(3, 1, (0,))
+    with pytest.raises(ZeroDivisionError):
+        inverse_coords(3, 2, (0, 0))
     with pytest.raises(ZeroDivisionError):
         inverse_mod(0, 5)
 
 
+def test_json_round_trip():
+    assert scalar_to_json((1, 2)) == [1, 2]
+    assert scalar_from_json(3, 2, [1, 2]) == (1, 2)
+    assert scalar_to_json((4,)) == 4
+    assert scalar_from_json(5, 1, 4) == (4,)
+    assert scalar_from_json(5, 1, 9) == (4,)  # reduced
+    with pytest.raises(ValueError, match="expected integer entry"):
+        scalar_from_json(5, 1, [1, 2])
+    with pytest.raises(ValueError, match=r"expected \[int, int\] entry for e=2"):
+        scalar_from_json(5, 2, 3)
+    with pytest.raises(ValueError, match="expected integer entry"):
+        scalar_from_json(5, 1, True)
+
+
 def test_field_mismatch_raises():
+    # a coordinate tuple of the wrong length is refused wherever it meets a field
     with pytest.raises(ValueError):
-        FieldScalar.one(2, 1) + FieldScalar.one(3, 1)
+        FpMatrix.identity(3, 1, 2).scale((1, 0))
     with pytest.raises(ValueError):
-        FieldScalar.one(3, 1) * FieldScalar.one(3, 2)
+        FpMatrix.identity(3, 2, 2).scale((1,))
+    with pytest.raises(ValueError):
+        WittVector(3, 1, 1, ((1, 0),))
 
 
 def test_invalid_parameters():
-    with pytest.raises(ValueError):
-        FieldScalar(4, 1, (1,))
-    with pytest.raises(ValueError):
-        FieldScalar(3, 3, (1, 0, 0))
-    with pytest.raises(ValueError):
-        FieldScalar(3, 2, (1,))
-
-
-def test_json_round_trip():
-    a = FieldScalar(3, 2, (1, 2))
-    assert a.to_json() == [1, 2]
-    assert FieldScalar.from_json(3, 2, [1, 2]) == a
-    b = FieldScalar(5, 1, (4,))
-    assert b.to_json() == 4
-    assert FieldScalar.from_json(5, 1, 4) == b
-    with pytest.raises(ValueError):
-        FieldScalar.from_json(5, 1, [1, 2])
-    with pytest.raises(ValueError):
-        FieldScalar.from_json(5, 2, 3)
-
-
-def test_lift_only_for_prime_field():
-    assert FieldScalar.from_int(7, 1, 10).lift() == 3
-    with pytest.raises(ValueError):
-        FieldScalar.from_int(7, 2, 1).lift()
+    with pytest.raises(ValueError, match="must be prime"):
+        scalar_from_json(4, 1, 1)
+    with pytest.raises(ValueError, match="extension degree"):
+        scalar_from_json(3, 3, [1, 0])
+    with pytest.raises(ValueError, match="coordinate count"):
+        FpMatrix.from_rows(3, 2, [[(1,)]])
 
 
 def test_is_prime_small_values():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
-
-
-def test_immutability_and_hash():
-    a = FieldScalar(3, 1, (2,))
-    with pytest.raises(AttributeError):
-        a.coords = (1,)
-    assert len({FieldScalar(3, 1, (1,)), FieldScalar(3, 1, (1,))}) == 1
 
 
 def test_check_prime_tests_the_bound_first():
@@ -139,10 +155,10 @@ def test_check_prime_tests_the_bound_first():
 # power, Frobenius and inverse without sharing their code.
 
 
-def _rep(a):
-    b, c = quadratic_modulus(a.p)
-    a0, a1 = a.coords
-    return ((a0 % a.p, -c * a1 % a.p), (a1 % a.p, (a0 - b * a1) % a.p))
+def _rep(a, p):
+    b, c = quadratic_modulus(p)
+    a0, a1 = a
+    return ((a0 % p, -c * a1 % p), (a1 % p, (a0 - b * a1) % p))
 
 
 def _mat_mul(x, y, p):
@@ -160,25 +176,25 @@ def _mat_pow(x, k, p):
     return result
 
 
-def _check_against_companion(a, b, exponents):
-    p = a.p
-    assert _rep(a * b) == _mat_mul(_rep(a), _rep(b), p)
-    assert _rep(a.frobenius()) == _mat_pow(_rep(a), p, p)
+def _check_against_companion(a, b, p, exponents):
+    assert _rep(mul(a, b, p), p) == _mat_mul(_rep(a, p), _rep(b, p), p)
+    assert _rep(_frobenius(a, p, field_modulus(p, 2)), p) == _mat_pow(_rep(a, p), p, p)
     for k in exponents:
-        assert _rep(a ** k) == _mat_pow(_rep(a), k, p)
-    if not a.is_zero():
+        assert _rep(power(a, k, p), p) == _mat_pow(_rep(a, p), k, p)
+    if any(a):
         identity = ((1, 0), (0, 1))
-        assert _mat_mul(_rep(a.inverse()), _rep(a), p) == identity
-        assert _mat_mul(_rep(a ** -3), _mat_pow(_rep(a), 3, p), p) == identity
+        a_inv = inverse_coords(p, 2, a)
+        assert _mat_mul(_rep(a_inv, p), _rep(a, p), p) == identity
+        assert _mat_mul(_rep(power(a_inv, 3, p), p), _mat_pow(_rep(a, p), 3, p), p) == identity
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_scalar_arithmetic_matches_companion_matrices_exhaustive(p):
-    elements = list(all_scalars(p, 2))
+    elements = list(product(range(p), repeat=2))
     exponents = [0, 1, 2, p, p + 1, p * p - 1, p * p]
     for a in elements:
         for b in elements:
-            _check_against_companion(a, b, exponents if b == a else ())
+            _check_against_companion(a, b, p, exponents if b == a else ())
 
 
 def test_scalar_arithmetic_matches_companion_matrices_seeded():
@@ -186,8 +202,8 @@ def test_scalar_arithmetic_matches_companion_matrices_seeded():
     rng = random.Random(p)
     exponents = [0, 1, p, p * p - 1, rng.randrange(p ** 3)]
     for _ in range(200):
-        a, b = (FieldScalar(p, 2, (rng.randrange(p), rng.randrange(p))) for _ in range(2))
-        _check_against_companion(a, b, exponents)
+        a, b = ((rng.randrange(p), rng.randrange(p)) for _ in range(2))
+        _check_against_companion(a, b, p, exponents)
 
 
 def test_only_gf_names_quadratic_modulus():

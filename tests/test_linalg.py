@@ -7,30 +7,31 @@ import numpy as np
 import pytest
 
 from ahspringer import linalg
-from ahspringer.gf import FieldScalar
 from ahspringer.matrices import FpMatrix
 from ahspringer.rng import stream
+from field_reference import Elem
 
 
-def det_by_permutation_expansion(m: FpMatrix) -> FieldScalar:
+def det_by_permutation_expansion(m: FpMatrix) -> tuple[int, ...]:
+    """Leibniz formula in the plain-integer reference field."""
     n = m.n
-    total = FieldScalar.zero(m.p, m.e)
+    total = Elem.lift(m.p, m.e, 0)
     for perm in permutations(range(n)):
         sign = 1
         for i in range(n):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
-        term = FieldScalar.one(m.p, m.e)
+        term = Elem.lift(m.p, m.e, 1)
         for i in range(n):
-            term = term * m.entry(i, perm[i])
+            term = term * Elem(m.p, m.e, m.entry(i, perm[i]))
         total = total + term if sign > 0 else total - term
-    return total
+    return total.coords
 
 
 def random_mat(p, e, n, st):
     rows = [
-        [FieldScalar(p, e, tuple(st.below(p) for _ in range(e))) for _ in range(n)]
+        [tuple(st.below(p) for _ in range(e)) for _ in range(n)]
         for _ in range(n)
     ]
     return FpMatrix.from_rows(p, e, rows)
@@ -50,7 +51,8 @@ def test_det_multiplicative():
     for p, e in ((3, 1), (2, 2)):
         a = random_mat(p, e, 4, st)
         b = random_mat(p, e, 4, st)
-        assert linalg.det(a @ b) == linalg.det(a) * linalg.det(b)
+        det_a, det_b = (Elem(p, e, linalg.det(m)) for m in (a, b))
+        assert linalg.det(a @ b) == (det_a * det_b).coords
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (3, 2)])
@@ -60,7 +62,7 @@ def test_inverse_round_trip(p, e):
     found = 0
     while found < 5:
         m = random_mat(p, e, 4, st)
-        if linalg.det(m).is_zero():
+        if not any(linalg.det(m)):
             continue
         found += 1
         assert m @ linalg.inv(m) == ident

@@ -1,25 +1,32 @@
-"""Matrix arithmetic against a scalar-by-scalar oracle, plus serialization."""
+"""Matrix arithmetic against a scalar-by-scalar oracle in the plain-integer
+reference field, plus serialization."""
 
 import json
 
+import numpy as np
 import pytest
 
-from ahspringer.gf import FieldScalar, all_scalars
 from ahspringer.matrices import FpMatrix, load_matrix
 from ahspringer.rng import stream
+from field_reference import Elem, elements
+
+
+def coords(rows):
+    return [[a.coords for a in row] for row in rows]
 
 
 def random_fp_matrix(p, e, n, st):
+    """A matrix and its rows as reference-field elements."""
     rows = [
-        [FieldScalar(p, e, tuple(st.below(p) for _ in range(e))) for _ in range(n)]
+        [Elem(p, e, tuple(st.below(p) for _ in range(e))) for _ in range(n)]
         for _ in range(n)
     ]
-    return FpMatrix.from_rows(p, e, rows), rows
+    return FpMatrix.from_rows(p, e, coords(rows)), rows
 
 
 def naive_matmul(rows_a, rows_b, p, e):
     n = len(rows_a)
-    zero = FieldScalar.zero(p, e)
+    zero = Elem.lift(p, e, 0)
     out = []
     for i in range(n):
         row = []
@@ -39,7 +46,7 @@ def test_matmul_matches_scalar_oracle(p, e):
         n = 2 + st.below(3)
         a, rows_a = random_fp_matrix(p, e, n, st)
         b, rows_b = random_fp_matrix(p, e, n, st)
-        expected = FpMatrix.from_rows(p, e, naive_matmul(rows_a, rows_b, p, e))
+        expected = FpMatrix.from_rows(p, e, coords(naive_matmul(rows_a, rows_b, p, e)))
         assert a @ b == expected
 
 
@@ -48,14 +55,14 @@ def test_add_sub_scale_match_entries(p, e):
     st = stream(12, f"addsub/{p}/{e}")
     a, rows_a = random_fp_matrix(p, e, 3, st)
     b, rows_b = random_fp_matrix(p, e, 3, st)
-    s = FieldScalar(p, e, tuple(st.below(p) for _ in range(e)))
+    s = Elem(p, e, tuple(st.below(p) for _ in range(e)))
     for i in range(3):
         for j in range(3):
-            assert (a + b).entry(i, j) == rows_a[i][j] + rows_b[i][j]
-            assert (a - b).entry(i, j) == rows_a[i][j] - rows_b[i][j]
-            assert (-a).entry(i, j) == -rows_a[i][j]
-            assert a.scale(s).entry(i, j) == s * rows_a[i][j]
-            assert a.transpose().entry(i, j) == rows_a[j][i]
+            assert (a + b).entry(i, j) == (rows_a[i][j] + rows_b[i][j]).coords
+            assert (a - b).entry(i, j) == (rows_a[i][j] - rows_b[i][j]).coords
+            assert (-a).entry(i, j) == (-rows_a[i][j]).coords
+            assert a.scale(s.coords).entry(i, j) == (s * rows_a[i][j]).coords
+            assert a.transpose().entry(i, j) == rows_a[j][i].coords
 
 
 def test_pow_and_identity():
@@ -69,9 +76,9 @@ def test_pow_and_identity():
 
 def test_trace():
     a = FpMatrix.from_rows(5, 1, [[1, 2], [3, 4]])
-    assert a.trace() == FieldScalar.from_int(5, 1, 0)  # 1 + 4 = 5
+    assert a.trace() == (0,)  # 1 + 4 = 5
     b = FpMatrix.from_rows(3, 2, [[(1, 1), 0], [0, (1, 2)]])
-    assert b.trace() == FieldScalar(3, 2, (2, 0))
+    assert b.trace() == (2, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -83,7 +90,7 @@ def test_entrywise_frobenius_is_ring_homomorphism(p):
     assert (a + b).frobenius_entries() == a.frobenius_entries() + b.frobenius_entries()
     for i in range(3):
         for j in range(3):
-            assert a.frobenius_entries().entry(i, j) == a.entry(i, j) ** p
+            assert a.frobenius_entries().entry(i, j) == (Elem(p, 2, a.entry(i, j)) ** p).coords
 
 
 def test_shape_and_field_mismatch():
@@ -93,7 +100,7 @@ def test_shape_and_field_mismatch():
     with pytest.raises(ValueError):
         a @ FpMatrix.identity(5, 1, 2)
     with pytest.raises(ValueError):
-        a.scale(FieldScalar.one(5, 1))
+        a.scale((1, 0))  # two coordinates for a matrix over F_3
 
 
 def test_json_round_trip_e1(tmp_path):
@@ -128,8 +135,8 @@ def test_json_malformed_inputs(tmp_path):
 
 def test_entries_reduced_and_immutable():
     a = FpMatrix.from_rows(3, 1, [[4, -1], [0, 0]])
-    assert a.entry(0, 0) == FieldScalar.from_int(3, 1, 1)
-    assert a.entry(0, 1) == FieldScalar.from_int(3, 1, 2)
+    assert a.entry(0, 0) == (1,)
+    assert a.entry(0, 1) == (2,)
     with pytest.raises(ValueError):
         a.planes[0, 0, 0] = 2
     with pytest.raises(AttributeError):
@@ -145,16 +152,25 @@ def test_equality_covers_field_and_shape():
 
 def test_scalar_scaling_by_every_element():
     a = FpMatrix.from_rows(3, 2, [[(1, 1), (2, 0)], [(0, 2), (1, 0)]])
-    for s in all_scalars(3, 2):
-        scaled = a.scale(s)
+    for s in elements(3, 2):
+        scaled = a.scale(s.coords)
         for i in range(2):
             for j in range(2):
-                assert scaled.entry(i, j) == s * a.entry(i, j)
+                assert scaled.entry(i, j) == (s * Elem(3, 2, a.entry(i, j))).coords
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_scale_acts_lane_by_lane(e):
+    st = stream(14, f"scale-lanes/{e}")
+    lanes = [random_fp_matrix(3, e, 3, st)[0] for _ in range(4)]
+    stack = FpMatrix._wrap(3, e, 3, np.stack([m.planes for m in lanes]))
+    s = (2, 1)[:e]
+    scaled = stack.scale(s)
+    assert scaled.planes.shape == stack.planes.shape
+    assert all(scaled.lane(i) == m.scale(s) for i, m in enumerate(lanes))
 
 
 def test_constructor_validation():
-    import numpy as np
-
     with pytest.raises(ValueError):
         FpMatrix(3, 1, np.zeros((2, 2, 2), dtype=np.int64))  # wrong plane count
     with pytest.raises(ValueError):
@@ -163,8 +179,6 @@ def test_constructor_validation():
         FpMatrix.from_rows(3, 1, [[0, 1], [0]])  # ragged rows
     with pytest.raises(ValueError):
         FpMatrix.from_rows(3, 2, [[(1, 2, 3), 0], [0, 0]])  # bad coords
-    with pytest.raises(ValueError):
-        FpMatrix.from_rows(3, 1, [[FieldScalar.one(5, 1), 0], [0, 0]])
 
 
 def test_repr_smoke():

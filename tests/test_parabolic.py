@@ -214,7 +214,7 @@ class TestEpsP:
             assert truncated_log(u) == x
             assert ah_exp(x) == u
         g = random_p_element(par, 5)
-        assert not linalg.det(g).is_zero()
+        assert any(linalg.det(g))
         x = random_radical_element(par, 861, 0)
         ginv = linalg.inv(g)
         assert eps_p(par, g @ x @ ginv) == g @ eps_p(par, x) @ ginv
@@ -224,13 +224,13 @@ class TestRandomPElement:
     def test_postconditions(self):
         par = ParabolicGL(Composition((2, 1, 2)), 3)
         g = random_p_element(par, 4)
-        assert not linalg.det(g).is_zero()
+        assert any(linalg.det(g))
         mask = par.radical_support()
         for i in range(5):
             for j in range(5):
                 below_blocks = mask[j, i]
                 if below_blocks:
-                    assert g.entry(i, j).is_zero()
+                    assert not any(g.entry(i, j))
 
     def test_determinism(self):
         par = ParabolicGL(Composition((2, 2)), 2)

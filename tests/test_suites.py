@@ -20,6 +20,13 @@ def test_config_validation():
         SuiteConfig(suites=("witt-group",), trials=0)
     with pytest.raises(ValueError):
         SuiteConfig(suites=("witt-group",), kinds=("XX",))
+    # a repeated suite, prime or kind would run its cases twice
+    with pytest.raises(ValueError, match="repeated suite"):
+        SuiteConfig(suites=("witt-hom", "witt-hom"))
+    with pytest.raises(ValueError, match="repeated prime"):
+        SuiteConfig(suites=("witt-group",), primes=(2, 3, 2))
+    with pytest.raises(ValueError, match="repeated group kind"):
+        SuiteConfig(suites=("frobenius-compat",), kinds=("GL", "GL"))
     # SO/Sp pinned together with p = 2 only: no good-prime combination exists
     with pytest.raises(ValueError):
         SuiteConfig(suites=("frobenius-compat",), kinds=("Sp",), primes=(2,))
@@ -101,15 +108,13 @@ def test_witnesses_serialize_complete_inputs(monkeypatch):
     from ahspringer import suites as suites_mod
 
     def fake_suite(cfg, rec):
-        from ahspringer.gf import FieldScalar
         from ahspringer.groups import JordanType, jordan_nilpotent
         from ahspringer.witt import WittVector
 
         x = jordan_nilpotent(JordanType((3,)), 2)
         w = WittVector.from_ints(3, 2, (1, 2))
-        s = FieldScalar(3, 2, (1, 2))
         rec.check(True, X=x)
-        rec.check(False, X=x, w=w, s=s, note="as given")
+        rec.check(False, X=x, w=w, s=(1, 2), t=(2,), note="as given")
 
     monkeypatch.setitem(suites_mod.SUITES, "fake", ("fake anchor", fake_suite))
     report = run_suite(SuiteConfig(suites=("fake",)))
@@ -120,6 +125,8 @@ def test_witnesses_serialize_complete_inputs(monkeypatch):
     assert report.failed == 1
     assert witness["X"] == {"p": 2, "e": 1, "n": 3, "entries": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]}
     assert witness["w"] == {"p": 3, "e": 1, "m": 2, "entries": [1, 2]}
-    assert witness["s"] == [1, 2]
+    assert witness["s"] == [1, 2]  # a field element as its entry encoding
+    assert witness["t"] == 2
     assert witness["note"] == "as given"
     json.dumps(report.to_json())
+
