@@ -6,20 +6,29 @@ computation, and seeded random sampling of nilpotents and group
 elements.  SO and Sp preserve a fixed antidiagonal form, so the
 strictly upper triangular part of each Lie algebra is a nilpotent
 subalgebra we can sample from directly.
+
+The samplers draw many elements at once, one lane per (group, seed),
+from SplitMix64 lanes (``rng.stream_lanes``); a stack of groups of
+different n pads each lane to the largest, nilpotents as diag(X, 0) and
+group elements as diag(G, 1).  ``random_nilpotent``,
+``random_group_element``, ``random_invertible`` and ``random_matrix``
+are their one-lane views.  The order functions take a stack as well and
+return one value per lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
 from . import linalg
 from .errors import DomainError
-from .gf import _check_field_params, _field_mul, field_modulus, inverse_coords
+from .gf import _check_field_params, _field_inv, _field_mul, field_modulus
 from .matrices import FpMatrix, _lin_comb, _mat_mul_planes
-from .rng import Stream, below_lanes, stream
+from .rng import Stream, below_lanes, stream, stream_lanes
 
 KINDS = ("GL", "SL", "SO", "Sp")
 
@@ -121,30 +130,38 @@ def nilpotent_powers(x: FpMatrix, limit: int | None = None,
     return powers[:d]
 
 
-def nilpotency_degree(x: FpMatrix) -> int:
-    """Least d >= 1 with x^d = 0; DomainError when x is not nilpotent."""
-    return len(nilpotent_powers(x))
+def _per_lane(values: np.ndarray):
+    """An int for a single matrix, an int array (one per lane) for a stack."""
+    return int(values) if values.ndim == 0 else values
 
 
-def nilpotent_order(x: FpMatrix) -> int:
-    """Least m with x^(p^m) = 0 (0 iff x = 0); DomainError if not nilpotent."""
-    d = nilpotency_degree(x)
-    m = 0
-    while x.p ** m < d:  # x^k = 0 exactly when k >= d
-        m += 1
-    return m
+def nilpotency_degree(x: FpMatrix):
+    """Least d >= 1 with x^d = 0, per lane for a stack, from the one power
+    walk (x^k != 0 exactly for k < d); DomainError when x is not nilpotent."""
+    return _per_lane(nilpotent_powers(x).any(axis=(-3, -2, -1)).sum(axis=0))
 
 
-def unipotent_order_exponent(u: FpMatrix) -> int:
-    """Least j with u^(p^j) = identity; DomainError if u is not unipotent."""
+def nilpotent_order(x: FpMatrix):
+    """Least m with x^(p^m) = 0 (0 iff x = 0), per lane for a stack;
+    DomainError if x is not nilpotent."""
+    d = np.asarray(nilpotency_degree(x))
+    m = np.zeros(d.shape, dtype=np.int64)
+    while (short := x.p ** m < d).any():  # x^k = 0 exactly when k >= d
+        m += short
+    return _per_lane(m)
+
+
+def unipotent_order_exponent(u: FpMatrix):
+    """Least j with u^(p^j) = identity, per lane for a stack, by repeated
+    p-th powers; DomainError if u is not unipotent."""
     ident = FpMatrix.identity(u.p, u.e, u.n)
     nilpotent_powers(u - ident, message="matrix is not unipotent")
-    j = 0
+    j = np.zeros(u.planes.shape[:-3], dtype=np.int64)
     y = u
-    while y != ident:
+    while (open_ := ~y.lanes_equal(ident)).any():
         y = y ** u.p
-        j += 1
-    return j
+        j += open_
+    return _per_lane(j)
 
 
 def _unipotent_inverse(u: FpMatrix) -> FpMatrix:
@@ -223,20 +240,25 @@ def jordan_type_of(x: FpMatrix) -> JordanType:
 # -- sampling ----------------------------------------------------------
 
 
+def _on_stream(st: Stream, draw):
+    """draw(states) on the one lane holding st's state; st then advances
+    past exactly the draws that lane consumed."""
+    states = np.array([st.state], dtype=np.uint64)
+    out = draw(states)
+    st.state = int(states[0])
+    return out
+
+
 def random_matrix(p: int, e: int, n: int, st: Stream) -> FpMatrix:
     """Seeded matrix with uniform entries: one lane of ``_matrix_lanes``."""
-    states = np.array([st.state], dtype=np.uint64)
-    planes = _matrix_lanes(p, e, np.array([n]), states, n)[0, 0]
-    st.state = int(states[0])
-    return FpMatrix._wrap(p, e, n, planes)
+    planes = _on_stream(st, lambda states: _matrix_lanes(p, e, np.array([n]), states, n))
+    return FpMatrix._wrap(p, e, n, planes[0, 0])
 
 
 def random_invertible(p: int, e: int, n: int, st: Stream) -> FpMatrix:
     """Seeded uniform invertible matrix: one lane of ``invertible_lanes``."""
-    states = np.array([st.state], dtype=np.uint64)
-    planes = invertible_lanes(p, e, [n], states)[0]
-    st.state = int(states[0])
-    return FpMatrix._wrap(p, e, n, planes)
+    planes = _on_stream(st, lambda states: invertible_lanes(p, e, [n], states))
+    return FpMatrix._wrap(p, e, n, planes[0])
 
 
 def _matrix_lanes(p: int, e: int, sizes: np.ndarray, states: np.ndarray, size: int,
@@ -323,42 +345,113 @@ def upper_nilradical_basis(kind: str, n: int, p: int, e: int, lower: bool = Fals
     return tuple(FpMatrix(p, e, b) for b in _nilradical_planes(kind, n, p, e, lower))
 
 
-def _combine(basis: np.ndarray, p: int, e: int, st: Stream) -> FpMatrix:
-    """sum_i s_i B_i over basis planes (k, e, n, n) with random s_i in F_{p^e}.
+def _runs(items) -> list[tuple[object, int]]:
+    """(item, run length) for each run of one object in a lane list, so
+    per-item work is done once per run, not once per lane."""
+    return [(run[0], len(run)) for run in (list(g) for _, g in groupby(items, key=id))]
 
-    The e coordinates of s_0 are drawn first, then those of s_1, and so
-    on, so every seed gives the same samples as drawing one scalar per
-    basis element; the sum is one contraction.
+
+def _combination_lanes(specs, p: int, e: int, states: np.ndarray, size: int,
+                       lower: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i s_i B_i lane by lane, over the upper (or lower) nilradical
+    basis B_0, B_1, ... of the lane's group, as planes (B, e, size, size)
+    with each lane padded by zeros; and the number of coordinates each
+    lane drew.
+
+    Lane l draws the e coordinates of s_0 first, then those of s_1, and so
+    on, from states[l] (advanced in place), as drawing one scalar per basis
+    element from one stream would.  Each run of one group contracts its
+    coordinates against the group's cached basis.
     """
-    k, _, n, _ = basis.shape
-    coords = np.array([st.below(p) for _ in range(k * e)], dtype=np.int64).reshape(k, e)
-    return FpMatrix._wrap(p, e, n, _lin_comb(coords, basis, p, field_modulus(p, e)))
+    runs = _runs(specs)
+    bases = [_nilradical_planes(spec.kind, spec.n, p, e, lower) for spec, _ in runs]
+    counts = np.repeat([len(basis) * e for basis in bases], [k for _, k in runs])
+    draws = below_lanes(states, p, counts).astype(np.int64)
+    planes = np.zeros((len(specs), e, size, size), dtype=np.int64)
+    start = 0
+    for (spec, k), basis in zip(runs, bases):
+        if len(basis):
+            coords = draws[start:start + k, :len(basis) * e].reshape(k, len(basis), e)
+            planes[start:start + k, :, :spec.n, :spec.n] = _lin_comb(coords, basis, p, field_modulus(p, e))
+        start += k
+    return planes, counts
+
+
+def group_element_lanes(specs, p: int, e: int, states: np.ndarray) -> FpMatrix:
+    """Pseudo-random elements of G(F_{p^e}), lane l in the group specs[l]
+    and padded to diag(G, 1) at the largest n, drawn from states[l]
+    (advanced in place).
+
+    GL/SL lanes take a uniform invertible matrix (``invertible_lanes``),
+    and SL lanes then scale row 0 by 1/det; SO/Sp lanes multiply
+    e_p(U) e_p(L) e_p(U') for combinations U, L, U' of the upper, lower
+    and upper nilradical bases, drawn in that order.
+    """
+    from .expmaps import ah_exp
+
+    size = max(spec.n for spec in specs)
+    mod = field_modulus(p, e)
+    linear = np.array([spec.kind in ("GL", "SL") for spec in specs])
+    g = np.zeros((len(specs), e, size, size), dtype=np.int64)
+    g[:, 0] = np.eye(size, dtype=np.int64)
+    # an SO/Sp lane asks for a 0 x 0 matrix: it draws nothing and stays 1
+    invertible = invertible_lanes(p, e, np.where(linear, [spec.n for spec in specs], 0), states)
+    g[:, :, :invertible.shape[-1], :invertible.shape[-1]] = invertible
+    sl = np.flatnonzero([spec.kind == "SL" for spec in specs])
+    if sl.size:
+        det = linalg.det_planes(g[sl], p, e)
+        scale = _field_inv(tuple(det.T[:, :, None]), p, mod)
+        row = _field_mul(scale, tuple(g[sl, k, 0] for k in range(e)), p, mod, np.multiply)
+        g[sl, :, 0] = np.stack(row, axis=1)
+    forms = np.flatnonzero(~linear)
+    if forms.size:
+        sub, sub_states = [specs[i] for i in forms], states[forms]
+        combos = [_combination_lanes(sub, p, e, sub_states, size, lower)[0]
+                  for lower in (False, True, False)]
+        states[forms] = sub_states
+        exps = ah_exp(FpMatrix._wrap(p, e, size, np.stack(combos)))
+        g[forms] = (exps.lane(0) @ exps.lane(1) @ exps.lane(2)).planes
+    return FpMatrix._wrap(p, e, size, g)
 
 
 def random_group_element(spec: GroupSpec, p: int, e: int, st: Stream) -> FpMatrix:
-    """A pseudo-random element of G(F_{p^e}).
+    """A pseudo-random element of G(F_{p^e}): one lane of
+    ``group_element_lanes``."""
+    return _on_stream(st, lambda states: group_element_lanes([spec], p, e, states)).lane(0)
 
-    GL/SL use rejection-sampled invertible matrices (SL rescales one row
-    by 1/det); SO/Sp multiply exponentials of nilradical elements from
-    both triangles.
+
+def _nilpotent_draws(specs, p: int, e: int, states: np.ndarray) -> FpMatrix:
+    """Nilpotent elements of Lie(G), lane l in the Lie algebra of specs[l]
+    and padded to diag(X, 0) at the largest n, drawn from states[l]
+    (advanced in place).
+
+    Each lane draws X over the upper nilradical basis; then, unless that
+    basis is empty, one coin below(2); and on the lanes whose coin is 1,
+    L over the lower basis and U over the upper one, after which X is
+    conjugated to a X a^-1 with a = e_p(L) e_p(U).
     """
-    if spec.kind == "GL":
-        return random_invertible(p, e, spec.n, st)
-    if spec.kind == "SL":
-        g = random_invertible(p, e, spec.n, st)
-        d_inv = inverse_coords(p, e, linalg.det(g))
-        planes = g.planes.copy()
-        planes[:, 0, :] = _field_mul(d_inv, planes[:, 0, :], p, g._mod, np.multiply)
-        return FpMatrix(p, e, planes)
     from .expmaps import ah_exp
 
-    upper = _nilradical_planes(spec.kind, spec.n, p, e)
-    lower = _nilradical_planes(spec.kind, spec.n, p, e, lower=True)
-    g = FpMatrix.identity(p, e, spec.n)
-    for basis in (upper, lower, upper):
-        if len(basis):
-            g = g @ ah_exp(_combine(basis, p, e, st))
-    return g
+    size = max(spec.n for spec in specs)
+    x, counts = _combination_lanes(specs, p, e, states, size)
+    on = np.flatnonzero(below_lanes(states, 2, counts > 0).any(axis=1))
+    if on.size:
+        sub, sub_states = [specs[i] for i in on], states[on]
+        combos = [_combination_lanes(sub, p, e, sub_states, size, lower)[0] for lower in (True, False)]
+        states[on] = sub_states
+        exps = ah_exp(FpMatrix._wrap(p, e, size, np.stack(combos)))
+        inverses = _unipotent_inverse(exps)
+        a = exps.lane(0) @ exps.lane(1)
+        x[on] = (a @ FpMatrix._wrap(p, e, size, x[on]) @ inverses.lane(1) @ inverses.lane(0)).planes
+    return FpMatrix._wrap(p, e, size, x)
+
+
+def nilpotent_lanes(specs, p: int, e: int, seeds) -> FpMatrix:
+    """Seeded nilpotent elements of Lie(G), one lane per (spec, seed): lane
+    l is drawn by ``_nilpotent_draws`` from
+    stream(seeds[l], "nilpotent/<kind>/<n>/<p>/<e>/any") of specs[l]."""
+    labels = [f"nilpotent/{spec.kind}/{spec.n}/{p}/{e}/any" for spec in specs]
+    return _nilpotent_draws(specs, p, e, stream_lanes(seeds, labels))
 
 
 _SAMPLE_CAP = 3000
@@ -386,43 +479,28 @@ def random_nilpotent(
 ) -> FpMatrix:
     """Seeded nilpotent element of Lie(G), optionally of a given Jordan type.
 
-    Deterministic for fixed arguments.
+    Deterministic for fixed arguments; "any" is one lane of
+    ``nilpotent_lanes``.
     """
-    type_label = "any" if jordan_type == "any" else ",".join(map(str, jordan_type.partition))
-    st = stream(seed, f"nilpotent/{spec.kind}/{spec.n}/{p}/{e}/{type_label}")
-    if jordan_type != "any":
-        if not _jordan_type_satisfiable(spec.kind, spec.n, jordan_type):
-            raise DomainError(
-                f"Jordan type {jordan_type.partition} is not realizable in {spec.kind}_{spec.n}"
-            )
-        if spec.kind in ("GL", "SL"):
-            x0 = jordan_nilpotent(jordan_type, p, e)
-            g = random_invertible(p, e, spec.n, st)
-            return g @ x0 @ linalg.inv(g)
-        for _ in range(_SAMPLE_CAP):
-            x = _sample_lie_nilpotent(spec, p, e, st)
-            if jordan_type_of(x) == jordan_type:
-                return x
+    if jordan_type == "any":
+        return nilpotent_lanes([spec], p, e, [seed]).lane(0)
+    if not _jordan_type_satisfiable(spec.kind, spec.n, jordan_type):
         raise DomainError(
-            f"could not realize Jordan type {jordan_type.partition} in {spec.kind}_{spec.n}"
+            f"Jordan type {jordan_type.partition} is not realizable in {spec.kind}_{spec.n}"
         )
-    return _sample_lie_nilpotent(spec, p, e, st)
-
-
-def _sample_lie_nilpotent(spec: GroupSpec, p: int, e: int, st: Stream) -> FpMatrix:
-    basis = _nilradical_planes(spec.kind, spec.n, p, e)
-    if not len(basis):
-        return FpMatrix.zeros(p, e, spec.n)
-    x = _combine(basis, p, e, st)
-    if st.below(2):
-        from .expmaps import ah_exp
-
-        lower = _nilradical_planes(spec.kind, spec.n, p, e, lower=True)
-        a = ah_exp(_combine(lower, p, e, st)) if len(lower) else FpMatrix.identity(p, e, spec.n)
-        b = ah_exp(_combine(basis, p, e, st))
-        inverses = _unipotent_inverse(FpMatrix._wrap(p, e, spec.n, np.stack([a.planes, b.planes])))
-        x = a @ b @ x @ inverses.lane(1) @ inverses.lane(0)
-    return x
+    type_label = ",".join(map(str, jordan_type.partition))
+    st = stream(seed, f"nilpotent/{spec.kind}/{spec.n}/{p}/{e}/{type_label}")
+    if spec.kind in ("GL", "SL"):
+        x0 = jordan_nilpotent(jordan_type, p, e)
+        g = random_invertible(p, e, spec.n, st)
+        return g @ x0 @ linalg.inv(g)
+    for _ in range(_SAMPLE_CAP):
+        x = _on_stream(st, lambda states: _nilpotent_draws([spec], p, e, states)).lane(0)
+        if jordan_type_of(x) == jordan_type:
+            return x
+    raise DomainError(
+        f"could not realize Jordan type {jordan_type.partition} in {spec.kind}_{spec.n}"
+    )
 
 
 def enumerate_nilpotents(p: int, n: int, e: int = 1):

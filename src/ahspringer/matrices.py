@@ -8,10 +8,10 @@ take stacks of matrices as well; matrices are immutable once constructed.
 
 An FpMatrix whose planes carry a leading batch axis, (B, e, n, n), is a
 stack of B matrices (lanes), as the lane samplers return.  Sums, products,
-integer scaling, powers, the power walk and the series maps built on it
-act lane by lane, broadcasting a single matrix against every lane;
-``lane(i)`` and ``lanes_equal`` read lanes back out.  Entry access,
-traces, transposes, Frobenius and JSON are for single matrices.
+integer scaling, Frobenius, powers, the power walk and the series maps
+built on it act lane by lane, broadcasting a single matrix against every
+lane; ``lane(i)`` and ``lanes_equal`` read lanes back out.  Entry access,
+traces, transposes and JSON are for single matrices.
 """
 
 from __future__ import annotations
@@ -39,11 +39,13 @@ def _mat_mul_planes(a, b, p, mod):
 
 
 def _lin_comb(coords, planes, p, mod):
-    """sum_i s_i B_i for field coordinates coords (k, e) of the s_i and
-    planes (k, e, n, n) of the B_i, as one contraction over i."""
+    """sum_i s_i B_i for field coordinates coords (..., k, e) of the s_i and
+    planes (k, e, n, n) of the B_i, as one contraction over i; each leading
+    row of coords gives its own sum, (..., e, n, n)."""
     k, e = planes.shape[:2]
     flat = planes.reshape(k, e, -1).swapaxes(0, 1)
-    return np.stack(_field_mul(coords.T, flat, p, mod, np.matmul)).reshape(planes.shape[1:])
+    terms = _field_mul(np.moveaxis(coords, -1, 0), flat, p, mod, np.matmul)
+    return np.stack(terms, axis=-2).reshape(coords.shape[:-2] + planes.shape[1:])
 
 
 class FpMatrix:
@@ -81,9 +83,12 @@ class FpMatrix:
         object.__setattr__(m, "planes", planes)
         return m
 
-    def lane(self, i: int) -> "FpMatrix":
-        """Matrix i of a stack."""
-        return FpMatrix._wrap(self.p, self.e, self.n, self.planes[i])
+    def lane(self, i: int, n: int | None = None) -> "FpMatrix":
+        """Matrix i of a stack, or its leading n x n block (a lane padded
+        to the stack's size)."""
+        if n is None or n == self.n:
+            return FpMatrix._wrap(self.p, self.e, self.n, self.planes[i])
+        return FpMatrix._wrap(self.p, self.e, n, np.ascontiguousarray(self.planes[i, :, :n, :n]))
 
     def lanes_equal(self, other: "FpMatrix") -> np.ndarray:
         """Boolean per lane: whether the two (stacked) matrices agree there."""
@@ -211,7 +216,8 @@ class FpMatrix:
 
     def frobenius_entries(self) -> "FpMatrix":
         """Apply x -> x^p to every entry (identity when e=1)."""
-        planes = np.stack(_frobenius(self.planes, self.p, self._mod))
+        coords = tuple(self.planes[..., k, :, :] for k in range(self.e))  # lane by lane
+        planes = np.stack(_frobenius(coords, self.p, self._mod), axis=-3)
         return FpMatrix._wrap(self.p, self.e, self.n, planes)
 
     # -- serialization ------------------------------------------------

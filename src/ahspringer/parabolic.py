@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
 from .errors import DomainError
 from .expmaps import truncated_exp
 from .gf import _check_field_params
-from .groups import invertible_lanes
+from .groups import _runs, invertible_lanes
 from .matrices import MAX_DIM, FpMatrix
 from .rng import below_lanes, stream_lanes
 
@@ -102,12 +101,6 @@ def nilradical_basis(par: ParabolicGL) -> list[FpMatrix]:
         for j in range(par.n)
         if mask[i, j]
     ]
-
-
-def _runs(pars) -> list[tuple[ParabolicGL, int]]:
-    """(parabolic, run length) for each run of one object in a lane list,
-    so per-parabolic work is done once per run, not once per lane."""
-    return [(run[0], len(run)) for run in (list(g) for _, g in groupby(pars, key=id))]
 
 
 def _lane_support(par) -> np.ndarray:

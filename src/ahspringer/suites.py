@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -31,10 +31,11 @@ from .groups import (
     JordanType,
     centralizer_space,
     enumerate_nilpotents,
+    group_element_lanes,
     jordan_nilpotent,
+    nilpotent_lanes,
     nilpotent_order,
     random_nilpotent,
-    random_group_element,
     in_group,
     in_lie_algebra,
     unipotent_order_exponent,
@@ -53,7 +54,7 @@ from .witt import WittVector, witt_add, witt_from_integer, witt_neg, witt_order,
 
 INTEGRALITY_DEGREE = 60
 NEGATIVE_CONTROL_CAP = 10_000
-LANE_BUDGET = 512  # the most lanes one eps-parabolic stack holds
+LANE_BUDGET = 512  # the most lanes one stack of a lane-stacked suite holds
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,8 @@ class SuiteConfig:
         for k in self.kinds:
             if k not in ("GL", "SL", "SO", "Sp"):
                 raise ValueError(f"unknown group kind {k!r}")
+        if not self.kinds:
+            raise ValueError("at least one group kind is required")
         # a repeated entry would run its cases twice and overstate coverage
         for what, values in (("suite", self.suites), ("prime", self.primes),
                              ("group kind", self.kinds)):
@@ -166,14 +169,33 @@ def _case_seed(base_seed: int, label: str, index: int) -> int:
     return stream(base_seed, label, index).u64()
 
 
-def _nilpotents(cfg: SuiteConfig, points, trials: int):
-    """Seeded nilpotents of Lie(G): ``trials`` draws at each grid point
-    (p, kind, n, stream label), yielded as (p, spec, case seed, X)."""
+def _trials(points, trials: int):
+    """The lanes (p, spec, stream label, index) of ``trials`` cases at each
+    grid point (p, kind, n, stream label), in grid order."""
     for p, kind, n, label in points:
         spec = GroupSpec(kind, n)
         for k in range(trials):
-            seed_k = _case_seed(cfg.seed, label, k)
-            yield p, spec, seed_k, random_nilpotent(spec, "any", seed_k, p)
+            yield p, spec, label, k
+
+
+def _nilpotents(cfg: SuiteConfig, lanes, e: int = 1, per_case: int = 1):
+    """Seeded nilpotents of Lie(G) for lanes (p, spec, stream label, index):
+    a lane's case seed is _case_seed(cfg.seed, label, index), and its
+    nilpotent is drawn from that seed by ``groups.nilpotent_lanes``.
+
+    The lanes of one p are yielded in order, in stacks of at most
+    LANE_BUDGET lanes (rounded down to whole cases of per_case lanes, and
+    at least one case), as (p, specs, case seeds, X); X pads each lane to
+    diag(X, 0) at the stack's largest n, so a check on the stack checks
+    every lane, and ``X.lane(i, specs[i].n)`` is lane i's own matrix.
+    """
+    size = max(per_case, LANE_BUDGET - LANE_BUDGET % per_case)
+    for p, group in groupby(lanes, key=lambda lane: lane[0]):
+        group = list(group)
+        for lo in range(0, len(group), size):
+            _, specs, labels, indices = zip(*group[lo:lo + size])
+            seeds = u64_lanes(stream_lanes(cfg.seed, labels, np.array(indices)))
+            yield p, specs, seeds, nilpotent_lanes(specs, p, e, seeds)
 
 
 # -- individual suites -------------------------------------------------
@@ -277,16 +299,18 @@ def _group_grid(cfg: SuiteConfig, suite: str, max_dim: int):
 
 def suite_frobenius_compat(cfg: SuiteConfig, rec: Recorder) -> None:
     points = _group_grid(cfg, "frobenius-compat", min(8, cfg.max_dim))
-    for p, spec, _, x in _nilpotents(cfg, points, cfg.trials_or(100)):
-        rec.check(ah_exp(x ** p) == ah_exp(x) ** p, p=p, kind=spec.kind, X=x)
+    for p, specs, _, x in _nilpotents(cfg, _trials(points, cfg.trials_or(100))):
+        ok = ah_exp(x ** p).lanes_equal(ah_exp(x) ** p)
+        for i, spec in enumerate(specs):
+            rec.check(bool(ok[i]), p=p, kind=spec.kind, X=x.lane(i, spec.n))
 
 
 def suite_order_preservation(cfg: SuiteConfig, rec: Recorder) -> None:
     points = _group_grid(cfg, "order-preservation", min(8, cfg.max_dim))
-    for p, spec, _, x in _nilpotents(cfg, points, cfg.trials_or(100)):
-        rec.check(
-            unipotent_order_exponent(ah_exp(x)) == nilpotent_order(x), p=p, kind=spec.kind, X=x
-        )
+    for p, specs, _, x in _nilpotents(cfg, _trials(points, cfg.trials_or(100))):
+        ok = unipotent_order_exponent(ah_exp(x)) == nilpotent_order(x)
+        for i, spec in enumerate(specs):
+            rec.check(bool(ok[i]), p=p, kind=spec.kind, X=x.lane(i, spec.n))
 
 
 def suite_form_preservation(cfg: SuiteConfig, rec: Recorder) -> None:
@@ -295,9 +319,12 @@ def suite_form_preservation(cfg: SuiteConfig, rec: Recorder) -> None:
         for p in cfg.primes if p in (3, 5)
         for kind, n in (("Sp", 4), ("Sp", 6), ("SO", 5), ("SO", 7))
     )
-    for p, spec, _, x in _nilpotents(cfg, points, cfg.trials_or(100)):
-        ok = in_lie_algebra(spec, x) and in_group(spec, ah_exp(x))
-        rec.check(ok, p=p, kind=spec.kind, n=spec.n, X=x)
+    for p, specs, _, x in _nilpotents(cfg, _trials(points, cfg.trials_or(100))):
+        u = ah_exp(x)
+        for i, spec in enumerate(specs):
+            x_i = x.lane(i, spec.n)
+            ok = in_lie_algebra(spec, x_i) and in_group(spec, u.lane(i, spec.n))
+            rec.check(ok, p=p, kind=spec.kind, n=spec.n, X=x_i)
     if 3 in cfg.primes:
         rec.check(
             _find_truncation_counterexample(cfg.seed) is not None,
@@ -308,7 +335,7 @@ def suite_form_preservation(cfg: SuiteConfig, rec: Recorder) -> None:
 def _find_truncation_counterexample(seed: int):
     """Search sp_6(F_3) for X with X^3 != 0 where 1 + X + X^2/2 breaks the
     form but the Artin-Hasse exponential preserves it."""
-    from .groups import _sample_lie_nilpotent
+    from .groups import _nilpotent_draws
     from .gf import inverse_mod
 
     spec = GroupSpec("Sp", 6)
@@ -316,8 +343,8 @@ def _find_truncation_counterexample(seed: int):
     ident = FpMatrix.identity(3, 1, 6)
     half = inverse_mod(2, 3)
     for k in range(NEGATIVE_CONTROL_CAP):
-        st = stream(seed, "form-preservation/negative-control", k)
-        x = _sample_lie_nilpotent(spec, 3, 1, st)
+        states = stream_lanes(seed, "form-preservation/negative-control", k)
+        x = _nilpotent_draws([spec], 3, 1, states).lane(0)
         if (x @ x @ x).is_zero():
             continue
         naive = ident + x + (x @ x).scale(half)
@@ -431,23 +458,18 @@ def suite_commuting_pairs(cfg: SuiteConfig, rec: Recorder) -> None:
         if p not in cfg.primes:
             continue
         nilpotents = list(enumerate_nilpotents(p, n))
-        xs = np.stack([x.planes for x in nilpotents])
-        agree = _commuting_grid(xs, p) == _commuting_grid(
-            np.stack([ah_exp(x).planes for x in nilpotents]), p
-        )
+        xs = FpMatrix._wrap(p, 1, n, np.stack([x.planes for x in nilpotents]))
+        agree = _commuting_grid(xs.planes, p) == _commuting_grid(ah_exp(xs).planes, p)
         for x, row in zip(nilpotents, agree.tolist()):
             for y, ok in zip(nilpotents, row):
                 rec.check(ok, p=p, n=n, X=x, Y=y)
-    # seeded pairs in gl_4(F_3)
-    if 3 in cfg.primes:
-        trials = cfg.trials_or(10_000)
-        spec = GroupSpec("GL", 4)
-        label = "commuting-pairs/3/4"
-        for k in range(trials):
-            x = random_nilpotent(spec, "any", _case_seed(cfg.seed, label, 2 * k), 3)
-            y = random_nilpotent(spec, "any", _case_seed(cfg.seed, label, 2 * k + 1), 3)
-            u, v = ah_exp(x), ah_exp(y)
-            rec.check(((x @ y) == (y @ x)) == ((u @ v) == (v @ u)), p=3, n=4, X=x, Y=y)
+    # seeded pairs in gl_4(F_3): case k is the lanes 2k (X) and 2k + 1 (Y)
+    points = [(3, "GL", 4, "commuting-pairs/3/4")] if 3 in cfg.primes else []
+    for _, specs, _, z in _nilpotents(cfg, _trials(points, 2 * cfg.trials_or(10_000)), per_case=2):
+        x, y, u, v = (FpMatrix._wrap(3, 1, 4, m.planes[k::2]) for m in (z, ah_exp(z)) for k in (0, 1))
+        ok = (x @ y).lanes_equal(y @ x) == (u @ v).lanes_equal(v @ u)
+        for i in range(len(specs) // 2):
+            rec.check(bool(ok[i]), p=3, n=4, X=x.lane(i), Y=y.lane(i))
 
 
 def suite_centralizer_equality(cfg: SuiteConfig, rec: Recorder) -> None:
@@ -456,14 +478,16 @@ def suite_centralizer_equality(cfg: SuiteConfig, rec: Recorder) -> None:
         for p in cfg.primes if p <= 5
         for n in range(2, min(6, cfg.max_dim) + 1)
     )
-    for p, spec, _, x in _nilpotents(cfg, points, cfg.trials_or(50)):
-        u = ah_exp(x)
-        cx = centralizer_space(x)
-        cu = centralizer_space(u)
-        ok = cx.dimension == cu.dimension
-        ok = ok and all((z @ u) == (u @ z) for z in cx.basis)
-        ok = ok and all((z @ x) == (x @ z) for z in cu.basis)
-        rec.check(ok, p=p, n=spec.n, X=x)
+    for p, specs, _, xs in _nilpotents(cfg, _trials(points, cfg.trials_or(50))):
+        us = ah_exp(xs)
+        for i, spec in enumerate(specs):
+            x, u = xs.lane(i, spec.n), us.lane(i, spec.n)
+            cx = centralizer_space(x)
+            cu = centralizer_space(u)
+            ok = cx.dimension == cu.dimension
+            ok = ok and all((z @ u) == (u @ z) for z in cx.basis)
+            ok = ok and all((z @ x) == (x @ z) for z in cu.basis)
+            rec.check(ok, p=p, n=spec.n, X=x)
 
 
 def suite_frobenius_descent(cfg: SuiteConfig, rec: Recorder) -> None:
@@ -471,15 +495,12 @@ def suite_frobenius_descent(cfg: SuiteConfig, rec: Recorder) -> None:
     for p in cfg.primes:
         if p not in (2, 3):
             continue
-        spec_dims = list(range(2, min(6, cfg.max_dim) + 1))
-        label = f"frobenius-descent/{p}"
-        for k in range(trials):
-            n = spec_dims[k % len(spec_dims)]
-            spec = GroupSpec("GL", n)
-            x = random_nilpotent(spec, "any", _case_seed(cfg.seed, label, k), p, e=2)
-            rec.check(
-                ah_exp(x.frobenius_entries()) == ah_exp(x).frobenius_entries(), p=p, n=n, X=x
-            )
+        specs = [GroupSpec("GL", n) for n in range(2, min(6, cfg.max_dim) + 1)]
+        lanes = ((p, specs[k % len(specs)], f"frobenius-descent/{p}", k) for k in range(trials))
+        for _, lane_specs, _, x in _nilpotents(cfg, lanes, e=2):
+            ok = ah_exp(x.frobenius_entries()).lanes_equal(ah_exp(x).frobenius_entries())
+            for i, spec in enumerate(lane_specs):
+                rec.check(bool(ok[i]), p=p, n=spec.n, X=x.lane(i, spec.n))
 
 
 def _p_nilpotent_type(n: int, p: int) -> JordanType:
@@ -514,10 +535,13 @@ def suite_one_parameter(cfg: SuiteConfig, rec: Recorder) -> None:
 
 def suite_equivariance(cfg: SuiteConfig, rec: Recorder) -> None:
     points = _group_grid(cfg, "equivariance", min(6, cfg.max_dim))
-    for p, spec, seed_k, x in _nilpotents(cfg, points, cfg.trials_or(50)):
-        g = random_group_element(spec, p, 1, stream(seed_k, "conjugator"))
+    for p, specs, seeds, x in _nilpotents(cfg, _trials(points, cfg.trials_or(50))):
+        # lane i's conjugator is drawn from stream(seeds[i], "conjugator")
+        g = group_element_lanes(specs, p, 1, stream_lanes(seeds, "conjugator"))
         ginv = linalg.inv(g)
-        rec.check(ah_exp(g @ x @ ginv) == g @ ah_exp(x) @ ginv, p=p, kind=spec.kind, g=g, X=x)
+        ok = ah_exp(g @ x @ ginv).lanes_equal(g @ ah_exp(x) @ ginv)
+        for i, spec in enumerate(specs):
+            rec.check(bool(ok[i]), p=p, kind=spec.kind, g=g.lane(i, spec.n), X=x.lane(i, spec.n))
 
 
 SUITES: dict[str, tuple[str, object]] = {

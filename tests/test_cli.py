@@ -279,6 +279,16 @@ def test_verify_empty_suite_list_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_verify_empty_kind_list_exits_2(capsys, p):
+    # at p = 2 this used to blame the good-prime rule; at p = 3 it ran no case
+    code, out, err = run_cli(capsys, "verify", "--suite", "frobenius-compat", "--kinds", ",", "--p", p)
+    assert code == 2
+    assert out == ""
+    assert "at least one group kind is required" in err
+    assert "good-prime" not in err
+
+
 def test_verify_suites_without_cases_skip_and_exit_2(tmp_path, capsys):
     # neither grid has a point at p = 7, so both suites run zero cases
     report_path = tmp_path / "out.json"

@@ -99,3 +99,29 @@ def test_eps_parabolic_witnesses_do_not_depend_on_the_lane_budget(monkeypatch, b
     assert sum(len(r["witnesses"]) for r in body["suites"]) == 1049
     encoded = json.dumps(body, sort_keys=True).encode()
     assert hashlib.sha256(encoded).hexdigest() == EPS_PARABOLIC_FAILURE_DIGEST
+
+
+# The four verify-matrix suites at the default max_dim 8, so the n = 6..8
+# grid points and their padded stack lanes are pinned too: every one of
+# their 4,515 seed-42 checks recorded as failing.  Computed with the
+# per-object samplers, before these suites ran on stacks.  Budget 1 splits
+# every stack into one-case chunks (two lanes for a commuting pair).
+MATRIX_FAILURE_DIGEST = "a577d289e4dfd38a415c02fdb64492fe1941a1fc5dd323d37004223e396e7a27"
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_verify_matrix_witnesses_through_n8_are_pinned(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(suites, "LANE_BUDGET", budget)
+    orig = Recorder.check
+
+    def failing(self, ok, *args, **kwargs):
+        return orig(self, False, *args, **kwargs)
+
+    monkeypatch.setattr(Recorder, "check", failing)
+    cfg = SuiteConfig(suites=GOLDEN["matrix"][0]["suites"], primes=(2, 3, 5), trials=2, seed=42)
+    report = run_suite(cfg).to_json()
+    body = {k: v for k, v in report.items() if k != "generated_at"}
+    assert sum(len(r["witnesses"]) for r in body["suites"]) == 4515
+    encoded = json.dumps(body, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == MATRIX_FAILURE_DIGEST

@@ -1,5 +1,6 @@
 """Group/Lie-algebra membership, Jordan forms, centralizers, sampling."""
 
+import numpy as np
 import pytest
 
 from ahspringer import linalg
@@ -11,20 +12,27 @@ from ahspringer.groups import (
     centralizer_space,
     commutator_map_planes,
     default_form,
+    _nilpotent_draws,
+    _nilradical_planes,
     enumerate_nilpotents,
+    group_element_lanes,
     in_group,
     in_lie_algebra,
     jordan_nilpotent,
     jordan_type_of,
     nilpotency_degree,
+    nilpotent_lanes,
     nilpotent_order,
     random_group_element,
     random_nilpotent,
     unipotent_order_exponent,
     upper_nilradical_basis,
 )
+from ahspringer.expmaps import ah_exp
 from ahspringer.matrices import FpMatrix
-from ahspringer.rng import stream
+from ahspringer.rng import stream, stream_lanes
+
+from field_reference import Elem
 
 
 class TestJordan:
@@ -243,3 +251,119 @@ def test_unipotent_inverse_from_the_power_walk(p, e, n):
         assert stacked.lane(k) == _unipotent_inverse(u) == linalg.inv(u)
     with pytest.raises(DomainError, match="not unipotent"):
         _unipotent_inverse(FpMatrix.zeros(p, e, n))
+
+
+# -- lane samplers against one Stream per sample ------------------------
+
+
+def ref_combination(basis, p, e, st):
+    """sum_i s_i B_i, drawing the e coordinates of each s_i in turn."""
+    acc = FpMatrix.zeros(p, e, basis.shape[-1])
+    for b in basis:
+        acc = acc + FpMatrix(p, e, b).scale(tuple(st.below(p) for _ in range(e)))
+    return acc
+
+
+def ref_nilpotent(spec, p, e, st):
+    """The per-sample draw order on one Stream: X over the upper basis; a
+    coin, unless that basis is empty; on a coin of 1, L over the lower
+    basis and U over the upper one, and X becomes a X a^-1 with
+    a = e_p(L) e_p(U).  Returns (X, coin)."""
+    upper = _nilradical_planes(spec.kind, spec.n, p, e)
+    if not len(upper):
+        return FpMatrix.zeros(p, e, spec.n), None
+    x = ref_combination(upper, p, e, st)
+    coin = st.below(2)
+    if coin:
+        lower = _nilradical_planes(spec.kind, spec.n, p, e, lower=True)
+        a = ah_exp(ref_combination(lower, p, e, st)) @ ah_exp(ref_combination(upper, p, e, st))
+        x = a @ x @ linalg.inv(a)
+    return x, coin
+
+
+def ref_group_element(spec, p, e, st):
+    """GL/SL: matrices drawn plane by plane, row by row, until one is
+    invertible, SL with row 0 then divided by the determinant; SO/Sp:
+    e_p(U) e_p(L) e_p(U') over the upper, lower and upper bases."""
+    n = spec.n
+    if spec.kind in ("GL", "SL"):
+        while True:
+            g = FpMatrix(p, e, [[[st.below(p) for _ in range(n)] for _ in range(n)] for _ in range(e)])
+            det = linalg.det(g)
+            if any(det):
+                break
+        if spec.kind == "SL":
+            unit = [[(1,) + (0,) * (e - 1) if i == j else (0,) * e for j in range(n)] for i in range(n)]
+            unit[0][0] = Elem(p, e, det).inverse().coords
+            g = FpMatrix.from_rows(p, e, unit) @ g
+        return g
+    g = FpMatrix.identity(p, e, n)
+    for lower in (False, True, False):
+        g = g @ ah_exp(ref_combination(_nilradical_planes(spec.kind, n, p, e, lower), p, e, st))
+    return g
+
+
+def every_group(p):
+    """Each kind at every n = 2..8 it allows, SO/Sp only for odd p."""
+    kinds = ("GL", "SL", "SO", "Sp") if p > 2 else ("GL", "SL")
+    return [GroupSpec(kind, n) for kind in kinds for n in range(2, 9)
+            if (kind, n % 2) != ("Sp", 1) and (kind, n) != ("SO", 2)]
+
+
+class TestLaneSamplers:
+    @pytest.mark.parametrize("e", [1, 2])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_nilpotent_lanes_follow_the_one_stream_draw_order(self, p, e):
+        # one stack of every group, two seeds each, padded to n = 8
+        specs = [spec for spec in every_group(p) for _ in range(2)]
+        seeds = [1000 + 7 * i for i in range(len(specs))]
+        x = nilpotent_lanes(specs, p, e, seeds)
+        states = stream_lanes(seeds, [f"nilpotent/{s.kind}/{s.n}/{p}/{e}/any" for s in specs])
+        assert _nilpotent_draws(specs, p, e, states).lanes_equal(x).all()
+        coins = set()
+        for i, (spec, seed) in enumerate(zip(specs, seeds)):
+            st = stream(seed, f"nilpotent/{spec.kind}/{spec.n}/{p}/{e}/any")
+            want, coin = ref_nilpotent(spec, p, e, st)
+            coins.add(coin)
+            assert x.lane(i, spec.n) == want
+            assert not x.planes[i, :, spec.n:].any() and not x.planes[i, :, :, spec.n:].any()
+            assert int(states[i]) == st.state  # exactly the draws of one stream
+            assert random_nilpotent(spec, "any", seed, p, e) == want
+        assert coins == {0, 1}
+
+    @pytest.mark.parametrize("e", [1, 2])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_group_element_lanes_follow_the_one_stream_draw_order(self, p, e):
+        specs = [spec for spec in every_group(p) for _ in range(2)]
+        seeds = [2000 + 3 * i for i in range(len(specs))]
+        states = stream_lanes(seeds, "conjugator")
+        g = group_element_lanes(specs, p, e, states)
+        one = (1,) + (0,) * (e - 1)
+        for i, (spec, seed) in enumerate(zip(specs, seeds)):
+            st = stream(seed, "conjugator")
+            want = ref_group_element(spec, p, e, st)
+            assert g.lane(i, spec.n) == want
+            assert in_group(spec, want)
+            pad = g.planes[i, :, spec.n:, :]
+            assert (pad[0, :, spec.n:] == np.eye(8 - spec.n, dtype=np.int64)).all()
+            assert not pad[1:].any() and not pad[0, :, :spec.n].any()
+            assert not g.planes[i, :, :spec.n, spec.n:].any()
+            assert int(states[i]) == st.state
+            if spec.kind == "SL":
+                assert linalg.det(want) == one
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 2), (5, 1), (7, 1)])
+    def test_stacked_orders_are_the_single_matrix_orders(self, p, e):
+        specs = [spec for spec in every_group(p) for _ in range(2)]
+        x = nilpotent_lanes(specs, p, e, range(len(specs)))
+        u = ah_exp(x)
+        degrees, orders = nilpotency_degree(x), nilpotent_order(x)
+        exponents = unipotent_order_exponent(u)
+        assert degrees.shape == orders.shape == exponents.shape == (len(specs),)
+        for i, spec in enumerate(specs):
+            x_i = x.lane(i, spec.n)
+            d = nilpotency_degree(x_i)
+            assert degrees[i] == d and (x_i ** d).is_zero() and not (x_i ** (d - 1)).is_zero()
+            assert orders[i] == nilpotent_order(x_i)
+            assert exponents[i] == unipotent_order_exponent(u.lane(i, spec.n))
+            assert exponents[i] == orders[i]

@@ -13,9 +13,9 @@ import pytest
 from ahspringer import linalg
 from ahspringer.errors import DomainError
 from ahspringer.expmaps import ah_exp, bch, bch_dynkin, truncated_exp, truncated_log
-from ahspringer.groups import GroupSpec, JordanType, _combine, _nilradical_planes, random_nilpotent
+from ahspringer.groups import GroupSpec, JordanType, _combination_lanes, _nilradical_planes, random_nilpotent
 from ahspringer.matrices import FpMatrix, _mat_mul_planes
-from ahspringer.rng import stream
+from ahspringer.rng import stream, stream_lanes
 from ahspringer.series import ah_coeffs_mod_p
 
 # x^2 + b*x + c defining F_{p^2}, as (b, c)
@@ -109,9 +109,15 @@ def test_series_maps_match_plain_python(p, n, e):
      ("SO", 5, 5, 1, True), ("Sp", 6, 5, 2, True)],
 )
 def test_combine_is_the_explicit_sum(kind, n, p, e, lower):
+    # five lanes of one group, padded by one row and column, against one
+    # Stream per lane drawing a scalar per basis element
     basis = _nilradical_planes(kind, n, p, e, lower)
+    lanes, counts = _combination_lanes([GroupSpec(kind, n)] * 5, p, e,
+                                       stream_lanes(np.arange(5), "combine"), n + 1, lower)
+    assert counts.tolist() == [len(basis) * e] * 5
     for k in range(5):
-        got = _combine(basis, p, e, stream(k, "combine"))
+        assert not lanes[k, :, n].any() and not lanes[k, :, :, n].any()
+        got = FpMatrix(p, e, lanes[k, :, :n, :n])
         st = stream(k, "combine")
         acc = [[(0,) * e for _ in range(n)] for _ in range(n)]
         for b in basis:
@@ -174,9 +180,10 @@ def test_stacked_series_maps_match_plain_python(p, n, e):
 
 def test_stacked_dynkin_brackets_match_one_pair_at_a_time():
     # strictly upper triangular 4 x 4 over F_5: class 3 < 5, so bch is defined
-    basis = _nilradical_planes("GL", 4, 5, 1)
-    xs = [_combine(basis, 5, 1, stream(k, "dynkin-x")) for k in range(4)]
-    ys = [_combine(basis, 5, 1, stream(k, "dynkin-y")) for k in range(4)]
+    specs = [GroupSpec("GL", 4)] * 4
+    xs, ys = ([FpMatrix(5, 1, planes) for planes in
+               _combination_lanes(specs, 5, 1, stream_lanes(np.arange(4), label), 4)[0]]
+              for label in ("dynkin-x", "dynkin-y"))
     got = bch_dynkin(stack_of(xs), stack_of(ys), 4)
     assert all(got.lane(k) == bch_dynkin(x, y, 4) for k, (x, y) in enumerate(zip(xs, ys)))
     assert bch(stack_of(xs), stack_of(ys)).lanes_equal(got).tolist() == [

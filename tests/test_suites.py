@@ -1,9 +1,12 @@
 """Suite runner tests: config validation, record schema, determinism."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+from ahspringer import suites
 from ahspringer.suites import SUITES, Recorder, SuiteConfig, run_suite
 
 
@@ -20,6 +23,10 @@ def test_config_validation():
         SuiteConfig(suites=("witt-group",), trials=0)
     with pytest.raises(ValueError):
         SuiteConfig(suites=("witt-group",), kinds=("XX",))
+    # no kind at all is refused as such, not as a good-prime violation
+    for primes in ((2,), (3,)):
+        with pytest.raises(ValueError, match="at least one group kind is required"):
+            SuiteConfig(suites=("frobenius-compat",), kinds=(), primes=primes)
     # a repeated suite, prime or kind would run its cases twice
     with pytest.raises(ValueError, match="repeated suite"):
         SuiteConfig(suites=("witt-hom", "witt-hom"))
@@ -130,3 +137,37 @@ def test_witnesses_serialize_complete_inputs(monkeypatch):
     assert witness["note"] == "as given"
     json.dumps(report.to_json())
 
+
+
+# The lane-stacked verify-matrix suites and the stack source they share.
+STACKED = ("suite_frobenius_compat", "suite_order_preservation", "suite_commuting_pairs",
+           "suite_equivariance", "_nilpotents")
+PER_OBJECT_SAMPLERS = {"random_nilpotent", "random_group_element", "random_invertible",
+                       "random_matrix", "_case_seed"}
+
+
+def test_stacked_suites_call_no_per_object_sampler():
+    # they draw whole stacks, and invert or take determinants once per stack:
+    # never inside a loop other than the one over the stacks of _nilpotents
+    tree = ast.parse(Path(suites.__file__).read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def dotted(node):
+        if isinstance(node, ast.Attribute):
+            return f"{dotted(node.value)}.{node.attr}"
+        return node.id if isinstance(node, ast.Name) else ""
+
+    for name in STACKED:
+        fn = funcs[name]
+        used = {dotted(node).split(".")[-1] for node in ast.walk(fn)
+                if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not used & PER_OBJECT_SAMPLERS, name
+        loops = (node for node in ast.walk(fn) if isinstance(node, (
+            ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)))
+        for loop in loops:
+            if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call) \
+                    and dotted(loop.iter.func) == "_nilpotents":
+                continue
+            single = [dotted(node.func) for node in ast.walk(loop) if isinstance(node, ast.Call)
+                      and dotted(node.func) in ("linalg.inv", "linalg.det", "inv", "det")]
+            assert single == [], (name, loop.lineno)
