@@ -11,8 +11,12 @@ Subcommands::
     verify      run named property suites and write a JSON report
 
 Exit codes: 0 success / all properties pass, 1 any property failed,
-2 usage error (bad arguments or malformed input files) or a requested
-suite that ran no case.
+2 usage error (bad arguments, malformed input files, a report path that
+cannot be written) or a requested suite that ran no case.
+
+Each command imports only the modules it runs, after its arguments are
+parsed: ``ah-coeffs`` and ``witt`` never load numpy, and only ``verify``
+loads the suites.
 """
 
 from __future__ import annotations
@@ -20,19 +24,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .groups import nilpotent_order
-from .expmaps import ah_exp, ah_log, witt_embed
-from .matrices import load_matrix
-from .parabolic import Composition, ParabolicGL, eps_p, nilpotence_class
-from .series import ah_coeffs_mod_p, ah_rational_coeffs
-from .suites import SUITES, SuiteConfig, run_suite
-from .witt import (
-    witt_add,
-    witt_entries_from_string,
-    witt_from_integer,
-    witt_neg,
-    witt_order,
-    witt_pow_p,
+# The verify --suite help text lists the registry without importing
+# suites (and numpy with it); a test keeps this tuple equal to
+# tuple(suites.SUITES).
+SUITE_NAMES = (
+    "ah-integrality", "witt-group", "witt-hom", "frobenius-compat", "form-preservation",
+    "order-preservation", "eps-parabolic", "commuting-pairs", "centralizer-equality",
+    "frobenius-descent", "one-parameter", "equivariance",
 )
 
 
@@ -90,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run property suites")
     verify.add_argument(
         "--suite", required=True,
-        help="comma-separated suite names, or 'all' (known: %s)" % ", ".join(SUITES),
+        help="comma-separated suite names, or 'all' (known: %s)" % ", ".join(SUITE_NAMES),
     )
     verify.add_argument("--p", default="2,3,5,7", help="comma-separated primes")
     verify.add_argument("--trials", type=int, default=None, help="override per-suite trial counts")
@@ -104,22 +102,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ah_coeffs(args) -> int:
+    from .series import ah_coeffs_mod_p, ah_rational_coeffs
+
     series = (ah_rational_coeffs if args.rational else ah_coeffs_mod_p)(args.p, args.n)
     print(" ".join(str(c) for c in series.coeffs))
     return 0
 
 
 def _cmd_exp(args) -> int:
+    from .expmaps import ah_exp
+    from .matrices import load_matrix
+
     print(ah_exp(load_matrix(args.matrix)).dumps())
     return 0
 
 
 def _cmd_log(args) -> int:
+    from .expmaps import ah_log
+    from .matrices import load_matrix
+
     print(ah_log(load_matrix(args.matrix)).dumps())
     return 0
 
 
 def _cmd_embed(args) -> int:
+    from .expmaps import witt_embed
+    from .groups import nilpotent_order
+    from .matrices import load_matrix
+    from .witt import witt_entries_from_string
+
     x = load_matrix(args.matrix)
     m = nilpotent_order(x)
     if m == 0:
@@ -131,6 +142,10 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_witt(args) -> int:
+    from .witt import (
+        witt_add, witt_entries_from_string, witt_from_integer, witt_neg, witt_order, witt_pow_p,
+    )
+
     p, m, e = args.p, args.m, args.e
     if args.witt_command == "add":
         lhs = witt_entries_from_string(p, m, args.lhs, e)
@@ -150,6 +165,9 @@ def _cmd_witt(args) -> int:
 
 
 def _cmd_parabolic(args) -> int:
+    from .matrices import load_matrix
+    from .parabolic import Composition, ParabolicGL, eps_p, nilpotence_class
+
     comp = Composition.parse(args.comp)
     if args.parabolic_command == "class":
         print(nilpotence_class(ParabolicGL(comp, args.p)))
@@ -161,6 +179,8 @@ def _cmd_parabolic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import SuiteConfig, run_suite
+
     suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
     primes = tuple(int(s) for s in args.p.split(",") if s.strip())
     kinds = tuple(s.strip() for s in args.kinds.split(",") if s.strip())
@@ -173,6 +193,12 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         report_path=args.report,
     )
+    if args.report:  # refuse it before any suite runs; append mode keeps an existing file
+        try:
+            with open(args.report, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise ValueError(f"{args.report}: cannot write ({exc.strerror or exc})") from exc
     report = run_suite(cfg)
     skipped = False
     for record in report.suites:

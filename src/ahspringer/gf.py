@@ -17,8 +17,6 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-import numpy as np
-
 # The plane kernels sum k products before they reduce mod p.  Each term
 # is a coordinate times a coordinate, times a coefficient of the
 # quadratic modulus for e = 2, so it is below p^3 in magnitude and the
@@ -143,8 +141,12 @@ def is_json_int(obj) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _prime_field_inverses(p: int) -> np.ndarray:
-    # 1/a mod p for a = 0..p-1 (0 -> 0), by 1/a = -(p // a) / (p mod a)
+def _prime_field_inverses(p: int):
+    # 1/a mod p for a = 0..p-1 (0 -> 0), by 1/a = -(p // a) / (p mod a), as
+    # a read-only int64 array; numpy is imported here, not with the module,
+    # so the scalar-only commands (witt, ah-coeffs) never load it
+    import numpy as np
+
     inv = [0, 1]
     for a in range(2, p):
         inv.append(-(p // a) * inv[p % a] % p)
@@ -161,7 +163,7 @@ def _field_inv(a, p: int, mod):
     if mod is None:
         return (table[a[0]],)
     conj = _frobenius(a, p, mod)
-    norm_inv = table[_field_mul(a, conj, p, mod, np.multiply)[0]]
+    norm_inv = table[_field_mul(a, conj, p, mod, operator.mul)[0]]
     return tuple(x * norm_inv % p for x in conj)
 
 

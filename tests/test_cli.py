@@ -268,6 +268,29 @@ def test_verify_small_run(tmp_path, capsys):
     assert {r["name"] for r in obj["suites"]} == {"witt-hom", "ah-integrality"}
 
 
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_verify_unwritable_report_exits_2_before_any_suite(tmp_path, capsys, monkeypatch, target):
+    # this ran every suite, then raised FileNotFoundError / IsADirectoryError (exit 1)
+    def no_run(cfg):
+        raise AssertionError("a suite ran before the report path was checked")
+
+    monkeypatch.setattr("ahspringer.suites.run_suite", no_run)
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "verify", "--suite", "witt-hom", "--p", "3",
+                             "--report", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: cannot write (")
+
+
+def test_verify_report_replaces_an_existing_file(tmp_path, capsys):
+    report_path = tmp_path / "out.json"
+    report_path.write_text("x" * 100_000)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "witt-hom", "--p", "2",
+                         "--report", str(report_path))
+    assert code == 0
+    assert json.loads(report_path.read_text())["config"]["suites"] == ["witt-hom"]
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 2

@@ -7,11 +7,15 @@ cases.  Three in four generated cases are well-formed, so the arithmetic
 behind each command runs; the rest are malformed.  Work is bounded so
 the guard stays cheap: p <= 50, matrix dimension n <= 4, `ah-coeffs --n`
 <= 30, and `verify` runs one cheap suite with `--trials 1 --max-dim 2`.
+`verify` sometimes writes a report: to a fresh file, into a missing
+directory, or onto a directory; the last two must exit 2.
 """
 
 import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -103,6 +107,10 @@ def _parabolic_class_argv(draw):
     return ["parabolic", "class", "--comp", draw(COMP), "--p", draw(P)]
 
 
+# --report placeholders, resolved against a fresh directory per example
+REPORT_TARGETS = {"<file>": "report.json", "<missing-dir>": "missing/report.json", "<dir>": "."}
+
+
 @st.composite
 def _verify_argv(draw):
     if _well_formed(draw):
@@ -115,6 +123,8 @@ def _verify_argv(draw):
             "--seed", draw(_ints(-3, 2**70))]
     if draw(st.booleans()):
         argv += ["--kinds", draw(st.sampled_from(["GL", "SO", "Sp", "SO,Sp", "XX", ""]))]
+    if draw(st.booleans()):
+        argv += ["--report", draw(st.sampled_from(sorted(REPORT_TARGETS)))]
     return argv
 
 
@@ -131,8 +141,17 @@ ARGV = st.one_of(
 @FUZZ
 @given(ARGV)
 @example(["verify", "--suite", "commuting-pairs,frobenius-compat", "--p", "7"])
-def test_cli_arguments_keep_exit_contract(argv):
-    assert _exit_code(argv) in (0, 1, 2)
+@example(["verify", "--suite", "witt-hom", "--p", "3", "--report", "<missing-dir>"])
+def test_cli_arguments_keep_exit_contract(tmp_path_factory, argv):
+    target = next((a for a in argv if a in REPORT_TARGETS), None)
+    if target is None:
+        assert _exit_code(argv) in (0, 1, 2)
+        return
+    report = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())) / REPORT_TARGETS[target]
+    code = _exit_code([str(report) if a == target else a for a in argv])
+    assert code in ((0, 1, 2) if target == "<file>" else (2,))
+    if code != 2:  # a run that passed or failed wrote its report
+        json.loads(report.read_text(encoding="utf-8"))
 
 
 _TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=20)
