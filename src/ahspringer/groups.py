@@ -1,11 +1,14 @@
 """Classical matrix groups over F_{p^e}: GL, SL, SO, Sp.
 
 Covers nilpotent generation by Jordan type, group / Lie algebra
-membership for the classical forms, nilpotent order, exact centralizer
-computation, and seeded random sampling of nilpotents and group
-elements.  SO and Sp preserve a fixed antidiagonal form, so the
-strictly upper triangular part of each Lie algebra is a nilpotent
-subalgebra we can sample from directly.
+membership for the classical forms, nilpotent order, centralizers, and
+seeded sampling of nilpotents and group elements.  One kernel solve,
+``_kernel_span``, gives every Lie subspace: ``lie_basis`` (Lie(G) on a
+set of matrix-unit positions, such as a triangle or the block-upper
+positions of a parabolic) and ``centralizer_space``.  SO and Sp preserve
+a fixed antidiagonal form, so Lie(G) on the strictly upper triangle is a
+nilpotent subalgebra; ``_combination_lanes`` samples it and parabolic
+nilradicals alike.
 
 The samplers draw many elements at once, one lane per (group, seed),
 from SplitMix64 lanes (``rng.stream_lanes``); a stack of groups of
@@ -27,7 +30,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError
 from .gf import _check_field_params, _field_inv, _field_mul, field_modulus
-from .matrices import FpMatrix, _lin_comb, _mat_mul_planes
+from .matrices import FpMatrix, _mat_mul_planes
 from .rng import Stream, below_lanes, stream, stream_lanes
 
 KINDS = ("GL", "SL", "SO", "Sp")
@@ -188,15 +191,49 @@ def in_group(spec: GroupSpec, g: FpMatrix) -> bool:
     return preserves
 
 
+def _lie_residual(spec: GroupSpec, planes: np.ndarray, p: int) -> np.ndarray:
+    """The map with kernel Lie(G) on planes (..., e, n, n), as (..., e, m):
+    nothing (m = 0) for GL, the trace for SL, X^T J + J X for SO and Sp
+    (J has F_p entries, so it acts plane by plane)."""
+    form = spec.form_for(p, 1)
+    if form is not None:
+        j = form.planes[0]
+        return ((planes.swapaxes(-1, -2) @ j + j @ planes) % p).reshape(*planes.shape[:-2], j.size)
+    if spec.kind == "SL":
+        return np.trace(planes, axis1=-2, axis2=-1)[..., None] % p
+    return planes[..., :0, 0]
+
+
 def in_lie_algebra(spec: GroupSpec, x: FpMatrix) -> bool:
     if x.n != spec.n:
         raise ValueError("matrix dimension does not match group")
-    form = spec.form_for(x.p, x.e)
-    if spec.kind == "GL":
-        return True
-    if spec.kind == "SL":
-        return not any(x.trace())
-    return (x.transpose() @ form + form @ x).is_zero()
+    return not _lie_residual(spec, x.planes, x.p).any()
+
+
+def _kernel_span(units: np.ndarray, images: np.ndarray, p: int, e: int) -> np.ndarray:
+    """Planes (d, e, n, n) of a kernel basis of a linear map on the span of
+    the matrix units (k, n, n), from the coordinates (k, e, m) of each
+    unit's image: the package's one null-space solve."""
+    k, n = units.shape[0], units.shape[-1]
+    conditions = images[:, :, images.any(axis=(0, 1))]  # a zero row holds for every unit
+    vecs = linalg.null_space_planes(conditions.transpose(1, 2, 0), p, e)
+    return (vecs @ units.reshape(k, n * n)).reshape(len(vecs), e, n, n)
+
+
+@lru_cache(maxsize=None)
+def lie_basis(kind: str, n: int, p: int, e: int, support: tuple) -> np.ndarray:
+    """Read-only planes (k, e, n, n) of a basis of Lie(G) on the span of
+    the matrix units at support, a tuple of (i, j) positions: the kernel
+    of ``_lie_residual`` there, so its entries lie in F_p (plane 0 only);
+    for GL, the units themselves in the order of support."""
+    units = np.zeros((len(support), 1, n, n), dtype=np.int64)
+    units[(np.arange(len(support)), 0, *np.array(support, dtype=np.intp).reshape(-1, 2).T)] = 1
+    # the map has F_p coefficients, so an F_p basis spans the F_{p^e} solutions
+    solved = _kernel_span(units[:, 0], _lie_residual(GroupSpec(kind, n), units, p), p, 1)
+    basis = np.zeros((len(solved), e, n, n), dtype=np.int64)
+    basis[:, :1] = solved
+    basis.flags.writeable = False
+    return basis
 
 
 @dataclass(frozen=True)
@@ -207,21 +244,12 @@ class CentralizerSpace:
     basis: tuple[FpMatrix, ...]
 
 
-def commutator_map_planes(a: FpMatrix):
-    """Planes of the n^2 x n^2 matrix of Z -> AZ - ZA on row-major vec(Z)."""
-    n = a.n
-    eye = np.eye(n, dtype=np.int64)
-    planes = []
-    for k in range(a.e):
-        plane = np.kron(a.planes[k], eye) - np.kron(eye, a.planes[k].T)
-        planes.append(plane % a.p)
-    return np.stack(planes)
-
-
 def centralizer_space(a: FpMatrix) -> CentralizerSpace:
-    vecs = linalg.null_space_planes(commutator_map_planes(a), a.p, a.e)
-    basis = tuple(FpMatrix(a.p, a.e, v.reshape(a.e, a.n, a.n)) for v in vecs)
-    return CentralizerSpace(dimension=len(basis), basis=basis)
+    """The kernel of Z -> AZ - ZA on all n^2 matrix units, row-major."""
+    units = np.eye(a.n * a.n, dtype=np.int64).reshape(-1, a.n, a.n)
+    images = (a.planes @ units[:, None] - units[:, None] @ a.planes) % a.p
+    planes = _kernel_span(units, images.reshape(len(units), a.e, -1), a.p, a.e)
+    return CentralizerSpace(len(planes), tuple(FpMatrix._wrap(a.p, a.e, a.n, z) for z in planes))
 
 
 def jordan_type_of(x: FpMatrix) -> JordanType:
@@ -314,35 +342,9 @@ def invertible_lanes(p: int, e: int, sizes, states: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _nilradical_planes(kind: str, n: int, p: int, e: int, lower: bool = False) -> np.ndarray:
-    """Planes (k, e, n, n) of a basis of Lie(G) intersected with the
-    strictly upper (or lower) triangle; see upper_nilradical_basis."""
-    positions = [(i, j) for i in range(n) for j in range(n) if (i > j if lower else i < j)]
-    if kind in ("GL", "SL"):
-        vecs = np.eye(len(positions), dtype=np.int64)
-    else:
-        GroupSpec(kind, n).form_for(p, e)  # validates the good-prime constraint
-        # the form has F_p entries, so an F_p basis spans the F_{p^e} solutions
-        form = default_form(kind, n, p, 1)
-        cols = np.zeros((1, n * n, len(positions)), dtype=np.int64)
-        for idx, (i, j) in enumerate(positions):
-            unit = FpMatrix.matrix_unit(p, 1, n, i, j)
-            cond = unit.transpose() @ form + form @ unit
-            cols[0, :, idx] = cond.planes[0].reshape(n * n)
-        vecs = [v[0] for v in linalg.null_space_planes(cols, p, 1)]
-    rows, cols = np.array(positions, dtype=np.intp).reshape(-1, 2).T
-    planes = np.zeros((len(vecs), e, n, n), dtype=np.int64)
-    planes[:, 0, rows, cols] = np.reshape(vecs, (len(vecs), len(positions)))
-    planes.flags.writeable = False
-    return planes
-
-
-def upper_nilradical_basis(kind: str, n: int, p: int, e: int, lower: bool = False) -> tuple[FpMatrix, ...]:
-    """Basis of Lie(G) intersected with the strictly upper (or lower) triangle.
-
-    For GL/SL these are just the matrix units; for SO/Sp the linear
-    condition X^T J + J X = 0 is solved on the triangular coordinates.
-    """
-    return tuple(FpMatrix(p, e, b) for b in _nilradical_planes(kind, n, p, e, lower))
+    """``lie_basis`` on the strictly upper (or lower) triangle."""
+    support = tuple((i, j) for i in range(n) for j in range(n) if (i > j if lower else i < j))
+    return lie_basis(kind, n, p, e, support)
 
 
 def _runs(items) -> list[tuple[object, int]]:
@@ -351,29 +353,31 @@ def _runs(items) -> list[tuple[object, int]]:
     return [(run[0], len(run)) for run in (list(g) for _, g in groupby(items, key=id))]
 
 
-def _combination_lanes(specs, p: int, e: int, states: np.ndarray, size: int,
-                       lower: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """sum_i s_i B_i lane by lane, over the upper (or lower) nilradical
-    basis B_0, B_1, ... of the lane's group, as planes (B, e, size, size)
-    with each lane padded by zeros; and the number of coordinates each
-    lane drew.
+def _triangle_runs(specs, p: int, e: int, lower: bool = False) -> list[tuple[np.ndarray, int]]:
+    """(basis, lane count) runs of each lane's upper (or lower) triangle basis."""
+    return [(_nilradical_planes(spec.kind, spec.n, p, e, lower), k) for spec, k in _runs(specs)]
 
-    Lane l draws the e coordinates of s_0 first, then those of s_1, and so
-    on, from states[l] (advanced in place), as drawing one scalar per basis
-    element from one stream would.  Each run of one group contracts its
-    coordinates against the group's cached basis.
-    """
-    runs = _runs(specs)
-    bases = [_nilradical_planes(spec.kind, spec.n, p, e, lower) for spec, _ in runs]
-    counts = np.repeat([len(basis) * e for basis in bases], [k for _, k in runs])
+
+def _combination_lanes(runs, p: int, e: int, states: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i s_i B_i lane by lane, for runs of (basis, lane count): the next
+    count lanes combine over that basis B_0, B_1, ... (planes (k, e, n, n)
+    with F_p entries).  Returns planes (B, e, size, size), each lane padded
+    by zeros, and the number of coordinates each lane drew.
+
+    Lane l draws the e coordinates of s_0, then those of s_1, and so on,
+    from states[l] (advanced in place), as one stream drawing a scalar per
+    basis element would.  Coordinate j of the sum is sum_i s_i[j] B_i, as
+    B_i lies in plane 0: one integer matmul per run."""
+    counts = np.repeat([len(basis) * e for basis, _ in runs], [k for _, k in runs])
     draws = below_lanes(states, p, counts).astype(np.int64)
-    planes = np.zeros((len(specs), e, size, size), dtype=np.int64)
+    planes = np.zeros((len(counts), e, size, size), dtype=np.int64)
     start = 0
-    for (spec, k), basis in zip(runs, bases):
-        if len(basis):
-            coords = draws[start:start + k, :len(basis) * e].reshape(k, len(basis), e)
-            planes[start:start + k, :, :spec.n, :spec.n] = _lin_comb(coords, basis, p, field_modulus(p, e))
+    for basis, k in runs:
+        d, n = len(basis), basis.shape[-1]
+        coords = draws[start:start + k, :d * e].reshape(k, d, e).swapaxes(1, 2)
+        planes[start:start + k, :, :n, :n] = (coords @ basis[:, 0].reshape(d, n * n)).reshape(k, e, n, n)
         start += k
+    planes %= p
     return planes, counts
 
 
@@ -406,7 +410,7 @@ def group_element_lanes(specs, p: int, e: int, states: np.ndarray) -> FpMatrix:
     forms = np.flatnonzero(~linear)
     if forms.size:
         sub, sub_states = [specs[i] for i in forms], states[forms]
-        combos = [_combination_lanes(sub, p, e, sub_states, size, lower)[0]
+        combos = [_combination_lanes(_triangle_runs(sub, p, e, lower), p, e, sub_states, size)[0]
                   for lower in (False, True, False)]
         states[forms] = sub_states
         exps = ah_exp(FpMatrix._wrap(p, e, size, np.stack(combos)))
@@ -433,11 +437,12 @@ def _nilpotent_draws(specs, p: int, e: int, states: np.ndarray) -> FpMatrix:
     from .expmaps import ah_exp
 
     size = max(spec.n for spec in specs)
-    x, counts = _combination_lanes(specs, p, e, states, size)
+    x, counts = _combination_lanes(_triangle_runs(specs, p, e), p, e, states, size)
     on = np.flatnonzero(below_lanes(states, 2, counts > 0).any(axis=1))
     if on.size:
         sub, sub_states = [specs[i] for i in on], states[on]
-        combos = [_combination_lanes(sub, p, e, sub_states, size, lower)[0] for lower in (True, False)]
+        combos = [_combination_lanes(_triangle_runs(sub, p, e, lower), p, e, sub_states, size)[0]
+                  for lower in (True, False)]
         states[on] = sub_states
         exps = ah_exp(FpMatrix._wrap(p, e, size, np.stack(combos)))
         inverses = _unipotent_inverse(exps)

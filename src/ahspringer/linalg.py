@@ -92,17 +92,14 @@ def rank_planes(planes, p, e) -> int:
 
 
 def null_space_planes(planes, p, e):
-    """Basis of the right null space, as a list of (e, cols) vectors."""
+    """Basis of the right null space, as an array (d, e, cols) of vectors,
+    one per non-pivot column f: 1 at f, minus column f of the rref at the
+    pivot columns."""
     r_mat, pivots = rref_planes(planes, p, e)
-    ncols = r_mat.shape[2]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros((e, ncols), dtype=np.int64)
-        v[0, f] = 1
-        for row, c in enumerate(pivots):
-            v[:, c] = (-r_mat[:, row, f]) % p
-        basis.append(v)
+    free = np.delete(np.arange(r_mat.shape[2]), pivots)
+    basis = np.zeros((len(free), e, r_mat.shape[2]), dtype=np.int64)
+    basis[np.arange(len(free)), 0, free] = 1
+    basis[:, :, pivots] = (-r_mat[:, :len(pivots), free]).transpose(2, 0, 1) % p
     return basis
 
 

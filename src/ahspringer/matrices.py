@@ -38,16 +38,6 @@ def _mat_mul_planes(a, b, p, mod):
     return np.stack(planes, axis=-3)
 
 
-def _lin_comb(coords, planes, p, mod):
-    """sum_i s_i B_i for field coordinates coords (..., k, e) of the s_i and
-    planes (k, e, n, n) of the B_i, as one contraction over i; each leading
-    row of coords gives its own sum, (..., e, n, n)."""
-    k, e = planes.shape[:2]
-    flat = planes.reshape(k, e, -1).swapaxes(0, 1)
-    terms = _field_mul(np.moveaxis(coords, -1, 0), flat, p, mod, np.matmul)
-    return np.stack(terms, axis=-2).reshape(coords.shape[:-2] + planes.shape[1:])
-
-
 class FpMatrix:
     """An n x n matrix over F_{p^e}."""
 
@@ -128,12 +118,6 @@ class FpMatrix:
                         raise ValueError(f"entry {v!r} has wrong coordinate count")
                 for k, c in enumerate(coords):
                     planes[k, i, j] = c % p
-        return cls(p, e, planes)
-
-    @classmethod
-    def matrix_unit(cls, p: int, e: int, n: int, i: int, j: int) -> "FpMatrix":
-        planes = np.zeros((e, n, n), dtype=np.int64)
-        planes[0, i, j] = 1
         return cls(p, e, planes)
 
     # -- basic queries ------------------------------------------------

@@ -2,14 +2,16 @@
 
 A composition (b_1, ..., b_r) of n determines the block-upper-triangular
 subgroup P, its unipotent radical U_P (identity blocks on the diagonal)
-and the nilradical u_P (strictly block-upper matrices).  The i-th term
+and the nilradical u_P (strictly block-upper matrices), whose basis is
+``groups.lie_basis`` of GL on the block-upper positions.  The i-th term
 of the lower central series of u_P is spanned by the matrix units at
 least i blocks above the diagonal, so its nilpotence class is r - 1;
 when that is below p, the degree-(p-1) truncated exponential is a
 bijection u_P -> U_P, and that is what eps_P computes.
 
 The samplers draw many elements at once, one lane per (parabolic, seed),
-from SplitMix64 lanes (``rng.stream_lanes``); ``random_p_element`` and
+from SplitMix64 lanes (``rng.stream_lanes``), and u_P elements through
+``groups._combination_lanes``; ``random_p_element`` and
 ``random_radical_element`` are their one-lane views.  ``eps_p`` and
 ``in_nilradical`` take a stack with one parabolic per lane.
 """
@@ -24,9 +26,9 @@ import numpy as np
 from .errors import DomainError
 from .expmaps import truncated_exp
 from .gf import _check_field_params
-from .groups import _runs, invertible_lanes
+from .groups import _combination_lanes, _runs, invertible_lanes, lie_basis
 from .matrices import MAX_DIM, FpMatrix
-from .rng import below_lanes, stream_lanes
+from .rng import stream_lanes
 
 
 @dataclass(frozen=True)
@@ -79,32 +81,27 @@ class ParabolicGL:
             out.extend([b] * size)
         return tuple(out)
 
-    def radical_support(self) -> np.ndarray:
-        """Boolean (n, n) mask of the strictly-upper-block positions."""
-        return _support_mask(self)
+
+@lru_cache(maxsize=None)
+def nilradical_basis(par: ParabolicGL) -> np.ndarray:
+    """Read-only planes (k, e, n, n) of the matrix units spanning u_P,
+    row-major over the block-upper positions: ``groups.lie_basis`` of GL
+    there."""
+    idx = par.block_index()
+    support = tuple((i, j) for i in range(par.n) for j in range(par.n) if idx[i] < idx[j])
+    return lie_basis("GL", par.n, par.p, par.e, support)
 
 
 @lru_cache(maxsize=None)
-def _support_mask(par: "ParabolicGL") -> np.ndarray:
-    idx = np.array(par.block_index())
-    mask = idx[:, None] < idx[None, :]
+def _support_mask(par: ParabolicGL) -> np.ndarray:
+    """Boolean (n, n) mask of the block-upper positions, from the basis."""
+    mask = nilradical_basis(par).any(axis=(0, 1))
     mask.flags.writeable = False
     return mask
 
 
-def nilradical_basis(par: ParabolicGL) -> list[FpMatrix]:
-    """Matrix units spanning u_P, row-major over the block-upper support."""
-    mask = par.radical_support()
-    return [
-        FpMatrix.matrix_unit(par.p, par.e, par.n, i, j)
-        for i in range(par.n)
-        for j in range(par.n)
-        if mask[i, j]
-    ]
-
-
 def _lane_support(par) -> np.ndarray:
-    """The radical support (n, n) of one parabolic, or (B, n, n) of a
+    """The support mask (n, n) of one parabolic, or (B, n, n) of a
     sequence of B parabolics (one per lane) over one field."""
     if isinstance(par, ParabolicGL):
         return _support_mask(par)
@@ -144,28 +141,29 @@ def eps_p(par, x: FpMatrix) -> FpMatrix:
 
     Elements of u_P satisfy x^p = 0 (the class bound gives x^r = 0 with
     r <= p), so the truncated exponential applies exactly.  For a stack
-    x, par holds one parabolic per lane.
+    x, par holds one parabolic per lane.  A matrix over another field or
+    of another size raises ValueError.
     """
-    for q in [par] if isinstance(par, ParabolicGL) else [q for q, _ in _runs(par)]:
+    pars = [par] if isinstance(par, ParabolicGL) else [q for q, _ in _runs(par)]
+    q = pars[0]
+    if (x.p, x.e) != (q.p, q.e):
+        raise ValueError(f"matrix is over F_{x.p}^{x.e} but the parabolic is over F_{q.p}^{q.e}")
+    if x.n != q.n:
+        raise ValueError(f"matrix is {x.n} x {x.n} but composition {q.comp.blocks} has n = {q.n}")
+    for q in pars:
         if not is_restricted(q):
-            raise DomainError(
-                f"parabolic {q.comp.blocks} has nilpotence class >= {q.p}"
-            )
+            raise DomainError(f"parabolic {q.comp.blocks} has nilpotence class >= {q.p}")
     if not in_nilradical(par, x):
         raise DomainError("matrix is not in the nilradical of this parabolic")
     return truncated_exp(x)
 
 
 def _radical_draws(pars, states: np.ndarray) -> np.ndarray:
-    """Planes (B, e, n, n) of u_P elements drawn from the lanes: e
-    coordinates per support position, positions in row-major order."""
+    """Planes (B, e, n, n) of u_P elements drawn from the lanes by
+    ``groups._combination_lanes`` over ``nilradical_basis``: e
+    coordinates per block-upper position, in row-major order."""
     p, e, n = _field_of(pars)
-    mask = _lane_support(pars)
-    counts = mask.sum(axis=(1, 2)) * e
-    draws = below_lanes(states, p, counts)
-    planes = np.zeros((len(pars), n, n, e), dtype=np.int64)
-    planes[mask] = draws[np.arange(draws.shape[1]) < counts[:, None]].reshape(-1, e)
-    return planes.transpose(0, 3, 1, 2)
+    return _combination_lanes([(nilradical_basis(q), k) for q, k in _runs(pars)], p, e, states, n)[0]
 
 
 def p_elements(pars, seeds) -> FpMatrix:
@@ -198,7 +196,7 @@ def radical_elements(pars, seeds, index=0) -> FpMatrix:
     stream(seeds[i], "radical/<blocks>/<p>/<e>", index)."""
     p, e, n = _field_of(pars)
     states = stream_lanes(seeds, _lane_labels(pars, "radical"), index)
-    return FpMatrix._wrap(p, e, n, np.ascontiguousarray(_radical_draws(pars, states)))
+    return FpMatrix._wrap(p, e, n, _radical_draws(pars, states))
 
 
 def random_p_element(par: ParabolicGL, seed: int) -> FpMatrix:

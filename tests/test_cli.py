@@ -184,6 +184,14 @@ def test_parabolic_class_beyond_128_exits_2(capsys, comp):
     assert "matrix dimension must be between 1 and 128, got 129" in err
 
 
+def test_parabolic_eps_names_a_size_mismatch(tmp_path, capsys):
+    src = tmp_path / "x.json"
+    src.write_text(FpMatrix.zeros(3, 1, 4).dumps())
+    code, out, err = run_cli(capsys, "parabolic", "eps", "--comp", "2,1", "--matrix", str(src))
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: matrix is 4 x 4 but composition (2, 1) has n = 3"
+
+
 def test_parabolic_eps_rejects_non_restricted(tmp_path, capsys):
     j3 = jordan_nilpotent(JordanType((3,)), 2)
     src = tmp_path / "x.json"

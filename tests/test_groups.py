@@ -1,5 +1,9 @@
 """Group/Lie-algebra membership, Jordan forms, centralizers, sampling."""
 
+import ast
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,6 @@ from ahspringer.groups import (
     GroupSpec,
     JordanType,
     centralizer_space,
-    commutator_map_planes,
     default_form,
     _nilpotent_draws,
     _nilradical_planes,
@@ -20,13 +23,13 @@ from ahspringer.groups import (
     in_lie_algebra,
     jordan_nilpotent,
     jordan_type_of,
+    lie_basis,
     nilpotency_degree,
     nilpotent_lanes,
     nilpotent_order,
     random_group_element,
     random_nilpotent,
     unipotent_order_exponent,
-    upper_nilradical_basis,
 )
 from ahspringer.expmaps import ah_exp
 from ahspringer.matrices import FpMatrix
@@ -181,7 +184,10 @@ class TestCentralizer:
         assert isinstance(c, CentralizerSpace)
         for z in c.basis:
             assert z @ x == x @ z
-        commutator_rank = len(linalg.rref_planes(commutator_map_planes(x), 3, 1)[1])
+        # Z -> XZ - ZX on row-major vec(Z) is kron(X, 1) - kron(1, X^T)
+        eye = np.eye(5, dtype=np.int64)
+        ad = (np.kron(x.planes[0], eye) - np.kron(eye, x.planes[0].T)) % 3
+        commutator_rank = len(linalg.rref_planes(ad[None], 3, 1)[1])
         assert c.dimension == 25 - commutator_rank
 
     def test_extension_field(self):
@@ -220,13 +226,61 @@ class TestSampling:
         assert in_lie_algebra(GroupSpec("Sp", 4), x)
 
     def test_nilradical_bases_satisfy_lie_condition(self):
-        for kind, n in (("Sp", 4), ("Sp", 6), ("SO", 5), ("SO", 7)):
+        # oracle: the standard dimensions of Lie(G) on the full support
+        # (gl_n, sl_n, so_n, sp_2m) and of its positive-root part on either
+        # triangle, N = n(n-1)/2 for GL and SL, m^2 for Sp_2m and SO_2m+1
+        # and m(m-1) for SO_2m
+        def expected(kind, n, support):
+            m = n // 2
+            if support == "full":
+                return {"GL": n * n, "SL": n * n - 1, "SO": n * (n - 1) // 2, "Sp": m * (2 * m + 1)}[kind]
+            return {"GL": n * (n - 1) // 2, "SL": n * (n - 1) // 2, "Sp": m * m,
+                    "SO": m * m if n % 2 else m * (m - 1)}[kind]
+
+        keep = {"full": lambda i, j: True, "upper": lambda i, j: i < j, "lower": lambda i, j: i > j}
+        for p, e, kind, n in product((3, 5, 7), (1, 2), ("GL", "SL", "SO", "Sp"), range(1, 9)):
+            if kind == "Sp" and n % 2:
+                continue
             spec = GroupSpec(kind, n)
-            for b in upper_nilradical_basis(kind, n, 3, 1):
-                assert in_lie_algebra(spec, b)
-            lower = upper_nilradical_basis(kind, n, 3, 1, lower=True)
-            for b in lower:
-                assert in_lie_algebra(spec, b)
+            form = default_form(kind, n, p, e) if kind in ("SO", "Sp") else None
+            for name, inside in keep.items():
+                support = tuple((i, j) for i in range(n) for j in range(n) if inside(i, j))
+                basis = lie_basis(kind, n, p, e, support)
+                assert basis.shape == (expected(kind, n, name), e, n, n), (p, e, kind, n, name)
+                # F_p entries only, on the support, linearly independent
+                assert not basis[:, 1:].any() and not basis.flags.writeable
+                outside = np.ones((n, n), dtype=bool)
+                outside[tuple(np.reshape(support, (-1, 2)).astype(int).T)] = False
+                assert not basis[:, 0, outside].any()
+                if len(basis):
+                    assert linalg.rank_planes(basis[:, 0].reshape(1, len(basis), n * n), p, 1) == len(basis)
+                for b in basis:
+                    x = FpMatrix(p, e, b)
+                    assert in_lie_algebra(spec, x)
+                    if kind == "SL":
+                        assert not any(x.trace())
+                    if form is not None:
+                        assert (x.transpose() @ form + form @ x).is_zero()
+
+
+def test_one_null_space_solve_and_one_nilradical_sampler():
+    # every Lie subspace and centralizer is a kernel from groups._kernel_span,
+    # and parabolic draws its nilradical coordinates through
+    # groups._combination_lanes, never from below_lanes itself
+    def name(func):
+        return getattr(func, "attr", getattr(func, "id", None))
+
+    src = Path(linalg.__file__).parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            calls = [node for node in ast.walk(top) if isinstance(node, ast.Call)]
+            callers += [(path.name, getattr(top, "name", None)) for node in calls
+                        if name(node.func) == "null_space_planes"]
+    assert callers == [("groups.py", "_kernel_span")]
+    imported = {alias.name for node in ast.walk(ast.parse((src / "parabolic.py").read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "below_lanes" not in imported
 
 
 def test_enumerate_nilpotents_counts():

@@ -112,8 +112,7 @@ def test_combine_is_the_explicit_sum(kind, n, p, e, lower):
     # five lanes of one group, padded by one row and column, against one
     # Stream per lane drawing a scalar per basis element
     basis = _nilradical_planes(kind, n, p, e, lower)
-    lanes, counts = _combination_lanes([GroupSpec(kind, n)] * 5, p, e,
-                                       stream_lanes(np.arange(5), "combine"), n + 1, lower)
+    lanes, counts = _combination_lanes([(basis, 5)], p, e, stream_lanes(np.arange(5), "combine"), n + 1)
     assert counts.tolist() == [len(basis) * e] * 5
     for k in range(5):
         assert not lanes[k, :, n].any() and not lanes[k, :, :, n].any()
@@ -180,9 +179,9 @@ def test_stacked_series_maps_match_plain_python(p, n, e):
 
 def test_stacked_dynkin_brackets_match_one_pair_at_a_time():
     # strictly upper triangular 4 x 4 over F_5: class 3 < 5, so bch is defined
-    specs = [GroupSpec("GL", 4)] * 4
+    runs = [(_nilradical_planes("GL", 4, 5, 1), 4)]
     xs, ys = ([FpMatrix(5, 1, planes) for planes in
-               _combination_lanes(specs, 5, 1, stream_lanes(np.arange(4), label), 4)[0]]
+               _combination_lanes(runs, 5, 1, stream_lanes(np.arange(4), label), 4)[0]]
               for label in ("dynkin-x", "dynkin-y"))
     got = bch_dynkin(stack_of(xs), stack_of(ys), 4)
     assert all(got.lane(k) == bch_dynkin(x, y, 4) for k, (x, y) in enumerate(zip(xs, ys)))

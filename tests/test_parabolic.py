@@ -39,7 +39,7 @@ def compositions(total):
 def bracket_span_class(par):
     """Reference class: iterate Lie brackets of u_P with the current term
     of the lower central series until the span dies."""
-    basis = nilradical_basis(par)
+    basis = [FpMatrix(par.p, par.e, b) for b in nilradical_basis(par)]
     current = linalg.span_basis(basis)
     cls = 0
     while current:
@@ -71,13 +71,14 @@ class TestComposition:
 class TestNilradical:
     def test_full_group_is_empty(self):
         par = ParabolicGL(Composition((4,)), 3)
-        assert nilradical_basis(par) == []
+        assert nilradical_basis(par).shape == (0, 1, 4, 4)
 
     def test_two_one_blocks(self):
         par = ParabolicGL(Composition((2, 1)), 3)
         basis = nilradical_basis(par)
-        positions = {tuple(int(v) for v in divmod(int(b.planes[0].argmax()), 3)) for b in basis}
-        assert positions == {(0, 2), (1, 2)}
+        positions = [tuple(int(v) for v in divmod(int(b[0].argmax()), 3)) for b in basis]
+        assert positions == [(0, 2), (1, 2)]
+        assert not basis.flags.writeable
 
     def test_borel(self):
         par = ParabolicGL(Composition((1, 1, 1)), 3)
@@ -162,6 +163,16 @@ class TestEpsP:
         with pytest.raises(DomainError):
             eps_p(par, FpMatrix.from_rows(3, 1, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
 
+    def test_rejects_another_size_or_field_by_name(self):
+        par = ParabolicGL(Composition((2, 1)), 3)
+        for x, message in ((FpMatrix.zeros(3, 1, 4), "matrix is 4 x 4 but composition (2, 1) has n = 3"),
+                           (FpMatrix.zeros(3, 2, 3), "matrix is over F_3^2 but the parabolic is over F_3^1"),
+                           (FpMatrix.zeros(5, 1, 3), "matrix is over F_5^1 but the parabolic is over F_3^1")):
+            assert not in_nilradical(par, x)
+            with pytest.raises(ValueError) as err:
+                eps_p(par, x)
+            assert str(err.value) == message and not isinstance(err.value, DomainError)
+
     @pytest.mark.parametrize("p,blocks", [(2, (2, 1)), (3, (1, 1, 1)), (5, (2, 2, 1)), (3, (2, 2))])
     def test_bijective_on_samples(self, p, blocks):
         par = ParabolicGL(Composition(blocks), p)
@@ -225,11 +236,10 @@ class TestRandomPElement:
         par = ParabolicGL(Composition((2, 1, 2)), 3)
         g = random_p_element(par, 4)
         assert any(linalg.det(g))
-        mask = par.radical_support()
+        idx = par.block_index()
         for i in range(5):
             for j in range(5):
-                below_blocks = mask[j, i]
-                if below_blocks:
+                if idx[i] > idx[j]:  # below the diagonal blocks
                     assert not any(g.entry(i, j))
 
     def test_determinism(self):
