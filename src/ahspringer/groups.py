@@ -459,6 +459,17 @@ def nilpotent_lanes(specs, p: int, e: int, seeds) -> FpMatrix:
     return _nilpotent_draws(specs, p, e, stream_lanes(seeds, labels))
 
 
+def jordan_nilpotent_lanes(spec: GroupSpec, jordan_type: JordanType, p: int, e: int, seeds) -> FpMatrix:
+    """Seeded nilpotents of gl_n of one Jordan type, one lane per seed, for
+    GL or SL: lane l is g x0 g^-1, x0 the ``jordan_nilpotent`` of the type
+    and g an ``invertible_lanes`` matrix drawn from
+    stream(seeds[l], "nilpotent/<kind>/<n>/<p>/<e>/<partition>")."""
+    type_label = ",".join(map(str, jordan_type.partition))
+    states = stream_lanes(seeds, f"nilpotent/{spec.kind}/{spec.n}/{p}/{e}/{type_label}")
+    g = FpMatrix._wrap(p, e, spec.n, invertible_lanes(p, e, [spec.n] * len(states), states))
+    return g @ jordan_nilpotent(jordan_type, p, e) @ linalg.inv(g)
+
+
 _SAMPLE_CAP = 3000
 
 
@@ -485,7 +496,8 @@ def random_nilpotent(
     """Seeded nilpotent element of Lie(G), optionally of a given Jordan type.
 
     Deterministic for fixed arguments; "any" is one lane of
-    ``nilpotent_lanes``.
+    ``nilpotent_lanes``, a Jordan type in GL or SL one lane of
+    ``jordan_nilpotent_lanes``.
     """
     if jordan_type == "any":
         return nilpotent_lanes([spec], p, e, [seed]).lane(0)
@@ -493,12 +505,10 @@ def random_nilpotent(
         raise DomainError(
             f"Jordan type {jordan_type.partition} is not realizable in {spec.kind}_{spec.n}"
         )
+    if spec.kind in ("GL", "SL"):
+        return jordan_nilpotent_lanes(spec, jordan_type, p, e, [seed]).lane(0)
     type_label = ",".join(map(str, jordan_type.partition))
     st = stream(seed, f"nilpotent/{spec.kind}/{spec.n}/{p}/{e}/{type_label}")
-    if spec.kind in ("GL", "SL"):
-        x0 = jordan_nilpotent(jordan_type, p, e)
-        g = random_invertible(p, e, spec.n, st)
-        return g @ x0 @ linalg.inv(g)
     for _ in range(_SAMPLE_CAP):
         x = _on_stream(st, lambda states: _nilpotent_draws([spec], p, e, states)).lane(0)
         if jordan_type_of(x) == jordan_type:

@@ -11,6 +11,7 @@ case's witness is exactly the keyword inputs it passed to
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from itertools import groupby, product
@@ -33,9 +34,9 @@ from .groups import (
     enumerate_nilpotents,
     group_element_lanes,
     jordan_nilpotent,
+    jordan_nilpotent_lanes,
     nilpotent_lanes,
     nilpotent_order,
-    random_nilpotent,
     in_group,
     in_lie_algebra,
     unipotent_order_exponent,
@@ -48,7 +49,7 @@ from .parabolic import (
     radical_elements,
     restricted_compositions,
 )
-from .rng import stream, stream_lanes, u64_lanes
+from .rng import stream_lanes, u64_lanes
 from .series import ah_coeffs_mod_p, ah_inverse_coeffs, ah_rational_coeffs, series_mul
 from .witt import WittVector, witt_add, witt_from_integer, witt_neg, witt_order, witt_pow_p
 
@@ -165,10 +166,6 @@ class Report:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def _case_seed(base_seed: int, label: str, index: int) -> int:
-    return stream(base_seed, label, index).u64()
-
-
 def _trials(points, trials: int):
     """The lanes (p, spec, stream label, index) of ``trials`` cases at each
     grid point (p, kind, n, stream label), in grid order."""
@@ -180,7 +177,7 @@ def _trials(points, trials: int):
 
 def _nilpotents(cfg: SuiteConfig, lanes, e: int = 1, per_case: int = 1):
     """Seeded nilpotents of Lie(G) for lanes (p, spec, stream label, index):
-    a lane's case seed is _case_seed(cfg.seed, label, index), and its
+    a lane's case seed is stream(cfg.seed, label, index).u64(), and its
     nilpotent is drawn from that seed by ``groups.nilpotent_lanes``.
 
     The lanes of one p are yielded in order, in stacks of at most
@@ -227,30 +224,26 @@ def suite_witt_group(cfg: SuiteConfig, rec: Recorder) -> None:
             continue
         elements = _witt_elements(p, m)
         zero = WittVector.zero(p, m)
+        # the Cayley table: each sum is computed once and looked up after
+        add = {(u, v): witt_add(u, v) for u, v in product(elements, repeat=2)}
         for w in elements:
-            rec.check(witt_add(w, zero) == w, p=p, m=m, w=w)
-            rec.check(witt_add(w, witt_neg(w)) == zero, p=p, m=m, w=w)
+            rec.check(add[w, zero] == w, p=p, m=m, w=w)
+            rec.check(add[w, witt_neg(w)] == zero, p=p, m=m, w=w)
         for u, v in product(elements, repeat=2):
-            rec.check(witt_add(u, v) == witt_add(v, u), p=p, m=m, u=u, v=v)
+            rec.check(add[u, v] == add[v, u], p=p, m=m, u=u, v=v)
         for u, v, w in product(elements, repeat=3):
-            rec.check(
-                witt_add(witt_add(u, v), w) == witt_add(u, witt_add(v, w)),
-                p=p, m=m, u=u, v=v, w=w,
-            )
+            rec.check(add[add[u, v], w] == add[u, add[v, w]], p=p, m=m, u=u, v=v, w=w)
         # Z/p^m oracle: bijective and additive
         images = [witt_from_integer(p, m, k) for k in range(p ** m)]
         rec.check(len(set(images)) == p ** m, p=p, m=m, note="witt_from_integer is not injective")
         for a in range(p ** m):
             for b in range(p ** m):
-                rec.check(
-                    witt_add(images[a], images[b]) == images[(a + b) % p ** m],
-                    p=p, m=m, a=a, b=b,
-                )
+                rec.check(add[images[a], images[b]] == images[(a + b) % p ** m], p=p, m=m, a=a, b=b)
         # p-th power: repeated addition vs shifted Frobenius, plus order rule
         for w in elements:
             acc = zero
             for _ in range(p):
-                acc = witt_add(acc, w)
+                acc = add[acc, w]
             rec.check(acc == witt_pow_p(w), p=p, m=m, w=w)
             lead = next((i for i, a in enumerate(w.entries) if any(a)), None)
             expected = 1 if lead is None else p ** (m - lead)
@@ -271,10 +264,7 @@ def suite_witt_hom(cfg: SuiteConfig, rec: Recorder) -> None:
         elements = _witt_elements(p, m)
         embeds = {w: witt_embed(x, w) for w in elements}
         for u, v in product(elements, repeat=2):
-            rec.check(
-                witt_embed(x, witt_add(u, v)) == embeds[u] @ embeds[v],
-                p=p, n=x.n, m=m, X=x, u=u, v=v,
-            )
+            rec.check(embeds[witt_add(u, v)] == embeds[u] @ embeds[v], p=p, n=x.n, m=m, X=x, u=u, v=v)
         distinct = len({mat for mat in embeds.values()}) == len(elements)
         rec.check(distinct, p=p, n=x.n, m=m, note="embedding not injective")
 
@@ -512,6 +502,10 @@ def _p_nilpotent_type(n: int, p: int) -> JordanType:
 
 
 def suite_one_parameter(cfg: SuiteConfig, rec: Recorder) -> None:
+    """Case k draws X from the seed stream(seed, "one-parameter/<p>/<e>", k).u64().
+    The cases run in stacks of whole cases, at most LANE_BUDGET products
+    e_p(sX) e_p(tX) (and at least one case) each: e_p is evaluated once
+    on every lane (case, s) and the products in one batch."""
     for p in cfg.primes:
         if p > 5:
             continue
@@ -519,18 +513,28 @@ def suite_one_parameter(cfg: SuiteConfig, rec: Recorder) -> None:
             if e == 2 and p == 5:
                 continue  # F_25 grid is large and adds nothing new
             n = min(6, cfg.max_dim)
-            spec = GroupSpec("GL", n)
+            spec, jtype = GroupSpec("GL", n), _p_nilpotent_type(n, p)
             label = f"one-parameter/{p}/{e}"
             trials = cfg.trials_or(50 if e == 1 else 10)
-            for k in range(trials):
-                seed_k = _case_seed(cfg.seed, label, k)
-                x = random_nilpotent(spec, _p_nilpotent_type(n, p), seed_k, p, e=e)
-                rec.check(ah_exp(x) == truncated_exp(x), p=p, e=e, X=x)
-                exps = {s: ah_exp(x.scale(s)) for s in product(range(p), repeat=e)}
-                for s in exps:
-                    for t in exps:
-                        s_t = tuple((a + b) % p for a, b in zip(s, t))
-                        rec.check(exps[s_t] == exps[s] @ exps[t], p=p, e=e, X=x, s=s, t=t)
+            scalars = list(product(range(p), repeat=e))
+            sums = [[scalars.index(tuple((a + b) % p for a, b in zip(s, t))) for t in scalars]
+                    for s in scalars]
+            unit = scalars.index((1,) + (0,) * (e - 1))  # e_p(1 X) = e_p(X)
+            step = max(1, LANE_BUDGET // len(scalars) ** 2)
+            for lo in range(0, trials, step):
+                seeds = u64_lanes(stream_lanes(cfg.seed, label, np.arange(lo, min(trials, lo + step))))
+                x = jordan_nilpotent_lanes(spec, jtype, p, e, seeds)
+                sx = FpMatrix._wrap(p, e, n, np.stack([x.scale(s).planes for s in scalars], axis=1))
+                exps = ah_exp(sx).planes
+                agree = (truncated_exp(x).planes == exps[:, unit]).all(axis=(-3, -2, -1)).tolist()
+                prods = _mat_mul_planes(exps[:, :, None], exps[:, None], p, x._mod)
+                group = (prods == exps[:, sums]).all(axis=(-3, -2, -1)).tolist()
+                for i, ok in enumerate(agree):
+                    x_i = x.lane(i)
+                    rec.check(ok, p=p, e=e, X=x_i)
+                    for s, row in zip(scalars, group[i]):
+                        for t, ok_st in zip(scalars, row):
+                            rec.check(ok_st, p=p, e=e, X=x_i, s=s, t=t)
 
 
 def suite_equivariance(cfg: SuiteConfig, rec: Recorder) -> None:
@@ -621,7 +625,11 @@ def run_suite(cfg: SuiteConfig) -> Report:
         generated_at=datetime.now(timezone.utc).isoformat(),
     )
     if cfg.report_path:
-        with open(cfg.report_path, "w", encoding="utf-8") as fh:
+        # rewritten in place, then cut to length: truncating to zero first
+        # would free and reallocate every block of the old report
+        fd = os.open(cfg.report_path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(report.dumps())
             fh.write("\n")
+            fh.truncate()
     return report

@@ -34,13 +34,15 @@ GOLDEN = {
 }
 
 
+def golden_digest(name):
+    report = run_suite(SuiteConfig(seed=42, **GOLDEN[name][0])).to_json()
+    body = {k: v for k, v in report.items() if k != "generated_at"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_digest_is_pinned(name):
-    kwargs, digest = GOLDEN[name]
-    report = run_suite(SuiteConfig(seed=42, **kwargs)).to_json()
-    body = {k: v for k, v in report.items() if k != "generated_at"}
-    encoded = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-    assert hashlib.sha256(encoded).hexdigest() == digest
+    assert golden_digest(name) == GOLDEN[name][1]
 
 
 # Every check of `verify --suite all` at seed 42 (p in {2, 3, 5}, two trials,
@@ -50,7 +52,7 @@ def test_report_digest_is_pinned(name):
 FORCED_FAILURE_DIGEST = "f9d9740b68d8e79cbd2e4b94a4531af0e3949f93a4b6102b7ea3f483db12d59e"
 
 
-def test_forced_failure_witnesses_are_pinned(monkeypatch):
+def forced_failure_digest(monkeypatch):
     orig = Recorder.check
 
     def failing(self, ok, *args, **kwargs):
@@ -61,8 +63,21 @@ def test_forced_failure_witnesses_are_pinned(monkeypatch):
     report = run_suite(cfg).to_json()
     body = {k: v for k, v in report.items() if k != "generated_at"}
     assert sum(len(r["witnesses"]) for r in body["suites"]) == 7349
-    encoded = json.dumps(body, sort_keys=True).encode()
-    assert hashlib.sha256(encoded).hexdigest() == FORCED_FAILURE_DIGEST
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+def test_forced_failure_witnesses_are_pinned(monkeypatch):
+    assert forced_failure_digest(monkeypatch) == FORCED_FAILURE_DIGEST
+
+
+# one-parameter stacks whole cases of p^(2e) products each: budget 1 and 7
+# run one case per stack, 40 runs 1 to 10 cases (by p and e), and the
+# other suites split into stacks of 1, 7 or 40 lanes.
+@pytest.mark.parametrize("budget", [1, 7, 40])
+def test_fields_reports_do_not_depend_on_the_lane_budget(monkeypatch, budget):
+    monkeypatch.setattr(suites, "LANE_BUDGET", budget)
+    assert golden_digest("fields") == GOLDEN["fields"][1]
+    assert forced_failure_digest(monkeypatch) == FORCED_FAILURE_DIGEST
 
 
 # eps-parabolic alone at the default max_dim, so its n = 6 compositions

@@ -22,6 +22,7 @@ from ahspringer.groups import (
     in_group,
     in_lie_algebra,
     jordan_nilpotent,
+    jordan_nilpotent_lanes,
     jordan_type_of,
     lie_basis,
     nilpotency_degree,
@@ -357,6 +358,15 @@ def ref_group_element(spec, p, e, st):
     return g
 
 
+def ref_jordan_nilpotent(spec, jordan_type, p, e, seed):
+    """The per-object GL/SL branch of random_nilpotent that the lanes
+    replaced: g x0 g^-1 for the Jordan matrix x0 and the first invertible g
+    drawn, one matrix at a time, from the stream of the type."""
+    label = f"nilpotent/{spec.kind}/{spec.n}/{p}/{e}/{','.join(map(str, jordan_type.partition))}"
+    g = ref_group_element(GroupSpec("GL", spec.n), p, e, stream(seed, label))
+    return g @ jordan_nilpotent(jordan_type, p, e) @ linalg.inv(g)
+
+
 def every_group(p):
     """Each kind at every n = 2..8 it allows, SO/Sp only for odd p."""
     kinds = ("GL", "SL", "SO", "Sp") if p > 2 else ("GL", "SL")
@@ -405,6 +415,21 @@ class TestLaneSamplers:
             assert int(states[i]) == st.state
             if spec.kind == "SL":
                 assert linalg.det(want) == one
+
+    @pytest.mark.parametrize("e", [1, 2])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_jordan_nilpotent_lanes_are_the_per_object_draws(self, p, e):
+        seeds = [3000 + 11 * k for k in range(4)] + [-1, 2 ** 64 + 5]  # masked as stream masks
+        for kind, n in product(("GL", "SL"), (4, 5, 6)):
+            spec = GroupSpec(kind, n)
+            for parts in ((n,), (n - 2, 1, 1), (2,) * (n // 2) + (1,) * (n % 2)):
+                jtype = JordanType(parts)
+                x = jordan_nilpotent_lanes(spec, jtype, p, e, seeds)
+                assert x.planes.shape == (len(seeds), e, n, n)
+                for i, seed in enumerate(seeds):
+                    want = ref_jordan_nilpotent(spec, jtype, p, e, seed)
+                    assert x.lane(i) == want == random_nilpotent(spec, jtype, seed, p, e)
+                    assert jordan_type_of(want) == jtype and in_lie_algebra(spec, want)
 
     @pytest.mark.parametrize("p,e", [(2, 1), (3, 2), (5, 1), (7, 1)])
     def test_stacked_orders_are_the_single_matrix_orders(self, p, e):

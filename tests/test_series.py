@@ -7,6 +7,7 @@ prod_{gcd(n,p)=1} (1 - t^n)^(-mu(n)/n) expanded with exact binomial
 series.
 """
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -14,6 +15,7 @@ import pytest
 
 from ahspringer.series import (
     FpSeries,
+    RationalSeries,
     ah_coeffs_mod_p,
     ah_inverse_coeffs,
     ah_rational_coeffs,
@@ -249,3 +251,36 @@ def test_compose_requires_zero_constant():
         series_compose(FpSeries(3, [1, 1]), FpSeries(3, [1, 1]))
     with pytest.raises(ValueError):
         series_compose(FpSeries(3, [1, 1]), FpSeries(2, [0, 1]))
+
+
+def dense_product(a, b):
+    """Schoolbook product of coefficient lists, truncated to the shorter."""
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
+
+
+@pytest.mark.parametrize("a,b", [
+    ([Fraction(1, 3), 0, 2, 0, 0], [0, Fraction(-5, 7), 1]),  # unequal degrees, zero constant
+    ([0, 0, Fraction(3, 2), 0, 0, 0], [0, 1, 0, 0, Fraction(1, 9), 0, 0, 0]),  # trailing zeros
+    ([0, 0, 0], [1, 2, 3, 4]),
+    ([Fraction(2, 5)], [0, 1]),
+    ([1, -1, Fraction(1, 2), -Fraction(1, 6), Fraction(1, 24)], [1, 0, Fraction(1, 2), 0, Fraction(1, 8)]),
+])
+def test_sparse_product_is_the_dense_product(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert (RationalSeries(x) * RationalSeries(y)).coeffs == tuple(dense_product(x, y))
+
+
+# sha-256 of ",".join(map(str, C_0..C_60)), from the dense product
+RATIONAL_60 = {
+    2: "07e89b6fcba6f4824afe811a527fd26ebadd96844c82d1415b3d487452c8dd6f",
+    3: "86bb6a7226ca80cb862a19aa07ffa68aff8e3b124e703c17e817f8b01985768e",
+    5: "71cf86646abff15b5b5c823cc9ffdb7ebbd01d4098bf364b3928c5cd72035905",
+    7: "b4787bc0650530c3ae8831d563ddc67dff98e8340436856361ff9a2be7fa361c",
+}
+
+
+@pytest.mark.parametrize("p", sorted(RATIONAL_60))
+def test_rational_coefficients_to_degree_60_are_unchanged(p):
+    text = ",".join(map(str, ah_rational_coeffs(p, 60).coeffs))
+    assert hashlib.sha256(text.encode()).hexdigest() == RATIONAL_60[p]

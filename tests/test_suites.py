@@ -100,10 +100,21 @@ def test_trials_override_shrinks_case_counts():
     assert n_big == 2 * n_small
 
 
-def test_report_written_to_path(tmp_path):
+def test_report_rewrites_a_longer_file_in_place(tmp_path):
     path = tmp_path / "report.json"
+    path.write_text("x" * 100_000)
+    report = run_suite(SuiteConfig(suites=("witt-hom",), primes=(2,), seed=1, report_path=str(path)))
+    assert path.read_text(encoding="utf-8") == report.dumps() + "\n"  # no stale tail
+
+
+def test_report_written_to_path(tmp_path):
+    # a missing file is created by run_suite itself, without the CLI's check
+    path, control = tmp_path / "report.json", tmp_path / "control.json"
     cfg = SuiteConfig(suites=("witt-hom",), primes=(2,), seed=1, report_path=str(path))
-    run_suite(cfg)
+    report = run_suite(cfg)
+    assert path.read_text(encoding="utf-8") == report.dumps() + "\n"
+    control.write_text("")  # the permissions open(path, "w") gives a new file
+    assert path.stat().st_mode == control.stat().st_mode
     obj = json.loads(path.read_text())
     assert obj["version"] == 1
     assert obj["suites"][0]["name"] == "witt-hom"
@@ -139,9 +150,9 @@ def test_witnesses_serialize_complete_inputs(monkeypatch):
 
 
 
-# The lane-stacked verify-matrix suites and the stack source they share.
+# The lane-stacked suites and the stack source most of them share.
 STACKED = ("suite_frobenius_compat", "suite_order_preservation", "suite_commuting_pairs",
-           "suite_equivariance", "_nilpotents")
+           "suite_equivariance", "suite_one_parameter", "_nilpotents")
 PER_OBJECT_SAMPLERS = {"random_nilpotent", "random_group_element", "random_invertible",
                        "random_matrix", "_case_seed"}
 
@@ -171,3 +182,42 @@ def test_stacked_suites_call_no_per_object_sampler():
             single = [dotted(node.func) for node in ast.walk(loop) if isinstance(node, ast.Call)
                       and dotted(node.func) in ("linalg.inv", "linalg.det", "inv", "det")]
             assert single == [], (name, loop.lineno)
+
+
+# The witt suites look their sums and embeddings up in tables built once;
+# a table holds whatever the function returned, so a wrong value still fails.
+
+def encoded(w):
+    return {"p": w.p, "e": w.e, "m": w.m, "entries": w.to_json()}
+
+
+def test_witt_group_fails_on_a_sum_wrong_at_one_pair(monkeypatch):
+    from ahspringer.witt import WittVector, witt_add
+
+    u, v = WittVector.from_ints(2, 3, (1, 0, 1)), WittVector.from_ints(2, 3, (1, 1, 0))
+    wrong = WittVector.from_ints(2, 3, (0, 0, 1))
+    assert witt_add(u, v) != wrong
+
+    def add(a, b):  # wrong on (u, v) and (v, u) only, so still commutative
+        return wrong if {a, b} == {u, v} else witt_add(a, b)
+
+    monkeypatch.setattr(suites, "witt_add", add)
+    record = run_suite(SuiteConfig(suites=("witt-group",), primes=(2,))).suites[0]
+    assert record["failed"] > 0
+    assert any(w.get("u") == encoded(u) and w.get("v") == encoded(v) for w in record["witnesses"])
+    assert not any("v" in w and "w" not in w for w in record["witnesses"])  # commutativity holds
+
+
+def test_witt_hom_fails_on_an_embedding_wrong_at_one_element(monkeypatch):
+    from ahspringer.expmaps import witt_embed
+    from ahspringer.witt import WittVector
+
+    target = WittVector.from_ints(3, 2, (2, 1))
+
+    def embed(x, w):  # e(w)^2, which is e(2w), at target only
+        return witt_embed(x, w) @ witt_embed(x, w) if w == target else witt_embed(x, w)
+
+    monkeypatch.setattr(suites, "witt_embed", embed)
+    record = run_suite(SuiteConfig(suites=("witt-hom",), primes=(3,))).suites[0]
+    assert record["failed"] > 0
+    assert any(encoded(target) in (w.get("u"), w.get("v")) for w in record["witnesses"])
