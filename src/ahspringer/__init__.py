@@ -21,9 +21,9 @@ _SUBMODULE = {
         ),
         "matrices": ("FpMatrix", "load_matrix"),
         "groups": (
-            "CentralizerSpace", "GroupSpec", "JordanType", "centralizer_space", "in_group",
-            "in_lie_algebra", "jordan_nilpotent", "nilpotency_degree", "nilpotent_order",
-            "random_nilpotent", "unipotent_order_exponent",
+            "GroupSpec", "JordanType", "centralizer_space", "in_group", "in_lie_algebra",
+            "jordan_nilpotent", "nilpotency_degree", "nilpotent_order", "random_nilpotent",
+            "unipotent_order_exponent",
         ),
         "witt": (
             "WittVector", "witt_add", "witt_from_integer", "witt_neg", "witt_order",
@@ -35,7 +35,7 @@ _SUBMODULE = {
         ),
         "parabolic": (
             "Composition", "ParabolicGL", "eps_p", "is_restricted", "nilpotence_class",
-            "nilradical_basis", "random_p_element",
+            "nilradical_basis",
         ),
         "suites": ("Report", "SuiteConfig", "run_suite"),
     }.items()

@@ -204,7 +204,7 @@ def _cmd_verify(args) -> int:
     for record in report.suites:
         if record["cases"] == 0:
             skipped = True
-            print(f"SKIP {record['name']}: 0 cases (no grid point for the requested primes)")
+            print(f"SKIP {record['name']}: 0 cases (no grid point for the requested primes, kinds and --max-dim)")
             continue
         status = "PASS" if record["failed"] == 0 else "FAIL"
         print(f"{status} {record['name']}: {record['passed']}/{record['cases']} cases")

@@ -167,16 +167,6 @@ def _field_inv(a, p: int, mod):
     return tuple(x * norm_inv % p for x in conj)
 
 
-def inverse_coords(p: int, e: int, coords) -> tuple[int, ...]:
-    """Coordinates of 1/a for a in F_{p^e} given by reduced coordinates.
-
-    Raises ZeroDivisionError for a = 0.
-    """
-    if not any(coords):
-        raise ZeroDivisionError("inverse of zero in a finite field")
-    return tuple(int(x) for x in _field_inv(coords, p, field_modulus(p, e)))
-
-
 def inverse_mod(a: int, p: int) -> int:
     """Inverse of a mod prime p; raises ZeroDivisionError when p | a."""
     a %= p

@@ -13,10 +13,9 @@ nilradicals alike.
 The samplers draw many elements at once, one lane per (group, seed),
 from SplitMix64 lanes (``rng.stream_lanes``); a stack of groups of
 different n pads each lane to the largest, nilpotents as diag(X, 0) and
-group elements as diag(G, 1).  ``random_nilpotent``,
-``random_group_element``, ``random_invertible`` and ``random_matrix``
-are their one-lane views.  The order functions take a stack as well and
-return one value per lane.
+group elements as diag(G, 1).  ``random_nilpotent`` and
+``random_matrix`` are their one-lane views.  The order functions take a
+stack as well and return one value per lane.
 """
 
 from __future__ import annotations
@@ -236,20 +235,14 @@ def lie_basis(kind: str, n: int, p: int, e: int, support: tuple) -> np.ndarray:
     return basis
 
 
-@dataclass(frozen=True)
-class CentralizerSpace:
-    """A basis of { Z : ZA = AZ } inside the full matrix algebra."""
-
-    dimension: int
-    basis: tuple[FpMatrix, ...]
-
-
-def centralizer_space(a: FpMatrix) -> CentralizerSpace:
-    """The kernel of Z -> AZ - ZA on all n^2 matrix units, row-major."""
+def centralizer_space(a: FpMatrix) -> np.ndarray:
+    """Read-only planes (d, e, n, n) of a basis of { Z : ZA = AZ }: the
+    kernel of Z -> AZ - ZA on all n^2 matrix units, row-major."""
     units = np.eye(a.n * a.n, dtype=np.int64).reshape(-1, a.n, a.n)
     images = (a.planes @ units[:, None] - units[:, None] @ a.planes) % a.p
     planes = _kernel_span(units, images.reshape(len(units), a.e, -1), a.p, a.e)
-    return CentralizerSpace(len(planes), tuple(FpMatrix._wrap(a.p, a.e, a.n, z) for z in planes))
+    planes.flags.writeable = False
+    return planes
 
 
 def jordan_type_of(x: FpMatrix) -> JordanType:
@@ -281,12 +274,6 @@ def random_matrix(p: int, e: int, n: int, st: Stream) -> FpMatrix:
     """Seeded matrix with uniform entries: one lane of ``_matrix_lanes``."""
     planes = _on_stream(st, lambda states: _matrix_lanes(p, e, np.array([n]), states, n))
     return FpMatrix._wrap(p, e, n, planes[0, 0])
-
-
-def random_invertible(p: int, e: int, n: int, st: Stream) -> FpMatrix:
-    """Seeded uniform invertible matrix: one lane of ``invertible_lanes``."""
-    planes = _on_stream(st, lambda states: invertible_lanes(p, e, [n], states))
-    return FpMatrix._wrap(p, e, n, planes[0])
 
 
 def _matrix_lanes(p: int, e: int, sizes: np.ndarray, states: np.ndarray, size: int,
@@ -416,12 +403,6 @@ def group_element_lanes(specs, p: int, e: int, states: np.ndarray) -> FpMatrix:
         exps = ah_exp(FpMatrix._wrap(p, e, size, np.stack(combos)))
         g[forms] = (exps.lane(0) @ exps.lane(1) @ exps.lane(2)).planes
     return FpMatrix._wrap(p, e, size, g)
-
-
-def random_group_element(spec: GroupSpec, p: int, e: int, st: Stream) -> FpMatrix:
-    """A pseudo-random element of G(F_{p^e}): one lane of
-    ``group_element_lanes``."""
-    return _on_stream(st, lambda states: group_element_lanes([spec], p, e, states)).lane(0)
 
 
 def _nilpotent_draws(specs, p: int, e: int, states: np.ndarray) -> FpMatrix:

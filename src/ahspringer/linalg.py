@@ -137,19 +137,3 @@ def inv(m: FpMatrix) -> FpMatrix:
     if not ok.all():
         raise ZeroDivisionError("matrix is not invertible")
     return FpMatrix._wrap(m.p, m.e, m.n, planes)
-
-
-def rank(m: FpMatrix) -> int:
-    return rank_planes(m.planes, p=m.p, e=m.e)
-
-
-def span_basis(mats):
-    """Reduce a list of matrices to a basis of their span (rref rows)."""
-    mats = list(mats)
-    if not mats:
-        return []
-    first = mats[0]
-    p, e, n = first.p, first.e, first.n
-    stacked = np.stack([m.planes.reshape(e, n * n) for m in mats], axis=1)
-    r_mat, pivots = rref_planes(stacked, p, e)
-    return [FpMatrix(p, e, r_mat[:, i, :].reshape(e, n, n)) for i in range(len(pivots))]

@@ -11,9 +11,9 @@ bijection u_P -> U_P, and that is what eps_P computes.
 
 The samplers draw many elements at once, one lane per (parabolic, seed),
 from SplitMix64 lanes (``rng.stream_lanes``), and u_P elements through
-``groups._combination_lanes``; ``random_p_element`` and
-``random_radical_element`` are their one-lane views.  ``eps_p`` and
-``in_nilradical`` take a stack with one parabolic per lane.
+``groups._combination_lanes``; ``p_elements([par], [seed]).lane(0)`` is
+one element.  ``eps_p`` and ``in_nilradical`` take a stack with one
+parabolic per lane.
 """
 
 from __future__ import annotations
@@ -197,17 +197,6 @@ def radical_elements(pars, seeds, index=0) -> FpMatrix:
     p, e, n = _field_of(pars)
     states = stream_lanes(seeds, _lane_labels(pars, "radical"), index)
     return FpMatrix._wrap(p, e, n, _radical_draws(pars, states))
-
-
-def random_p_element(par: ParabolicGL, seed: int) -> FpMatrix:
-    """Seeded invertible block-upper-triangular matrix in P: one lane of
-    ``p_elements``."""
-    return p_elements([par], [seed]).lane(0)
-
-
-def random_radical_element(par: ParabolicGL, seed: int, index: int = 0) -> FpMatrix:
-    """Seeded element of u_P: one lane of ``radical_elements``."""
-    return radical_elements([par], [seed], index).lane(0)
 
 
 def restricted_compositions(n: int, p: int):

@@ -329,8 +329,8 @@ def test_verify_suites_without_cases_skip_and_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert out.splitlines()[:2] == [
-        "SKIP commuting-pairs: 0 cases (no grid point for the requested primes)",
-        "SKIP frobenius-compat: 0 cases (no grid point for the requested primes)",
+        "SKIP commuting-pairs: 0 cases (no grid point for the requested primes, kinds and --max-dim)",
+        "SKIP frobenius-compat: 0 cases (no grid point for the requested primes, kinds and --max-dim)",
     ]
     assert "PASS" not in out
     obj = json.loads(report_path.read_text())
@@ -346,8 +346,18 @@ def test_verify_mixed_pass_and_skip_exits_2(capsys):
     assert code == 2
     assert out.splitlines() == [
         "PASS ah-integrality: 69/69 cases",
-        "SKIP frobenius-compat: 0 cases (no grid point for the requested primes)",
+        "SKIP frobenius-compat: 0 cases (no grid point for the requested primes, kinds and --max-dim)",
     ]
+
+
+def test_verify_skip_names_kinds_and_max_dim(capsys):
+    # p = 3 has SO points from n = 3 on, so --max-dim 2 emptied the grid, not --p
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "frobenius-compat", "--kinds", "SO", "--max-dim", "2",
+        "--p", "3", "--trials", "1",
+    )
+    assert (code, out) == (
+        2, "SKIP frobenius-compat: 0 cases (no grid point for the requested primes, kinds and --max-dim)\n")
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -26,7 +26,7 @@ from ahspringer.groups import (
     unipotent_order_exponent,
 )
 from ahspringer.matrices import FpMatrix
-from ahspringer.parabolic import Composition, ParabolicGL, random_radical_element
+from ahspringer.parabolic import Composition, ParabolicGL, radical_elements
 from ahspringer.series import ah_inverse_coeffs
 from ahspringer.witt import WittVector, witt_add
 
@@ -221,8 +221,8 @@ class TestBch:
             par = ParabolicGL(Composition((1, 1, 1)), p)
             half = inverse_mod(2, p)
             for k in range(50):
-                x = random_radical_element(par, 7000 + k, 0)
-                y = random_radical_element(par, 7000 + k, 1)
+                x = radical_elements([par], [7000 + k], 0).lane(0)
+                y = radical_elements([par], [7000 + k], 1).lane(0)
                 comm = x @ y - y @ x
                 assert bch(x, y) == x + y + comm.scale(half)
                 assert bch_dynkin(x, y, 2) == x + y + comm.scale(half)
@@ -252,15 +252,15 @@ class TestBchDynkin:
         # Borel nilradical of GL_p: class p - 1, both routes are exact
         par = ParabolicGL(Composition((1,) * p), p)
         for k in range(100):
-            x = random_radical_element(par, 8000 + k, 0)
-            y = random_radical_element(par, 8000 + k, 1)
+            x = radical_elements([par], [8000 + k], 0).lane(0)
+            y = radical_elements([par], [8000 + k], 1).lane(0)
             assert bch(x, y) == bch_dynkin(x, y, p - 1)
 
     def test_leaves_no_reference_cycle(self):
         # a cycle would keep the bracket stacks alive until a collection,
         # so the memory of a stacked suite would grow with its lane count
         par = ParabolicGL(Composition((1,) * 5), 5)
-        x, y = random_radical_element(par, 1, 0), random_radical_element(par, 1, 1)
+        x, y = radical_elements([par], [1], 0).lane(0), radical_elements([par], [1], 1).lane(0)
         gc.collect()
         gc.disable()
         try:

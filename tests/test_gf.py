@@ -13,12 +13,12 @@ import pytest
 
 import ahspringer
 from ahspringer.gf import (
+    _field_inv,
     _field_mul,
     _field_pow,
     _frobenius,
     check_prime,
     field_modulus,
-    inverse_coords,
     inverse_mod,
     is_prime,
     quadratic_modulus,
@@ -36,6 +36,10 @@ def mul(a, b, p):
 
 def power(a, k, p):
     return _field_pow(a, k, p, field_modulus(p, len(a)))
+
+
+def inv(a, p):
+    return tuple(int(x) for x in _field_inv(a, p, field_modulus(p, len(a))))
 
 
 def add(a, b, p):
@@ -69,7 +73,7 @@ def test_field_axioms_exhaustive(p, e):
         assert mul(a, one, p) == a
         assert mul(a, zero, p) == zero
         if any(a):
-            assert mul(a, inverse_coords(p, e, a), p) == one
+            assert mul(a, inv(a, p), p) == one
     for a in elements:
         for b in elements:
             assert mul(a, b, p) == mul(b, a, p)
@@ -93,10 +97,6 @@ def test_frobenius_is_field_automorphism_fixing_prime_field(p, e):
 
 
 def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        inverse_coords(3, 1, (0,))
-    with pytest.raises(ZeroDivisionError):
-        inverse_coords(3, 2, (0, 0))
     with pytest.raises(ZeroDivisionError):
         inverse_mod(0, 5)
 
@@ -183,7 +183,7 @@ def _check_against_companion(a, b, p, exponents):
         assert _rep(power(a, k, p), p) == _mat_pow(_rep(a, p), k, p)
     if any(a):
         identity = ((1, 0), (0, 1))
-        a_inv = inverse_coords(p, 2, a)
+        a_inv = inv(a, p)
         assert _mat_mul(_rep(a_inv, p), _rep(a, p), p) == identity
         assert _mat_mul(_rep(power(a_inv, 3, p), p), _mat_pow(_rep(a, p), 3, p), p) == identity
 

@@ -84,7 +84,7 @@ def test_every_public_name_is_its_defining_modules_attribute():
 
 
 def test_public_names_are_listed_once():
-    assert len(set(ahspringer.__all__)) == len(ahspringer.__all__) == 44
+    assert len(set(ahspringer.__all__)) == len(ahspringer.__all__) == 42
 
 
 def test_star_import_binds_every_public_name():
