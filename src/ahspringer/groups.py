@@ -14,8 +14,8 @@ The samplers draw many elements at once, one lane per (group, seed),
 from SplitMix64 lanes (``rng.stream_lanes``); a stack of groups of
 different n pads each lane to the largest, nilpotents as diag(X, 0) and
 group elements as diag(G, 1).  ``random_nilpotent`` and
-``random_matrix`` are their one-lane views.  The order functions take a
-stack as well and return one value per lane.
+``random_matrix`` are their one-lane views.  The order and membership
+functions take a stack as well and return one value per lane.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ def nilpotent_powers(x: FpMatrix, limit: int | None = None,
 
 
 def _per_lane(values: np.ndarray):
-    """An int for a single matrix, an int array (one per lane) for a stack."""
-    return int(values) if values.ndim == 0 else values
+    """An int or bool for a single matrix, an array (one per lane) for a stack."""
+    return values.item() if values.ndim == 0 else values
 
 
 def nilpotency_degree(x: FpMatrix):
@@ -175,19 +175,19 @@ def _unipotent_inverse(u: FpMatrix) -> FpMatrix:
     return FpMatrix._wrap(u.p, u.e, u.n, powers.sum(axis=0) % u.p)
 
 
-def in_group(spec: GroupSpec, g: FpMatrix) -> bool:
+def in_group(spec: GroupSpec, g: FpMatrix):
+    """Whether g lies in G, per lane for a stack."""
     if g.n != spec.n:
         raise ValueError("matrix dimension does not match group")
     form = spec.form_for(g.p, g.e)
-    one = (1,) + (0,) * (g.e - 1)
-    if spec.kind == "GL":
-        return any(linalg.det(g))
-    if spec.kind == "SL":
-        return linalg.det(g) == one
-    preserves = (g.transpose() @ form @ g) == form
-    if spec.kind == "SO":
-        return preserves and linalg.det(g) == one
-    return preserves
+    ok = np.ones(g.planes.shape[:-3], dtype=bool)
+    if form is not None:
+        ok &= (g.transpose() @ form @ g).lanes_equal(form)
+    if spec.kind != "Sp":
+        det = linalg.det_planes(g.planes, g.p, g.e)
+        # GL: det != 0; SL and SO: det = 1, the coordinates (1, 0, ...)
+        ok &= det.any(axis=-1) if spec.kind == "GL" else (det[..., 0] == 1) & ~det[..., 1:].any(axis=-1)
+    return _per_lane(ok)
 
 
 def _lie_residual(spec: GroupSpec, planes: np.ndarray, p: int) -> np.ndarray:
@@ -203,10 +203,11 @@ def _lie_residual(spec: GroupSpec, planes: np.ndarray, p: int) -> np.ndarray:
     return planes[..., :0, 0]
 
 
-def in_lie_algebra(spec: GroupSpec, x: FpMatrix) -> bool:
+def in_lie_algebra(spec: GroupSpec, x: FpMatrix):
+    """Whether x lies in Lie(G), per lane for a stack."""
     if x.n != spec.n:
         raise ValueError("matrix dimension does not match group")
-    return not _lie_residual(spec, x.planes, x.p).any()
+    return _per_lane(~_lie_residual(spec, x.planes, x.p).any(axis=(-2, -1)))
 
 
 def _kernel_span(units: np.ndarray, images: np.ndarray, p: int, e: int) -> np.ndarray:

@@ -73,9 +73,9 @@ class FpMatrix:
         object.__setattr__(m, "planes", planes)
         return m
 
-    def lane(self, i: int, n: int | None = None) -> "FpMatrix":
+    def lane(self, i: int | list[int], n: int | None = None) -> "FpMatrix":
         """Matrix i of a stack, or its leading n x n block (a lane padded
-        to the stack's size)."""
+        to the stack's size); a stack of them for a list of indices i."""
         if n is None or n == self.n:
             return FpMatrix._wrap(self.p, self.e, self.n, self.planes[i])
         return FpMatrix._wrap(self.p, self.e, n, np.ascontiguousarray(self.planes[i, :, :n, :n]))
@@ -193,7 +193,7 @@ class FpMatrix:
         )
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix._wrap(self.p, self.e, self.n, self.planes.transpose(0, 2, 1).copy())
+        return FpMatrix._wrap(self.p, self.e, self.n, self.planes.swapaxes(-1, -2).copy())
 
     def trace(self) -> tuple[int, ...]:
         return tuple(int(x) % self.p for x in np.trace(self.planes, axis1=1, axis2=2))

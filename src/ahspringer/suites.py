@@ -3,9 +3,11 @@
 Every suite checks one claim about the exponential maps, Witt groups, or
 series, over a deterministic grid of cases.  Case randomness is derived
 from (seed, suite name, case index) through the SplitMix64 streams in
-``rng``, so identical configs reproduce identical reports; a failing
-case's witness is exactly the keyword inputs it passed to
-``Recorder.check``, so it can be replayed standalone.
+``rng``, so identical configs reproduce identical reports.  A failing
+case's witness is exactly its keyword inputs, so it can be replayed
+standalone: a scalar suite passes them to ``Recorder.check`` with each
+case, and a stacked suite, which records a whole verdict array with
+``Recorder.check_lanes``, builds them for its failing cases only.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from .expmaps import (
     truncated_exp,
     witt_embed,
 )
-from .gf import check_prime, scalar_to_json
+from .gf import check_prime, inverse_mod, scalar_to_json
 from .groups import (
     GroupSpec,
     JordanType,
+    _nilpotent_draws,
     centralizer_space,
     enumerate_nilpotents,
     group_element_lanes,
@@ -135,14 +138,22 @@ class Recorder:
     passed: int = 0
     witnesses: list[dict] = field(default_factory=list)
 
-    def check(self, ok: bool, **inputs) -> bool:
+    def check(self, ok: bool, **inputs) -> None:
         """Count one case; a failing case keeps its encoded inputs as its witness."""
         self.cases += 1
         if ok:
             self.passed += 1
         else:
             self.witnesses.append({k: _encode(v) for k, v in inputs.items()})
-        return ok
+
+    def check_lanes(self, ok: np.ndarray, witness) -> None:
+        """Count a verdict array of any shape, case k at its row-major index k;
+        witness(k) gives the keyword inputs of a failing case k, and is called
+        for the failing cases only, in order."""
+        self.cases += ok.size
+        self.passed += int(ok.sum())
+        for k in np.flatnonzero(~ok).tolist():
+            self.witnesses.append({name: _encode(v) for name, v in witness(k).items()})
 
     def to_json(self) -> dict:
         return dict(asdict(self), failed=len(self.witnesses))
@@ -291,16 +302,14 @@ def suite_frobenius_compat(cfg: SuiteConfig, rec: Recorder) -> None:
     points = _group_grid(cfg, "frobenius-compat", min(8, cfg.max_dim))
     for p, specs, _, x in _nilpotents(cfg, _trials(points, cfg.trials_or(100))):
         ok = ah_exp(x ** p).lanes_equal(ah_exp(x) ** p)
-        for i, spec in enumerate(specs):
-            rec.check(bool(ok[i]), p=p, kind=spec.kind, X=x.lane(i, spec.n))
+        rec.check_lanes(ok, lambda i: dict(p=p, kind=specs[i].kind, X=x.lane(i, specs[i].n)))
 
 
 def suite_order_preservation(cfg: SuiteConfig, rec: Recorder) -> None:
     points = _group_grid(cfg, "order-preservation", min(8, cfg.max_dim))
     for p, specs, _, x in _nilpotents(cfg, _trials(points, cfg.trials_or(100))):
         ok = unipotent_order_exponent(ah_exp(x)) == nilpotent_order(x)
-        for i, spec in enumerate(specs):
-            rec.check(bool(ok[i]), p=p, kind=spec.kind, X=x.lane(i, spec.n))
+        rec.check_lanes(ok, lambda i: dict(p=p, kind=specs[i].kind, X=x.lane(i, specs[i].n)))
 
 
 def suite_form_preservation(cfg: SuiteConfig, rec: Recorder) -> None:
@@ -310,11 +319,12 @@ def suite_form_preservation(cfg: SuiteConfig, rec: Recorder) -> None:
         for kind, n in (("Sp", 4), ("Sp", 6), ("SO", 5), ("SO", 7))
     )
     for p, specs, _, x in _nilpotents(cfg, _trials(points, cfg.trials_or(100))):
-        u = ah_exp(x)
-        for i, spec in enumerate(specs):
-            x_i = x.lane(i, spec.n)
-            ok = in_lie_algebra(spec, x_i) and in_group(spec, u.lane(i, spec.n))
-            rec.check(ok, p=p, kind=spec.kind, n=spec.n, X=x_i)
+        u, ok = ah_exp(x), np.zeros(len(specs), dtype=bool)
+        for spec in dict.fromkeys(specs):  # each spec's lanes at once, cut to its n
+            idx = [i for i, s in enumerate(specs) if s == spec]
+            ok[idx] = in_lie_algebra(spec, x.lane(idx, spec.n)) & in_group(spec, u.lane(idx, spec.n))
+        rec.check_lanes(ok, lambda i: dict(p=p, kind=specs[i].kind, n=specs[i].n,
+                                           X=x.lane(i, specs[i].n)))
     if 3 in cfg.primes:
         rec.check(
             _find_truncation_counterexample(cfg.seed) is not None,
@@ -325,31 +335,24 @@ def suite_form_preservation(cfg: SuiteConfig, rec: Recorder) -> None:
 def _find_truncation_counterexample(seed: int):
     """Search sp_6(F_3) for X with X^3 != 0 where 1 + X + X^2/2 breaks the
     form but the Artin-Hasse exponential preserves it."""
-    from .groups import _nilpotent_draws
-    from .gf import inverse_mod
-
     spec = GroupSpec("Sp", 6)
-    form = spec.form_for(3, 1)
     ident = FpMatrix.identity(3, 1, 6)
     half = inverse_mod(2, 3)
     for k in range(NEGATIVE_CONTROL_CAP):
         states = stream_lanes(seed, "form-preservation/negative-control", k)
         x = _nilpotent_draws([spec], 3, 1, states).lane(0)
-        if (x @ x @ x).is_zero():
+        if (x @ x @ x).is_zero() or in_group(spec, ident + x + (x @ x).scale(half)):
             continue
-        naive = ident + x + (x @ x).scale(half)
-        if (naive.transpose() @ form @ naive) == form:
-            continue
-        u = ah_exp(x)
-        if (u.transpose() @ form @ u) == form:
+        if in_group(spec, ah_exp(x)):
             return x
     return None
 
 
 def suite_eps_parabolic(cfg: SuiteConfig, rec: Recorder) -> None:
     """Each property runs on stacks, one lane per (parabolic, trial); the
-    cases are recorded parabolic by parabolic, property by property, with
-    the samples of one case at a time.  A stack holds as many whole
+    cases are recorded parabolic by parabolic, property by property, as
+    each stack's slice of verdicts for that parabolic, with the samples of
+    its failing cases as witnesses.  A stack holds as many whole
     parabolics as fit in LANE_BUDGET lanes; a parabolic whose trials do
     not fit runs alone, each property in chunks of LANE_BUDGET trials
     recorded as they finish, so memory does not grow with the trials."""
@@ -367,13 +370,12 @@ def suite_eps_parabolic(cfg: SuiteConfig, rec: Recorder) -> None:
                 if len(group) > 1:  # each stack serves every parabolic of the group
                     runs = [list(chunks) for chunks in runs]
                 for i, par in enumerate(group):
-                    base = {"p": p, "comp": list(par.comp.blocks)}
                     for chunks in runs:
                         for ok, inputs in chunks:
-                            width = len(ok) // len(group)
-                            for k in range(i * width, (i + 1) * width):
-                                witness = {name: v.lane(k) for name, v in inputs.items()}
-                                rec.check(bool(ok[k]), **base, **witness)
+                            width = len(ok) // len(group)  # lanes per parabolic
+                            rec.check_lanes(ok[i * width:(i + 1) * width], lambda k: dict(
+                                p=p, comp=list(par.comp.blocks),
+                                **{name: v.lane(i * width + k) for name, v in inputs.items()}))
 
 
 def _eps_chunks(cfg: SuiteConfig, pars: list, prop: str, count: int, check):
@@ -447,26 +449,26 @@ def suite_commuting_pairs(cfg: SuiteConfig, rec: Recorder) -> None:
     for p, n in grids:
         if p not in cfg.primes:
             continue
-        nilpotents = list(enumerate_nilpotents(p, n))
-        xs = FpMatrix._wrap(p, 1, n, np.stack([x.planes for x in nilpotents]))
+        xs = FpMatrix._wrap(p, 1, n, np.stack([x.planes for x in enumerate_nilpotents(p, n)]))
         agree = _commuting_grid(xs.planes, p) == _commuting_grid(ah_exp(xs).planes, p)
-        for x, row in zip(nilpotents, agree.tolist()):
-            for y, ok in zip(nilpotents, row):
-                rec.check(ok, p=p, n=n, X=x, Y=y)
+        rec.check_lanes(agree, lambda k: dict(p=p, n=n, X=xs.lane(k // len(agree)),
+                                              Y=xs.lane(k % len(agree))))
     # seeded pairs in gl_4(F_3): case k is the lanes 2k (X) and 2k + 1 (Y)
     points = [(3, "GL", 4, "commuting-pairs/3/4")] if 3 in cfg.primes else []
     for _, specs, _, z in _nilpotents(cfg, _trials(points, 2 * cfg.trials_or(10_000)), per_case=2):
         x, y, u, v = (FpMatrix._wrap(3, 1, 4, m.planes[k::2]) for m in (z, ah_exp(z)) for k in (0, 1))
         ok = (x @ y).lanes_equal(y @ x) == (u @ v).lanes_equal(v @ u)
-        for i in range(len(specs) // 2):
-            rec.check(bool(ok[i]), p=3, n=4, X=x.lane(i), Y=y.lane(i))
+        rec.check_lanes(ok, lambda i: dict(p=3, n=4, X=x.lane(i), Y=y.lane(i)))
 
 
-def _commutes(basis: np.ndarray, m: FpMatrix) -> bool:
-    """Whether every matrix of a basis (d, e, n, n) commutes with m: one
-    stacked product per side."""
-    zs = FpMatrix._wrap(m.p, m.e, m.n, basis)
-    return bool((zs @ m).lanes_equal(m @ zs).all())
+def _same_centralizer(x: FpMatrix, u: FpMatrix) -> bool:
+    """Whether x and u have equal centralizers: bases of one dimension, each
+    commuting with the other matrix, from one stacked product per side."""
+    cx, cu = centralizer_space(x), centralizer_space(u)
+    zs = FpMatrix._wrap(x.p, x.e, x.n, np.concatenate([cx, cu]))
+    ms = FpMatrix._wrap(x.p, x.e, x.n, np.concatenate([np.broadcast_to(u.planes, cx.shape),
+                                                       np.broadcast_to(x.planes, cu.shape)]))
+    return len(cx) == len(cu) and bool((zs @ ms).lanes_equal(ms @ zs).all())
 
 
 def suite_centralizer_equality(cfg: SuiteConfig, rec: Recorder) -> None:
@@ -477,11 +479,9 @@ def suite_centralizer_equality(cfg: SuiteConfig, rec: Recorder) -> None:
     )
     for p, specs, _, xs in _nilpotents(cfg, _trials(points, cfg.trials_or(50))):
         us = ah_exp(xs)
-        for i, spec in enumerate(specs):
-            x, u = xs.lane(i, spec.n), us.lane(i, spec.n)
-            cx, cu = centralizer_space(x), centralizer_space(u)
-            ok = len(cx) == len(cu) and _commutes(cx, u) and _commutes(cu, x)
-            rec.check(ok, p=p, n=spec.n, X=x)
+        ok = np.array([_same_centralizer(xs.lane(i, spec.n), us.lane(i, spec.n))
+                       for i, spec in enumerate(specs)])
+        rec.check_lanes(ok, lambda i: dict(p=p, n=specs[i].n, X=xs.lane(i, specs[i].n)))
 
 
 def suite_frobenius_descent(cfg: SuiteConfig, rec: Recorder) -> None:
@@ -493,8 +493,7 @@ def suite_frobenius_descent(cfg: SuiteConfig, rec: Recorder) -> None:
         lanes = ((p, specs[k % len(specs)], f"frobenius-descent/{p}", k) for k in range(trials))
         for _, lane_specs, _, x in _nilpotents(cfg, lanes, e=2):
             ok = ah_exp(x.frobenius_entries()).lanes_equal(ah_exp(x).frobenius_entries())
-            for i, spec in enumerate(lane_specs):
-                rec.check(bool(ok[i]), p=p, n=spec.n, X=x.lane(i, spec.n))
+            rec.check_lanes(ok, lambda i: dict(p=p, n=lane_specs[i].n, X=x.lane(i, lane_specs[i].n)))
 
 
 def _p_nilpotent_type(n: int, p: int) -> JordanType:
@@ -524,21 +523,20 @@ def suite_one_parameter(cfg: SuiteConfig, rec: Recorder) -> None:
             sums = [[scalars.index(tuple((a + b) % p for a, b in zip(s, t))) for t in scalars]
                     for s in scalars]
             unit = scalars.index((1,) + (0,) * (e - 1))  # e_p(1 X) = e_p(X)
+            # a case's verdicts: e_p(X) = exp(X), then each product (s, t)
+            inputs = [{}] + [{"s": s, "t": t} for s, t in product(scalars, repeat=2)]
             step = max(1, LANE_BUDGET // len(scalars) ** 2)
             for lo in range(0, trials, step):
                 seeds = u64_lanes(stream_lanes(cfg.seed, label, np.arange(lo, min(trials, lo + step))))
                 x = jordan_nilpotent_lanes(spec, jtype, p, e, seeds)
                 sx = FpMatrix._wrap(p, e, n, np.stack([x.scale(s).planes for s in scalars], axis=1))
                 exps = ah_exp(sx).planes
-                agree = (truncated_exp(x).planes == exps[:, unit]).all(axis=(-3, -2, -1)).tolist()
+                agree = (truncated_exp(x).planes == exps[:, unit]).all(axis=(-3, -2, -1))
                 prods = _mat_mul_planes(exps[:, :, None], exps[:, None], p, x._mod)
-                group = (prods == exps[:, sums]).all(axis=(-3, -2, -1)).tolist()
-                for i, ok in enumerate(agree):
-                    x_i = x.lane(i)
-                    rec.check(ok, p=p, e=e, X=x_i)
-                    for s, row in zip(scalars, group[i]):
-                        for t, ok_st in zip(scalars, row):
-                            rec.check(ok_st, p=p, e=e, X=x_i, s=s, t=t)
+                group = (prods == exps[:, sums]).all(axis=(-3, -2, -1))
+                ok = np.concatenate([agree[:, None], group.reshape(len(agree), -1)], axis=1)
+                rec.check_lanes(ok, lambda k: dict(p=p, e=e, X=x.lane(k // len(inputs)),
+                                                   **inputs[k % len(inputs)]))
 
 
 def suite_equivariance(cfg: SuiteConfig, rec: Recorder) -> None:
@@ -548,8 +546,8 @@ def suite_equivariance(cfg: SuiteConfig, rec: Recorder) -> None:
         g = group_element_lanes(specs, p, 1, stream_lanes(seeds, "conjugator"))
         ginv = linalg.inv(g)
         ok = ah_exp(g @ x @ ginv).lanes_equal(g @ ah_exp(x) @ ginv)
-        for i, spec in enumerate(specs):
-            rec.check(bool(ok[i]), p=p, kind=spec.kind, g=g.lane(i, spec.n), X=x.lane(i, spec.n))
+        rec.check_lanes(ok, lambda i: dict(p=p, kind=specs[i].kind, g=g.lane(i, specs[i].n),
+                                           X=x.lane(i, specs[i].n)))
 
 
 SUITES: dict[str, tuple[str, object]] = {

@@ -11,6 +11,7 @@ CHANGES.md.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from ahspringer import suites
@@ -45,6 +46,25 @@ def test_report_digest_is_pinned(name):
     assert golden_digest(name) == GOLDEN[name][1]
 
 
+def force_failures(monkeypatch):
+    """Record every case as failing, through both recording paths: the
+    scalar suites' `check` and the stacked suites' `check_lanes`."""
+    check, check_lanes = Recorder.check, Recorder.check_lanes
+    monkeypatch.setattr(Recorder, "check", lambda self, ok, **inputs: check(self, False, **inputs))
+    monkeypatch.setattr(Recorder, "check_lanes", lambda self, ok, witness: check_lanes(
+        self, np.zeros(ok.shape, dtype=bool), witness))
+
+
+def failure_digest(monkeypatch, witnesses, **config):
+    """SHA-256 of a seed-42 report with every case failing, without its
+    `generated_at`, after checking its witness count."""
+    force_failures(monkeypatch)
+    report = run_suite(SuiteConfig(seed=42, **config)).to_json()
+    body = {k: v for k, v in report.items() if k != "generated_at"}
+    assert sum(len(r["witnesses"]) for r in body["suites"]) == witnesses
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
 # Every check of `verify --suite all` at seed 42 (p in {2, 3, 5}, two trials,
 # dimensions up to 5) recorded as failing: 7,349 witnesses.  Passing reports
 # carry no witnesses, so only this digest pins the witness encoding and the
@@ -53,17 +73,7 @@ FORCED_FAILURE_DIGEST = "f9d9740b68d8e79cbd2e4b94a4531af0e3949f93a4b6102b7ea3f48
 
 
 def forced_failure_digest(monkeypatch):
-    orig = Recorder.check
-
-    def failing(self, ok, *args, **kwargs):
-        return orig(self, False, *args, **kwargs)
-
-    monkeypatch.setattr(Recorder, "check", failing)
-    cfg = SuiteConfig(suites=("all",), primes=(2, 3, 5), trials=2, max_dim=5, seed=42)
-    report = run_suite(cfg).to_json()
-    body = {k: v for k, v in report.items() if k != "generated_at"}
-    assert sum(len(r["witnesses"]) for r in body["suites"]) == 7349
-    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    return failure_digest(monkeypatch, 7349, suites=("all",), primes=(2, 3, 5), trials=2, max_dim=5)
 
 
 def test_forced_failure_witnesses_are_pinned(monkeypatch):
@@ -86,57 +96,38 @@ def test_fields_reports_do_not_depend_on_the_lane_budget(monkeypatch, budget):
 EPS_PARABOLIC_FAILURE_DIGEST = "8f7e683f35340645cf62a3e53f2221bbee25aafdfa05e8806fdbe106d8ada9b1"
 
 
-def eps_parabolic_failure_body(monkeypatch):
-    orig = Recorder.check
-
-    def failing(self, ok, *args, **kwargs):
-        return orig(self, False, *args, **kwargs)
-
-    monkeypatch.setattr(Recorder, "check", failing)
-    cfg = SuiteConfig(suites=("eps-parabolic",), primes=(2, 3, 5), trials=2, seed=42)
-    report = run_suite(cfg).to_json()
-    return {k: v for k, v in report.items() if k != "generated_at"}
+def eps_parabolic_failure_digest(monkeypatch):
+    return failure_digest(monkeypatch, 1049, suites=("eps-parabolic",), primes=(2, 3, 5), trials=2)
 
 
 def test_eps_parabolic_witnesses_through_n6_are_pinned(monkeypatch):
-    body = eps_parabolic_failure_body(monkeypatch)
-    assert sum(len(r["witnesses"]) for r in body["suites"]) == 1049
-    encoded = json.dumps(body, sort_keys=True).encode()
-    assert hashlib.sha256(encoded).hexdigest() == EPS_PARABOLIC_FAILURE_DIGEST
+    assert eps_parabolic_failure_digest(monkeypatch) == EPS_PARABOLIC_FAILURE_DIGEST
 
 
 # Budget 1 runs every parabolic alone, each property in one-trial chunks;
-# budget 3 runs every parabolic alone in one chunk per property.
-@pytest.mark.parametrize("budget", [1, 3])
+# budget 3 runs every parabolic alone in one chunk per property; budget 7
+# stacks three parabolics of two trials each, so each chunk's verdicts are
+# sliced per parabolic (and "tangent" runs one lane per parabolic).
+@pytest.mark.parametrize("budget", [1, 3, 7])
 def test_eps_parabolic_witnesses_do_not_depend_on_the_lane_budget(monkeypatch, budget):
     monkeypatch.setattr(suites, "LANE_BUDGET", budget)
-    body = eps_parabolic_failure_body(monkeypatch)
-    assert sum(len(r["witnesses"]) for r in body["suites"]) == 1049
-    encoded = json.dumps(body, sort_keys=True).encode()
-    assert hashlib.sha256(encoded).hexdigest() == EPS_PARABOLIC_FAILURE_DIGEST
+    assert eps_parabolic_failure_digest(monkeypatch) == EPS_PARABOLIC_FAILURE_DIGEST
 
 
 # The four verify-matrix suites at the default max_dim 8, so the n = 6..8
 # grid points and their padded stack lanes are pinned too: every one of
 # their 4,515 seed-42 checks recorded as failing.  Computed with the
 # per-object samplers, before these suites ran on stacks.  Budget 1 splits
-# every stack into one-case chunks (two lanes for a commuting pair).
+# every stack into one-case chunks (two lanes for a commuting pair);
+# budget 7 cuts stacks of seven lanes, so a grid point of two trials can
+# straddle two stacks.
 MATRIX_FAILURE_DIGEST = "a577d289e4dfd38a415c02fdb64492fe1941a1fc5dd323d37004223e396e7a27"
 
 
-@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("budget", [None, 1, 7])
 def test_verify_matrix_witnesses_through_n8_are_pinned(monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(suites, "LANE_BUDGET", budget)
-    orig = Recorder.check
-
-    def failing(self, ok, *args, **kwargs):
-        return orig(self, False, *args, **kwargs)
-
-    monkeypatch.setattr(Recorder, "check", failing)
-    cfg = SuiteConfig(suites=GOLDEN["matrix"][0]["suites"], primes=(2, 3, 5), trials=2, seed=42)
-    report = run_suite(cfg).to_json()
-    body = {k: v for k, v in report.items() if k != "generated_at"}
-    assert sum(len(r["witnesses"]) for r in body["suites"]) == 4515
-    encoded = json.dumps(body, sort_keys=True).encode()
-    assert hashlib.sha256(encoded).hexdigest() == MATRIX_FAILURE_DIGEST
+    digest = failure_digest(monkeypatch, 4515, suites=GOLDEN["matrix"][0]["suites"],
+                            primes=(2, 3, 5), trials=2)
+    assert digest == MATRIX_FAILURE_DIGEST

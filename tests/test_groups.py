@@ -155,6 +155,28 @@ class TestMembership:
             g = group_element_lanes([spec], p, 1, states).lane(0)
             assert in_lie_algebra(spec, g @ x @ linalg.inv(g))
 
+    @pytest.mark.parametrize("kind,n,p,e", [("GL", 4, 3, 1), ("SL", 3, 3, 2), ("SO", 5, 3, 1),
+                                            ("Sp", 4, 5, 1)])
+    def test_stacked_membership_is_membership_per_lane(self, kind, n, p, e):
+        # three members, then zero, diag(2, 1, ...) and the swap of the first
+        # and last basis vectors: in GL, but with det 2 or -1 (the swap keeps
+        # the SO form) and moving the SO/Sp form
+        spec, unit = GroupSpec(kind, n), np.zeros((e, n, n), dtype=np.int64)
+        unit[0, 0, 0] = 1
+        ident = FpMatrix.identity(p, e, n).planes
+        swap = ident[:, [n - 1, *range(1, n - 1), 0]]
+        members = group_element_lanes([spec] * 3, p, e, stream_lanes([33, 34, 35], "stacked")).planes
+        groups = FpMatrix._wrap(p, e, n, np.concatenate([members, [0 * ident, ident + unit, swap]]))
+        lies = FpMatrix._wrap(p, e, n, np.concatenate([
+            nilpotent_lanes([spec] * 3, p, e, np.arange(3, dtype=np.uint64)).planes, [unit, ident]]))
+        linear = kind == "GL"
+        for test, stack, want in (
+                (in_group, groups, [True] * 3 + [False, linear, linear]),
+                (in_lie_algebra, lies, [True] * 3 + [linear, linear or (kind == "SL" and n % p == 0)])):
+            each = [test(spec, stack.lane(i)) for i in range(len(want))]
+            assert all(type(v) is bool for v in each)
+            assert test(spec, stack).tolist() == each == want
+
 
 class TestCentralizer:
     def test_zero_matrix_full_space(self):

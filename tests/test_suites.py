@@ -4,6 +4,7 @@ import ast
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ahspringer import suites
@@ -62,6 +63,29 @@ def test_recorder_counts_and_witnesses():
     assert record["failed"] == 1
     assert record["witnesses"] == [{"input": 7}]
     assert record["passed"] + record["failed"] == record["cases"]
+
+
+def test_check_lanes_counts_row_major_and_witnesses_only_failures():
+    rec = Recorder("demo", "anchor")
+    ok = np.array([[True, False, True], [False, True, True]])
+    asked = []
+
+    def witness(k):
+        asked.append(k)
+        assert not ok.flat[k], k  # never asked for a passing case
+        return {"k": k, "row": k // 3}
+
+    rec.check_lanes(ok, witness)
+    record = rec.to_json()
+    assert (record["cases"], record["passed"], record["failed"]) == (6, 4, 2)
+    assert asked == [1, 3]
+    assert record["witnesses"] == [{"k": 1, "row": 0}, {"k": 3, "row": 1}]
+
+
+def test_check_lanes_on_no_verdicts_adds_no_case():
+    rec = Recorder("demo", "anchor")
+    rec.check_lanes(np.zeros((0, 4), dtype=bool), lambda k: pytest.fail("no case to witness"))
+    assert (rec.cases, rec.passed, rec.witnesses) == (0, 0, [])
 
 
 def test_run_suite_record_schema_and_report():
@@ -152,36 +176,57 @@ def test_witnesses_serialize_complete_inputs(monkeypatch):
 
 # The lane-stacked suites and the stack source most of them share.
 STACKED = ("suite_frobenius_compat", "suite_order_preservation", "suite_commuting_pairs",
-           "suite_equivariance", "suite_one_parameter", "_nilpotents")
+           "suite_equivariance", "suite_one_parameter", "suite_eps_parabolic",
+           "suite_frobenius_descent", "_nilpotents")
 PER_OBJECT_SAMPLERS = {"random_nilpotent", "random_group_element", "random_invertible",
                        "random_matrix", "_case_seed"}
+
+
+LOOPS = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def suite_functions():
+    tree = ast.parse(Path(suites.__file__).read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def dotted(node):
+    if isinstance(node, ast.Attribute):
+        return f"{dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def calls(node, names):
+    return [dotted(call.func) for call in ast.walk(node)
+            if isinstance(call, ast.Call) and dotted(call.func) in names]
 
 
 def test_stacked_suites_call_no_per_object_sampler():
     # they draw whole stacks, and invert or take determinants once per stack:
     # never inside a loop other than the one over the stacks of _nilpotents
-    tree = ast.parse(Path(suites.__file__).read_text())
-    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-
-    def dotted(node):
-        if isinstance(node, ast.Attribute):
-            return f"{dotted(node.value)}.{node.attr}"
-        return node.id if isinstance(node, ast.Name) else ""
-
+    funcs = suite_functions()
     for name in STACKED:
         fn = funcs[name]
         used = {dotted(node).split(".")[-1] for node in ast.walk(fn)
                 if isinstance(node, (ast.Name, ast.Attribute))}
         assert not used & PER_OBJECT_SAMPLERS, name
-        loops = (node for node in ast.walk(fn) if isinstance(node, (
-            ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)))
-        for loop in loops:
+        for loop in (node for node in ast.walk(fn) if isinstance(node, LOOPS)):
             if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call) \
                     and dotted(loop.iter.func) == "_nilpotents":
                 continue
-            single = [dotted(node.func) for node in ast.walk(loop) if isinstance(node, ast.Call)
-                      and dotted(node.func) in ("linalg.inv", "linalg.det", "inv", "det")]
-            assert single == [], (name, loop.lineno)
+            assert calls(loop, ("linalg.inv", "linalg.det", "inv", "det")) == [], (name, loop.lineno)
+
+
+def test_stacked_suites_record_through_check_lanes():
+    # Recorder.check counts one case per call: only the scalar suites call
+    # it, and form-preservation for its negative control, outside any loop
+    funcs = suite_functions()
+    callers = {name for name, fn in funcs.items() if calls(fn, ("rec.check",))}
+    assert callers == {"suite_ah_integrality", "suite_witt_group", "suite_witt_hom",
+                       "suite_form_preservation"}
+    for name in STACKED + ("suite_form_preservation", "suite_centralizer_equality"):
+        for loop in (node for node in ast.walk(funcs[name]) if isinstance(node, LOOPS)):
+            assert calls(loop, ("rec.check",)) == [], (name, loop.lineno)
 
 
 # The witt suites look their sums and embeddings up in tables built once;
@@ -221,3 +266,25 @@ def test_witt_hom_fails_on_an_embedding_wrong_at_one_element(monkeypatch):
     record = run_suite(SuiteConfig(suites=("witt-hom",), primes=(3,))).suites[0]
     assert record["failed"] > 0
     assert any(encoded(target) in (w.get("u"), w.get("v")) for w in record["witnesses"])
+
+
+# eps-parabolic stacks several parabolics, then records each one's slice of
+# the verdicts: a property broken on one parabolic only must fail there, with
+# the witnesses a parabolic run alone (budget 1) gives.
+@pytest.mark.parametrize("budget", [7, 512])
+def test_eps_parabolic_records_each_parabolic_its_own_verdicts(monkeypatch, budget):
+    target, restrict = (2, 1), suites._EPS_CHECKS["restrict"]
+
+    def broken(lanes, seeds):
+        ok, inputs = restrict(lanes, seeds)
+        return ok & np.array([par.comp.blocks != target for par in lanes]), inputs
+
+    monkeypatch.setitem(suites._EPS_CHECKS, "restrict", broken)
+    cfg = SuiteConfig(suites=("eps-parabolic",), primes=(3,), max_dim=4, trials=2, seed=42)
+    records = {}
+    for lanes in (1, budget):
+        monkeypatch.setattr(suites, "LANE_BUDGET", lanes)
+        records[lanes] = run_suite(cfg).suites[0]
+    assert records[budget] == records[1]
+    assert records[1]["failed"] == 2
+    assert all(w["p"] == 3 and w["comp"] == list(target) for w in records[1]["witnesses"])
