@@ -216,6 +216,8 @@ def _kernel_span(units: np.ndarray, images: np.ndarray, p: int, e: int) -> np.nd
     unit's image: the package's one null-space solve."""
     k, n = units.shape[0], units.shape[-1]
     conditions = images[:, :, images.any(axis=(0, 1))]  # a zero row holds for every unit
+    if not conditions.size:  # no condition, as for GL: the kernel is every unit
+        return units[:, None] * np.eye(e, 1, dtype=np.int64)[:, :, None]
     vecs = linalg.null_space_planes(conditions.transpose(1, 2, 0), p, e)
     return (vecs @ units.reshape(k, n * n)).reshape(len(vecs), e, n, n)
 
@@ -314,7 +316,8 @@ def invertible_lanes(p: int, e: int, sizes, states: np.ndarray) -> np.ndarray:
     sizes = np.asarray(sizes)
     size = max(int(sizes.max(initial=0)), 1)
     planes = np.zeros((len(sizes), e, size, size), dtype=np.int64)
-    todo = np.arange(len(sizes))
+    planes[:, 0] = np.eye(size, dtype=np.int64)
+    todo = np.flatnonzero(sizes)  # a 0 x 0 matrix draws nothing and stays 1
     while todo.size:
         start = states[todo]
         cands = _matrix_lanes(p, e, sizes[todo], start.copy(), size, _CANDIDATES)

@@ -124,12 +124,6 @@ def inv_planes(planes, p, e):
     return np.where(ok[..., None, None, None], r_mat[..., n:], 0), ok
 
 
-def det(m: FpMatrix) -> tuple[int, ...]:
-    """Determinant coordinates from the pivots of the elimination, exact over
-    the field."""
-    return tuple(int(x) for x in det_planes(m.planes, m.p, m.e))
-
-
 def inv(m: FpMatrix) -> FpMatrix:
     """Matrix inverse, lane by lane for a stack; raises ZeroDivisionError
     when a matrix is singular."""

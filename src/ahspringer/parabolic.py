@@ -13,7 +13,9 @@ The samplers draw many elements at once, one lane per (parabolic, seed),
 from SplitMix64 lanes (``rng.stream_lanes``), and u_P elements through
 ``groups._combination_lanes``; ``p_elements([par], [seed]).lane(0)`` is
 one element.  ``eps_p`` and ``in_nilradical`` take a stack with one
-parabolic per lane.
+parabolic per lane.  The parabolics of a stack may differ in n: as in
+``groups``, each lane is padded to the largest, u_P elements as
+diag(X, 0) and P-elements as diag(G, 1); ``lane(i, pars[i].n)`` crops.
 """
 
 from __future__ import annotations
@@ -93,20 +95,24 @@ def nilradical_basis(par: ParabolicGL) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _support_mask(par: ParabolicGL) -> np.ndarray:
-    """Boolean (n, n) mask of the block-upper positions, from the basis."""
-    mask = nilradical_basis(par).any(axis=(0, 1))
+def _support_mask(par: ParabolicGL, size: int) -> np.ndarray:
+    """Boolean (size, size) mask of the block-upper positions, from the
+    basis, padded by False beyond n."""
+    mask = np.zeros((size, size), dtype=bool)
+    mask[:par.n, :par.n] = nilradical_basis(par).any(axis=(0, 1))
     mask.flags.writeable = False
     return mask
 
 
 def _lane_support(par) -> np.ndarray:
     """The support mask (n, n) of one parabolic, or (B, n, n) of a
-    sequence of B parabolics (one per lane) over one field."""
+    sequence of B parabolics (one per lane) over one field, padded to the
+    largest n."""
+    n = _field_of(par)[2]
     if isinstance(par, ParabolicGL):
-        return _support_mask(par)
+        return _support_mask(par, n)
     runs = _runs(par)
-    return np.repeat(np.stack([_support_mask(q) for q, _ in runs]), [k for _, k in runs], axis=0)
+    return np.repeat(np.stack([_support_mask(q, n) for q, _ in runs]), [k for _, k in runs], axis=0)
 
 
 def _lane_labels(pars, prefix: str) -> list[str]:
@@ -114,13 +120,16 @@ def _lane_labels(pars, prefix: str) -> list[str]:
 
 
 def _field_of(par):
-    q = par if isinstance(par, ParabolicGL) else par[0]
+    """(p, e, n) of a parabolic, or of a lane list with n its largest."""
+    pars = [par] if isinstance(par, ParabolicGL) else [q for q, _ in _runs(par)]
+    q = max(pars, key=lambda q: q.n)
     return q.p, q.e, q.n
 
 
 def in_nilradical(par, x: FpMatrix) -> bool:
     """Whether x lies in u_P; for a stack x, par holds each lane's parabolic
-    and the answer is whether every lane lies in its own."""
+    and the answer is whether every lane lies in its own, padded as
+    diag(X, 0)."""
     if (x.p, x.e, x.n) != _field_of(par):
         return False
     return not (x.planes * ~_lane_support(par)[..., None, :, :]).any()
@@ -141,11 +150,12 @@ def eps_p(par, x: FpMatrix) -> FpMatrix:
 
     Elements of u_P satisfy x^p = 0 (the class bound gives x^r = 0 with
     r <= p), so the truncated exponential applies exactly.  For a stack
-    x, par holds one parabolic per lane.  A matrix over another field or
-    of another size raises ValueError.
+    x, par holds one parabolic per lane, x is padded to the largest n as
+    diag(X, 0) and the result as diag(eps_P(X), 1).  A matrix over
+    another field or of another size raises ValueError.
     """
     pars = [par] if isinstance(par, ParabolicGL) else [q for q, _ in _runs(par)]
-    q = pars[0]
+    q = max(pars, key=lambda q: q.n)
     if (x.p, x.e) != (q.p, q.e):
         raise ValueError(f"matrix is over F_{x.p}^{x.e} but the parabolic is over F_{q.p}^{q.e}")
     if x.n != q.n:
@@ -167,7 +177,8 @@ def _radical_draws(pars, states: np.ndarray) -> np.ndarray:
 
 
 def p_elements(pars, seeds) -> FpMatrix:
-    """Seeded invertible block-upper-triangular matrices, lane i in P_i.
+    """Seeded invertible block-upper-triangular matrices, lane i in P_i
+    and padded to diag(G, 1) at the largest n.
 
     Lane i draws from stream(seeds[i], "p-element/<blocks>/<p>/<e>"):
     first each diagonal block, in block order, as a uniform invertible
@@ -178,8 +189,9 @@ def p_elements(pars, seeds) -> FpMatrix:
     states = stream_lanes(seeds, _lane_labels(pars, "p-element"))
     runs = _runs(pars)
     lengths = [k for _, k in runs]
-    index = np.repeat([q.block_index() for q, _ in runs], lengths, axis=0)
+    index = np.repeat([q.block_index() + (-1,) * (n - q.n) for q, _ in runs], lengths, axis=0)
     planes = np.zeros((len(pars), e, n, n), dtype=np.int64)
+    planes[:, 0, range(n), range(n)] = index < 0
     for b in range(max(len(q.comp.blocks) for q, _ in runs)):
         sizes = np.repeat([q.comp.blocks[b] if b < len(q.comp.blocks) else 0 for q, _ in runs], lengths)
         g = invertible_lanes(p, e, sizes, states)
@@ -192,7 +204,8 @@ def p_elements(pars, seeds) -> FpMatrix:
 
 
 def radical_elements(pars, seeds, index=0) -> FpMatrix:
-    """Seeded elements of u_P, lane i in the nilradical of P_i, drawn from
+    """Seeded elements of u_P, lane i in the nilradical of P_i and padded
+    to diag(X, 0) at the largest n, drawn from
     stream(seeds[i], "radical/<blocks>/<p>/<e>", index)."""
     p, e, n = _field_of(pars)
     states = stream_lanes(seeds, _lane_labels(pars, "radical"), index)

@@ -33,13 +33,13 @@ from .groups import (
     GroupSpec,
     JordanType,
     _nilpotent_draws,
-    centralizer_space,
     enumerate_nilpotents,
     group_element_lanes,
     jordan_nilpotent,
     jordan_nilpotent_lanes,
     nilpotent_lanes,
     nilpotent_order,
+    nilpotent_powers,
     in_group,
     in_lie_algebra,
     unipotent_order_exponent,
@@ -353,29 +353,31 @@ def suite_eps_parabolic(cfg: SuiteConfig, rec: Recorder) -> None:
     cases are recorded parabolic by parabolic, property by property, as
     each stack's slice of verdicts for that parabolic, with the samples of
     its failing cases as witnesses.  A stack holds as many whole
-    parabolics as fit in LANE_BUDGET lanes; a parabolic whose trials do
-    not fit runs alone, each property in chunks of LANE_BUDGET trials
-    recorded as they finish, so memory does not grow with the trials."""
+    parabolics of one p as fit in LANE_BUDGET lanes, of mixed n, each lane
+    padded to the largest n and its witnesses cropped to its own.  A
+    parabolic whose trials do not fit runs alone, each property in chunks
+    of LANE_BUDGET trials recorded as they finish, so memory does not grow
+    with the trials."""
     trials = cfg.trials_or(100)
+    step = max(1, LANE_BUDGET // trials)
     for p in cfg.primes:
         if p > 5:
             continue
         checks = [(prop, fn) for prop, fn in _EPS_CHECKS.items() if p >= 3 or prop != "dynkin"]
-        for n in range(2, min(6, cfg.max_dim) + 1):
-            pars = [ParabolicGL(comp, p) for comp in restricted_compositions(n, p)]
-            step = max(1, LANE_BUDGET // trials)
-            for group in (pars[i:i + step] for i in range(0, len(pars), step)):
-                runs = [_eps_chunks(cfg, group, prop, 1 if prop == "tangent" else trials, fn)
-                        for prop, fn in checks]
-                if len(group) > 1:  # each stack serves every parabolic of the group
-                    runs = [list(chunks) for chunks in runs]
-                for i, par in enumerate(group):
-                    for chunks in runs:
-                        for ok, inputs in chunks:
-                            width = len(ok) // len(group)  # lanes per parabolic
-                            rec.check_lanes(ok[i * width:(i + 1) * width], lambda k: dict(
-                                p=p, comp=list(par.comp.blocks),
-                                **{name: v.lane(i * width + k) for name, v in inputs.items()}))
+        pars = [ParabolicGL(comp, p) for n in range(2, min(6, cfg.max_dim) + 1)
+                for comp in restricted_compositions(n, p)]
+        for group in (pars[i:i + step] for i in range(0, len(pars), step)):
+            runs = [_eps_chunks(cfg, group, prop, 1 if prop == "tangent" else trials, fn)
+                    for prop, fn in checks]
+            if len(group) > 1:  # each stack serves every parabolic of the group
+                runs = [list(chunks) for chunks in runs]
+            for i, par in enumerate(group):
+                for chunks in runs:
+                    for ok, inputs in chunks:
+                        width = len(ok) // len(group)  # lanes per parabolic
+                        rec.check_lanes(ok[i * width:(i + 1) * width], lambda k: dict(
+                            p=p, comp=list(par.comp.blocks),
+                            **{name: v.lane(i * width + k, par.n) for name, v in inputs.items()}))
 
 
 def _eps_chunks(cfg: SuiteConfig, pars: list, prop: str, count: int, check):
@@ -415,12 +417,12 @@ def _eps_tangent(lanes, seeds):
     # of degree < p in s, so its constant term is eps_P(0) and its linear
     # coefficient is -sum_{s in F_p} s^(p-2) eps_P(sX), because
     # sum_{s in F_p} s^k is -1 when p - 1 divides k > 0 and 0 otherwise
-    # (0^0 = 1, which p = 2 needs); lane by lane, one parabolic per lane
+    # (0^0 = 1, which p = 2 needs); every s on one stack (s, lane)
     x = radical_elements(lanes, seeds, 0)
-    p = x.p
-    values = [eps_p(lanes, x.scale(s)) for s in range(p)]
-    linear = -sum(pow(s, p - 2, p) * v.planes for s, v in enumerate(values)) % p
-    ok = values[0].lanes_equal(FpMatrix.identity(p, x.e, x.n))
+    p, s = x.p, np.arange(x.p)
+    values = eps_p(lanes, FpMatrix._wrap(p, x.e, x.n, s[:, None, None, None, None] * x.planes % p)).planes
+    linear = -np.tensordot([pow(k, p - 2, p) for k in range(p)], values, axes=1) % p
+    ok = (values[0] == FpMatrix.identity(p, x.e, x.n).planes).all(axis=(-3, -2, -1))
     return ok & (linear == x.planes).all(axis=(-3, -2, -1)), {"X": x}
 
 
@@ -461,14 +463,23 @@ def suite_commuting_pairs(cfg: SuiteConfig, rec: Recorder) -> None:
         rec.check_lanes(ok, lambda i: dict(p=3, n=4, X=x.lane(i), Y=y.lane(i)))
 
 
-def _same_centralizer(x: FpMatrix, u: FpMatrix) -> bool:
-    """Whether x and u have equal centralizers: bases of one dimension, each
-    commuting with the other matrix, from one stacked product per side."""
-    cx, cu = centralizer_space(x), centralizer_space(u)
-    zs = FpMatrix._wrap(x.p, x.e, x.n, np.concatenate([cx, cu]))
-    ms = FpMatrix._wrap(x.p, x.e, x.n, np.concatenate([np.broadcast_to(u.planes, cx.shape),
-                                                       np.broadcast_to(x.planes, cu.shape)]))
-    return len(cx) == len(cu) and bool((zs @ ms).lanes_equal(ms @ zs).all())
+def _centralizers_equal(x: FpMatrix, u: FpMatrix) -> np.ndarray:
+    """Whether nilpotent x and unipotent u have one centralizer, per lane.
+
+    By the double-centralizer theorem C(C(A)) = F[A] over any field, that
+    is F[x] = F[u]: u - 1 lies in the span of x, x^2, ... and x in that of
+    u - 1, (u - 1)^2, ... (both nilpotent, so with no constant term, and a
+    lane padded to diag(., 0) keeps its verdict).  One elimination of the
+    columns [powers | target] decides both: no pivot in the target column.
+    """
+    y = u - FpMatrix.identity(u.p, u.e, u.n)
+    powers = [nilpotent_powers(a)[1:] for a in (x, y)]
+    d = max(map(len, powers))
+    system = np.zeros((2, d + 1) + x.planes.shape, dtype=np.int64)
+    for side, (power, target) in enumerate(zip(powers, (y, x))):
+        system[side, :len(power)], system[side, d] = power, target.planes
+    columns = np.moveaxis(system.reshape(system.shape[:-2] + (-1,)), 1, -1)
+    return ~linalg._eliminate(columns, x.p, x.e)[1][..., d].any(axis=0)
 
 
 def suite_centralizer_equality(cfg: SuiteConfig, rec: Recorder) -> None:
@@ -478,9 +489,7 @@ def suite_centralizer_equality(cfg: SuiteConfig, rec: Recorder) -> None:
         for n in range(2, min(6, cfg.max_dim) + 1)
     )
     for p, specs, _, xs in _nilpotents(cfg, _trials(points, cfg.trials_or(50))):
-        us = ah_exp(xs)
-        ok = np.array([_same_centralizer(xs.lane(i, spec.n), us.lane(i, spec.n))
-                       for i, spec in enumerate(specs)])
+        ok = _centralizers_equal(xs, ah_exp(xs))
         rec.check_lanes(ok, lambda i: dict(p=p, n=specs[i].n, X=xs.lane(i, specs[i].n)))
 
 

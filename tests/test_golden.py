@@ -1,11 +1,11 @@
 """Golden digests of seeded verify reports.
 
-Each config is one part of `verify --suite all` at seed 42; the pinned
-value is the SHA-256 of its report without the `generated_at` field, as
-produced by the per-object code these kernels replaced.  A change that
-draws different samples, reorders cases or alters a witness changes the
-digest; re-pin only when the report is meant to change, and say so in
-CHANGES.md.
+Each config is one part of `verify --suite all` at seed 42, or a held-out
+seed; the pinned value is the SHA-256 of its report without the
+`generated_at` field, as produced by the code these kernels replaced.  A
+change that draws different samples, reorders cases or alters a witness
+changes the digest; re-pin only when the report is meant to change, and
+say so in CHANGES.md.
 """
 
 import hashlib
@@ -27,6 +27,12 @@ GOLDEN = {
         dict(suites=("eps-parabolic", "centralizer-equality"), primes=(2, 3, 5), trials=2),
         "386f5bbaaa8966a26bba9ef99cd9201c679cf5cc0063a77dbd96c3c48e83b7d4",
     ),
+    # held-out seed, ten trials: eps-parabolic stacks 51 parabolics, across
+    # n boundaries, computed before its stacks mixed n
+    "structure-301": (
+        dict(suites=("eps-parabolic", "centralizer-equality"), primes=(2, 3, 5), trials=10, seed=301),
+        "51ab9195aab483b6e00c7b814c8cc421d38b45ac75c561b89a50981d0be4db3e",
+    ),
     "fields": (
         dict(suites=("ah-integrality", "witt-group", "witt-hom", "one-parameter",
                      "frobenius-descent", "form-preservation"), trials=10),
@@ -36,7 +42,7 @@ GOLDEN = {
 
 
 def golden_digest(name):
-    report = run_suite(SuiteConfig(seed=42, **GOLDEN[name][0])).to_json()
+    report = run_suite(SuiteConfig(**{"seed": 42, **GOLDEN[name][0]})).to_json()
     body = {k: v for k, v in report.items() if k != "generated_at"}
     return hashlib.sha256(json.dumps(body, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
@@ -112,6 +118,14 @@ def test_eps_parabolic_witnesses_through_n6_are_pinned(monkeypatch):
 def test_eps_parabolic_witnesses_do_not_depend_on_the_lane_budget(monkeypatch, budget):
     monkeypatch.setattr(suites, "LANE_BUDGET", budget)
     assert eps_parabolic_failure_digest(monkeypatch) == EPS_PARABOLIC_FAILURE_DIGEST
+
+
+# At ten trials, budget 64 stacks six parabolics and budget 7 runs each alone
+# in chunks of seven trials.
+@pytest.mark.parametrize("budget", [7, 64])
+def test_held_out_structure_report_does_not_depend_on_the_lane_budget(monkeypatch, budget):
+    monkeypatch.setattr(suites, "LANE_BUDGET", budget)
+    assert golden_digest("structure-301") == GOLDEN["structure-301"][1]
 
 
 # The four verify-matrix suites at the default max_dim 8, so the n = 6..8

@@ -251,7 +251,7 @@ class TestEpsP:
             assert truncated_log(u) == x
             assert ah_exp(x) == u
         g = p_element(par, 5)
-        assert any(linalg.det(g))
+        assert linalg.det_planes(g.planes, g.p, g.e).any()
         x = radical_element(par, 861, 0)
         ginv = linalg.inv(g)
         assert eps_p(par, g @ x @ ginv) == g @ eps_p(par, x) @ ginv
@@ -261,7 +261,7 @@ class TestRandomPElement:
     def test_postconditions(self):
         par = ParabolicGL(Composition((2, 1, 2)), 3)
         g = p_element(par, 4)
-        assert any(linalg.det(g))
+        assert linalg.det_planes(g.planes, g.p, g.e).any()
         idx = par.block_index()
         for i in range(5):
             for j in range(5):
@@ -368,3 +368,55 @@ class TestLaneSamplers:
         assert not in_nilradical(pars, y)
         with pytest.raises(DomainError):
             eps_p(pars, y)
+
+
+class TestMixedStacks:
+    """One lane list of parabolics of n = 2..6, interleaved so that runs of
+    every n sit side by side: each lane is padded to n = 6, and cropped back
+    it is that parabolic's own single-n result."""
+
+    @staticmethod
+    def lanes(p, e):
+        by_n = [[ParabolicGL(comp, p, e) for comp in restricted_compositions(n, p)] for n in range(2, 7)]
+        mixed = [pars[i] for i in range(max(map(len, by_n))) for pars in by_n if i < len(pars)]
+        return [par for par in mixed for _ in range(2)]
+
+    @staticmethod
+    def assert_padding(planes, n, one):
+        """The padding of one lane: zeros beside its block, and a one (for
+        diag(G, 1)) or a zero (for diag(X, 0)) on the padded diagonal."""
+        size = planes.shape[-1]
+        assert not planes[:, :n, n:].any() and not planes[:, n:, :n].any()
+        assert not planes[1:, n:, n:].any()
+        assert (planes[0, n:, n:] == one * np.eye(size - n, dtype=np.int64)).all()
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (3, 2)])
+    def test_cropped_lanes_are_the_single_n_results(self, p, e):
+        lanes = self.lanes(p, e)
+        seeds = list(range(500, 500 + len(lanes)))
+        assert [par.n for par in lanes[:10:2]] == [2, 3, 4, 5, 6]
+        g, x = p_elements(lanes, seeds), radical_elements(lanes, seeds, 1)
+        u = eps_p(lanes, x)
+        assert g.n == x.n == u.n == 6
+        assert in_nilradical(lanes, x)
+        for k, (par, seed) in enumerate(zip(lanes, seeds)):
+            n, own = par.n, radical_elements([par], [seed], 1).lane(0)
+            assert g.lane(k, n) == p_elements([par], [seed]).lane(0)
+            assert x.lane(k, n) == own
+            assert u.lane(k, n) == eps_p(par, own)
+            assert in_nilradical(par, x.lane(k, n))
+            self.assert_padding(g.planes[k], n, 1)
+            self.assert_padding(x.planes[k], n, 0)
+            self.assert_padding(u.planes[k], n, 1)
+
+    def test_a_padded_lane_outside_diag_x_0_is_not_in_the_nilradical(self):
+        lanes = self.lanes(3, 1)
+        x = radical_elements(lanes, range(len(lanes)))
+        k = next(k for k, par in enumerate(lanes) if par.n < 6)
+        bad = x.planes.copy()
+        bad[k, 0, 0, 5] = 1  # above the diagonal, but in the padding
+        assert not in_nilradical(lanes, FpMatrix._wrap(3, 1, 6, bad))
+        with pytest.raises(DomainError):
+            eps_p(lanes, FpMatrix._wrap(3, 1, 6, bad))
+        with pytest.raises(ValueError, match="has n = 6"):
+            eps_p(lanes, x.lane(list(range(len(lanes))), 5))

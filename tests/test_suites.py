@@ -2,12 +2,16 @@
 
 import ast
 import json
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ahspringer import suites
+from ahspringer.expmaps import ah_exp
+from ahspringer.groups import GroupSpec, centralizer_space, nilpotent_lanes
+from ahspringer.matrices import FpMatrix
 from ahspringer.suites import SUITES, Recorder, SuiteConfig, run_suite
 
 
@@ -177,7 +181,7 @@ def test_witnesses_serialize_complete_inputs(monkeypatch):
 # The lane-stacked suites and the stack source most of them share.
 STACKED = ("suite_frobenius_compat", "suite_order_preservation", "suite_commuting_pairs",
            "suite_equivariance", "suite_one_parameter", "suite_eps_parabolic",
-           "suite_frobenius_descent", "_nilpotents")
+           "suite_frobenius_descent", "suite_centralizer_equality", "_nilpotents")
 PER_OBJECT_SAMPLERS = {"random_nilpotent", "random_group_element", "random_invertible",
                        "random_matrix", "_case_seed"}
 
@@ -201,9 +205,15 @@ def calls(node, names):
             if isinstance(call, ast.Call) and dotted(call.func) in names]
 
 
+# calls that eliminate: once per stack, never once per case
+ELIMINATIONS = ("linalg.inv", "linalg.det_planes", "linalg._eliminate", "centralizer_space",
+                "inv", "det_planes", "_eliminate")
+
+
 def test_stacked_suites_call_no_per_object_sampler():
-    # they draw whole stacks, and invert or take determinants once per stack:
-    # never inside a loop other than the one over the stacks of _nilpotents
+    # they draw whole stacks, and invert, take determinants or eliminate once
+    # per stack: never inside a loop other than the one over the stacks of
+    # _nilpotents
     funcs = suite_functions()
     for name in STACKED:
         fn = funcs[name]
@@ -214,7 +224,7 @@ def test_stacked_suites_call_no_per_object_sampler():
             if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call) \
                     and dotted(loop.iter.func) == "_nilpotents":
                 continue
-            assert calls(loop, ("linalg.inv", "linalg.det", "inv", "det")) == [], (name, loop.lineno)
+            assert calls(loop, ELIMINATIONS) == [], (name, loop.lineno)
 
 
 def test_stacked_suites_record_through_check_lanes():
@@ -288,3 +298,57 @@ def test_eps_parabolic_records_each_parabolic_its_own_verdicts(monkeypatch, budg
     assert records[budget] == records[1]
     assert records[1]["failed"] == 2
     assert all(w["p"] == 3 and w["comp"] == list(target) for w in records[1]["witnesses"])
+
+
+# centralizer-equality decides C(X) = C(u) on whole stacks, by polynomial
+# membership; the reference is the basis check that suite used before: bases
+# of C(X) and C(u) from two n^2 x n^2 eliminations, of one dimension, each
+# commuting with the other matrix.
+
+def same_centralizer(x, u):
+    cx, cu = centralizer_space(x), centralizer_space(u)
+    zs = FpMatrix._wrap(x.p, x.e, x.n, np.concatenate([cx, cu]))
+    ms = FpMatrix._wrap(x.p, x.e, x.n, np.concatenate([np.broadcast_to(u.planes, cx.shape),
+                                                       np.broadcast_to(x.planes, cu.shape)]))
+    return len(cx) == len(cu) and bool((zs @ ms).lanes_equal(ms @ zs).all())
+
+
+def test_centralizer_verdict_is_the_basis_check_on_mixed_stacks():
+    # one stack per (p, e) of nilpotents of gl_2 .. gl_6, padded to 6 x 6;
+    # the reference sees each lane cropped to its own n
+    negatives = 0
+    for p, e in product((2, 3, 5), (1, 2)):
+        specs = [GroupSpec("GL", n) for _ in range(6) for n in range(2, 7)]
+        x = nilpotent_lanes(specs, p, e, range(len(specs)))
+        y = nilpotent_lanes(specs, p, e, range(1000, 1000 + len(specs)))  # independent of x
+        ident, x2 = FpMatrix.identity(p, e, x.n), x @ x
+        # (X^2, e_p(X)) fails only the membership u - 1 in F[X^2], the others
+        # at least the membership X in F[u - 1]
+        pairs = {"e_p(X)": (x, ah_exp(x)), "1 + Y": (x, ident + y), "1 + X^2": (x, ident + x2),
+                 "e_p(X^2)": (x, ah_exp(x2)), "X^2, e_p(X)": (x2, ah_exp(x))}
+        for name, (a, u) in pairs.items():
+            got = suites._centralizers_equal(a, u)
+            want = [same_centralizer(a.lane(i, s.n), u.lane(i, s.n)) for i, s in enumerate(specs)]
+            assert got.tolist() == want, (p, e, name)
+            if name == "e_p(X)":
+                assert all(want), (p, e)  # the suite's claim
+            negatives += want.count(False)
+    assert negatives >= 300
+
+
+def test_centralizer_equality_fails_where_the_basis_check_does(monkeypatch):
+    # with X -> 1 + X^2 in place of e_p, C(X) = C(u) only for X = 0
+    cfg = SuiteConfig(suites=("centralizer-equality",), primes=(2, 3, 5), trials=5, seed=42)
+    monkeypatch.setattr(suites, "ah_exp", lambda x: FpMatrix.identity(x.p, x.e, x.n) + x @ x)
+    failing = run_suite(cfg).suites[0]["witnesses"]
+    check_lanes = Recorder.check_lanes  # then every case, as a witness
+    monkeypatch.setattr(Recorder, "check_lanes", lambda self, ok, witness: check_lanes(
+        self, np.zeros(ok.shape, dtype=bool), witness))
+    cases = run_suite(cfg).suites[0]["witnesses"]
+    want = []
+    for case in cases:
+        x = FpMatrix.from_json_obj(case["X"])
+        if not same_centralizer(x, FpMatrix.identity(x.p, x.e, x.n) + x @ x):
+            want.append(case)
+    assert failing == want
+    assert 0 < len(failing) < len(cases) == 75

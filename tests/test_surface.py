@@ -31,6 +31,12 @@ def module_names(tree: ast.Module) -> set:
     return names
 
 
+def imported_names(tree: ast.Module) -> set:
+    """Names bound by an import anywhere in a module, function-local ones too."""
+    return {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+
+
 def source_of(module: str) -> Path:
     """The file of ahspringer or of one of its submodules."""
     parts = module.split(".")[1:]
@@ -50,13 +56,16 @@ def perfbench_imports():
 
 
 def references(tree: ast.Module) -> set:
-    """Names read anywhere in a module (as a name or an attribute), except
-    a function's or class's reads of its own name."""
-    used = set()
+    """Names read anywhere in a module, except a function's or class's reads
+    of its own name: every attribute, and a bare name only where the module
+    defines or imports it at module level, or imports it inside a function
+    (a local variable that happens to share a definition's name is no use
+    of it)."""
+    bound, used = module_names(tree) | imported_names(tree), set()
     for node in tree.body:
         own = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
-        used |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                 if isinstance(n, (ast.Name, ast.Attribute))} - own
+        used |= {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+                 if isinstance(n, ast.Attribute) or isinstance(n, ast.Name) and n.id in bound} - own
     return used
 
 
