@@ -33,10 +33,8 @@ _SUBMODULE = {
             "ah_exp", "ah_log", "bch", "bch_dynkin", "truncated_exp", "truncated_log",
             "witt_embed",
         ),
-        "parabolic": (
-            "Composition", "ParabolicGL", "eps_p", "is_restricted", "nilpotence_class",
-            "nilradical_basis",
-        ),
+        "compositions": ("Composition", "ParabolicGL", "is_restricted", "nilpotence_class"),
+        "parabolic": ("eps_p", "nilradical_basis"),
         "suites": ("Report", "SuiteConfig", "run_suite"),
     }.items()
     for name in names

@@ -15,13 +15,19 @@ Exit codes: 0 success / all properties pass, 1 any property failed,
 cannot be written) or a requested suite that ran no case.
 
 Each command imports only the modules it runs, after its arguments are
-parsed: ``ah-coeffs`` and ``witt`` never load numpy, and only ``verify``
-loads the suites.
+parsed: ``ah-coeffs``, ``witt`` and ``parabolic class`` never load numpy,
+``exp`` and ``log`` load none of the samplers, and only ``verify`` loads
+the suites.
+
+``run`` is the process entry point (the ``ahspringer`` script and
+``python -m ahspringer.cli``); ``main`` is the command itself, for
+callers that stay in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # The verify --suite help text lists the registry without importing
@@ -165,13 +171,15 @@ def _cmd_witt(args) -> int:
 
 
 def _cmd_parabolic(args) -> int:
-    from .matrices import load_matrix
-    from .parabolic import Composition, ParabolicGL, eps_p, nilpotence_class
+    from .compositions import Composition, ParabolicGL, nilpotence_class
 
     comp = Composition.parse(args.comp)
     if args.parabolic_command == "class":
         print(nilpotence_class(ParabolicGL(comp, args.p)))
         return 0
+    from .matrices import load_matrix
+    from .parabolic import eps_p
+
     x = load_matrix(args.matrix)
     par = ParabolicGL(comp, x.p, x.e)
     print(eps_p(par, x).dumps())
@@ -236,5 +244,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """main() on the process's own arguments, for a process that exits next.
+
+    No kernel multiplies floats, the only products numpy hands to BLAS, so
+    OpenBLAS gets one thread (a value the user set stays) and starts no
+    worker at import.  Freezing the heap before exit spares the
+    interpreter's shutdown collections a scan of every object still alive.
+    """
+    import gc
+
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -18,15 +18,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
 from .gf import inverse_mod
-from .groups import nilpotent_order, nilpotent_powers
-from .matrices import FpMatrix
+from .matrices import FpMatrix, nilpotent_powers
 from .series import ah_coeffs_mod_p, series_reversion
-from .witt import WittVector
+
+if TYPE_CHECKING:  # witt is loaded by its callers, not by exp and log
+    from .witt import WittVector
 
 
 def eval_series_in_matrix(coeffs, x: FpMatrix, limit: int | None = None,
@@ -110,6 +112,8 @@ def witt_embed(x: FpMatrix, w: WittVector) -> FpMatrix:
     map is then an injective homomorphism from W_m into the unipotent
     subgroup generated by the image.
     """
+    from .groups import nilpotent_order
+
     m = nilpotent_order(x)
     if w.m != m:
         raise DomainError(f"Witt length {w.m} does not match nilpotent order {m}")

@@ -23,8 +23,9 @@ from functools import lru_cache
 # largest unreduced sum is below k * p^3: k = n for an F_{p^2} matrix
 # product, the basis size (at most n^2) for a sampled combination.  With
 # p < 2^16 that is below k * 2^48 < 2^63 for every k < 2^15, and
-# matrices.MAX_DIM = 128 keeps k below 2^14.
+# MAX_DIM = 128 keeps k below 2^14.
 PRIME_BOUND = 1 << 16
+MAX_DIM = 128
 
 
 def is_prime(n: int) -> bool:

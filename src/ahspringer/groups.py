@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError
 from .gf import _check_field_params, _field_inv, _field_mul, field_modulus
-from .matrices import FpMatrix, _mat_mul_planes
+from .matrices import FpMatrix, _mat_mul_planes, nilpotent_powers
 from .rng import Stream, below_lanes, stream, stream_lanes
 
 KINDS = ("GL", "SL", "SO", "Sp")
@@ -104,32 +104,6 @@ def jordan_nilpotent(t: JordanType, p: int, e: int = 1) -> FpMatrix:
             planes[0, offset + i, offset + i + 1] = 1
         offset += size
     return FpMatrix(p, e, planes)
-
-
-def nilpotent_powers(x: FpMatrix, limit: int | None = None,
-                     message: str = "matrix is not nilpotent") -> np.ndarray:
-    """Planes of x^0, x^1, ..., x^(d-1), shape (d, e, n, n), where d is the
-    nilpotency degree (the least d >= 1 with x^d = 0).
-
-    The one power walk of the package: x, x^2, ... are multiplied out once,
-    stopping at the first zero power.  Raises DomainError(message) unless
-    x^limit = 0 (limit defaults to n, where that means x is nilpotent).
-    A stack x with planes (B, e, n, n) is walked lane by lane at once: the
-    result is (d, B, e, n, n) with d the largest degree of any lane, and a
-    single lane with x^limit != 0 raises.
-    """
-    limit = x.n if limit is None else min(limit, x.n)
-    powers = np.zeros((limit,) + x.planes.shape, dtype=np.int64)
-    powers[0, ..., 0, :, :] = np.eye(x.n, dtype=np.int64)
-    y = x.planes
-    d = 1
-    while y.any():
-        if d == limit:
-            raise DomainError(message)
-        powers[d] = y
-        d += 1
-        y = _mat_mul_planes(y, x.planes, x.p, x._mod)
-    return powers[:d]
 
 
 def _per_lane(values: np.ndarray):

@@ -10,8 +10,8 @@ An FpMatrix whose planes carry a leading batch axis, (B, e, n, n), is a
 stack of B matrices (lanes), as the lane samplers return.  Sums, products,
 integer scaling, Frobenius, powers, the power walk and the series maps
 built on it act lane by lane, broadcasting a single matrix against every
-lane; ``lane(i)`` and ``lanes_equal`` read lanes back out.  Entry access,
-traces, transposes and JSON are for single matrices.
+lane; ``lane(i)`` and ``lanes_equal`` read lanes back out.  JSON is for
+single matrices.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import json
 
 import numpy as np
 
-from .gf import _check_field_params, _field_mul, _frobenius, field_modulus, is_json_int, scalar_from_json
-
-
-MAX_DIM = 128  # keeps every kernel's unreduced sum exact (see gf.PRIME_BOUND)
+from .errors import DomainError
+from .gf import (
+    MAX_DIM, _check_field_params, _field_mul, _frobenius, field_modulus, is_json_int, scalar_from_json,
+)
 
 
 def _mat_mul_planes(a, b, p, mod):
@@ -122,9 +122,6 @@ class FpMatrix:
 
     # -- basic queries ------------------------------------------------
 
-    def entry(self, i: int, j: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.planes[:, i, j])
-
     def is_zero(self) -> bool:
         return not self.planes.any()
 
@@ -195,9 +192,6 @@ class FpMatrix:
     def transpose(self) -> "FpMatrix":
         return FpMatrix._wrap(self.p, self.e, self.n, self.planes.swapaxes(-1, -2).copy())
 
-    def trace(self) -> tuple[int, ...]:
-        return tuple(int(x) % self.p for x in np.trace(self.planes, axis1=1, axis2=2))
-
     def frobenius_entries(self) -> "FpMatrix":
         """Apply x -> x^p to every entry (identity when e=1)."""
         coords = tuple(self.planes[..., k, :, :] for k in range(self.e))  # lane by lane
@@ -237,6 +231,32 @@ class FpMatrix:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj())
+
+
+def nilpotent_powers(x: FpMatrix, limit: int | None = None,
+                     message: str = "matrix is not nilpotent") -> np.ndarray:
+    """Planes of x^0, x^1, ..., x^(d-1), shape (d, e, n, n), where d is the
+    nilpotency degree (the least d >= 1 with x^d = 0).
+
+    The one power walk of the package: x, x^2, ... are multiplied out once,
+    stopping at the first zero power.  Raises DomainError(message) unless
+    x^limit = 0 (limit defaults to n, where that means x is nilpotent).
+    A stack x with planes (B, e, n, n) is walked lane by lane at once: the
+    result is (d, B, e, n, n) with d the largest degree of any lane, and a
+    single lane with x^limit != 0 raises.
+    """
+    limit = x.n if limit is None else min(limit, x.n)
+    powers = np.zeros((limit,) + x.planes.shape, dtype=np.int64)
+    powers[0, ..., 0, :, :] = np.eye(x.n, dtype=np.int64)
+    y = x.planes
+    d = 1
+    while y.any():
+        if d == limit:
+            raise DomainError(message)
+        powers[d] = y
+        d += 1
+        y = _mat_mul_planes(y, x.planes, x.p, x._mod)
+    return powers[:d]
 
 
 def load_matrix(path: str) -> FpMatrix:

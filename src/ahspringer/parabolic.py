@@ -1,13 +1,12 @@
-"""Standard parabolic subgroups of GL_n by block composition.
+"""Standard parabolic subgroups of GL_n by block composition: their matrices.
 
-A composition (b_1, ..., b_r) of n determines the block-upper-triangular
+A ``compositions.ParabolicGL`` determines the block-upper-triangular
 subgroup P, its unipotent radical U_P (identity blocks on the diagonal)
 and the nilradical u_P (strictly block-upper matrices), whose basis is
-``groups.lie_basis`` of GL on the block-upper positions.  The i-th term
-of the lower central series of u_P is spanned by the matrix units at
-least i blocks above the diagonal, so its nilpotence class is r - 1;
-when that is below p, the degree-(p-1) truncated exponential is a
-bijection u_P -> U_P, and that is what eps_P computes.
+``groups.lie_basis`` of GL on the block-upper positions.  When the
+nilpotence class r - 1 of u_P is below p (``compositions.is_restricted``),
+the degree-(p-1) truncated exponential is a bijection u_P -> U_P, and
+that is what eps_P computes.
 
 The samplers draw many elements at once, one lane per (parabolic, seed),
 from SplitMix64 lanes (``rng.stream_lanes``), and u_P elements through
@@ -20,68 +19,16 @@ diag(X, 0) and P-elements as diag(G, 1); ``lane(i, pars[i].n)`` crops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .compositions import ParabolicGL, is_restricted
 from .errors import DomainError
 from .expmaps import truncated_exp
-from .gf import _check_field_params
 from .groups import _combination_lanes, _runs, invertible_lanes, lie_basis
-from .matrices import MAX_DIM, FpMatrix
+from .matrices import FpMatrix
 from .rng import stream_lanes
-
-
-@dataclass(frozen=True)
-class Composition:
-    """Ordered positive block sizes."""
-
-    blocks: tuple[int, ...]
-
-    def __post_init__(self):
-        blocks = tuple(int(b) for b in self.blocks)
-        if not blocks:
-            raise ValueError("a composition needs at least one block")
-        if any(b <= 0 for b in blocks):
-            raise ValueError("block sizes must be positive")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def n(self) -> int:
-        return sum(self.blocks)
-
-    @classmethod
-    def parse(cls, text: str) -> "Composition":
-        try:
-            return cls(tuple(int(s) for s in text.split(",")))
-        except ValueError as exc:
-            raise ValueError(f"bad composition {text!r}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class ParabolicGL:
-    """A standard parabolic of GL_n over F_{p^e}."""
-
-    comp: Composition
-    p: int
-    e: int = 1
-
-    def __post_init__(self):
-        _check_field_params(self.p, self.e)
-        if self.n > MAX_DIM:
-            raise ValueError(f"matrix dimension must be between 1 and {MAX_DIM}, got {self.n}")
-
-    @property
-    def n(self) -> int:
-        return self.comp.n
-
-    def block_index(self) -> tuple[int, ...]:
-        """block_index()[i] = which block row/column i belongs to."""
-        out = []
-        for b, size in enumerate(self.comp.blocks):
-            out.extend([b] * size)
-        return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -133,16 +80,6 @@ def in_nilradical(par, x: FpMatrix) -> bool:
     if (x.p, x.e, x.n) != _field_of(par):
         return False
     return not (x.planes * ~_lane_support(par)[..., None, :, :]).any()
-
-
-def nilpotence_class(par: ParabolicGL) -> int:
-    """Length of the lower central series of u_P: r - 1 for r blocks."""
-    return len(par.comp.blocks) - 1
-
-
-def is_restricted(par: ParabolicGL) -> bool:
-    """Whether the nilpotence class of U_P is below p."""
-    return nilpotence_class(par) < par.p
 
 
 def eps_p(par, x: FpMatrix) -> FpMatrix:
@@ -210,18 +147,3 @@ def radical_elements(pars, seeds, index=0) -> FpMatrix:
     p, e, n = _field_of(pars)
     states = stream_lanes(seeds, _lane_labels(pars, "radical"), index)
     return FpMatrix._wrap(p, e, n, _radical_draws(pars, states))
-
-
-def restricted_compositions(n: int, p: int):
-    """All compositions of n whose parabolic is restricted (r - 1 < p)."""
-    def parts(total, maxblocks):
-        if total == 0:
-            yield ()
-            return
-        if maxblocks == 0:
-            return
-        for first in range(1, total + 1):
-            for rest in parts(total - first, maxblocks - 1):
-                yield (first,) + rest
-
-    return [Composition(c) for c in parts(n, p)]

@@ -21,6 +21,7 @@ from itertools import groupby, product
 import numpy as np
 
 from . import linalg
+from .compositions import ParabolicGL, restricted_compositions
 from .expmaps import (
     ah_exp,
     bch,
@@ -39,19 +40,12 @@ from .groups import (
     jordan_nilpotent_lanes,
     nilpotent_lanes,
     nilpotent_order,
-    nilpotent_powers,
     in_group,
     in_lie_algebra,
     unipotent_order_exponent,
 )
-from .matrices import FpMatrix, _mat_mul_planes
-from .parabolic import (
-    ParabolicGL,
-    eps_p,
-    p_elements,
-    radical_elements,
-    restricted_compositions,
-)
+from .matrices import FpMatrix, _mat_mul_planes, nilpotent_powers
+from .parabolic import eps_p, p_elements, radical_elements
 from .rng import stream_lanes, u64_lanes
 from .series import ah_coeffs_mod_p, ah_inverse_coeffs, ah_rational_coeffs, series_mul
 from .witt import WittVector, witt_add, witt_from_integer, witt_neg, witt_order, witt_pow_p

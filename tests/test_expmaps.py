@@ -5,6 +5,7 @@ import gc
 
 import pytest
 
+from ahspringer.compositions import Composition, ParabolicGL
 from ahspringer.errors import DomainError
 from ahspringer.expmaps import (
     ah_exp,
@@ -26,7 +27,7 @@ from ahspringer.groups import (
     unipotent_order_exponent,
 )
 from ahspringer.matrices import FpMatrix
-from ahspringer.parabolic import Composition, ParabolicGL, radical_elements
+from ahspringer.parabolic import radical_elements
 from ahspringer.series import ah_inverse_coeffs
 from ahspringer.witt import WittVector, witt_add
 

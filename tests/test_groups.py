@@ -37,6 +37,16 @@ from ahspringer.rng import stream, stream_lanes
 from field_reference import Elem
 
 
+def partitions(n, largest=None):
+    """Every partition of n, parts weakly decreasing."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
 class TestJordan:
     def test_single_block(self):
         j3 = jordan_nilpotent(JordanType((3,)), 5)
@@ -212,6 +222,19 @@ class TestCentralizer:
         x = jordan_nilpotent(JordanType((2,)), 3, e=2)
         assert len(centralizer_space(x)) == 2
 
+    @pytest.mark.parametrize("p,e", product([2, 3, 5], [1, 2]))
+    def test_conjugate_partition_oracle(self, p, e):
+        # dim C(X) = sum_i (lambda'_i)^2 for X of Jordan type lambda, lambda' the
+        # conjugate partition (Macdonald, Symmetric Functions and Hall
+        # Polynomials, ch. II); e_p(X) - 1 = X (1 + X/2 + ...) has the same type
+        for n in range(1, 7):
+            for partition in partitions(n):
+                x = jordan_nilpotent_lanes(GroupSpec("GL", n), JordanType(partition), p, e, [n]).lane(0)
+                conjugate = [sum(part > i for part in partition) for i in range(partition[0])]
+                expected = sum(c * c for c in conjugate)
+                assert len(centralizer_space(x)) == expected, (p, e, partition)
+                assert len(centralizer_space(ah_exp(x))) == expected, (p, e, partition)
+
 
 class TestSampling:
     def test_gl_jordan_type_request(self):
@@ -276,7 +299,7 @@ class TestSampling:
                     x = FpMatrix(p, e, b)
                     assert in_lie_algebra(spec, x)
                     if kind == "SL":
-                        assert not any(x.trace())
+                        assert not (np.trace(x.planes, axis1=1, axis2=2) % p).any()
                     if form is not None:
                         assert (x.transpose() @ form + form @ x).is_zero()
 

@@ -24,7 +24,7 @@ def det_by_permutation_expansion(m: FpMatrix) -> tuple[int, ...]:
                     sign = -sign
         term = Elem.lift(m.p, m.e, 1)
         for i in range(n):
-            term = term * Elem(m.p, m.e, m.entry(i, perm[i]))
+            term = term * Elem(m.p, m.e, tuple(m.planes[:, i, perm[i]].tolist()))
         total = total + term if sign > 0 else total - term
     return total.coords
 

@@ -6,22 +6,18 @@ import numpy as np
 import pytest
 
 from ahspringer import linalg
+from ahspringer.compositions import (
+    Composition,
+    ParabolicGL,
+    is_restricted,
+    nilpotence_class,
+    restricted_compositions,
+)
 from ahspringer.errors import DomainError
 from ahspringer.expmaps import ah_exp, bch, truncated_log
 from ahspringer.groups import JordanType, jordan_nilpotent
 from ahspringer.matrices import FpMatrix
-from ahspringer.parabolic import (
-    Composition,
-    ParabolicGL,
-    eps_p,
-    in_nilradical,
-    is_restricted,
-    nilpotence_class,
-    nilradical_basis,
-    p_elements,
-    radical_elements,
-    restricted_compositions,
-)
+from ahspringer.parabolic import eps_p, in_nilradical, nilradical_basis, p_elements, radical_elements
 from ahspringer.rng import stream
 
 
@@ -266,7 +262,7 @@ class TestRandomPElement:
         for i in range(5):
             for j in range(5):
                 if idx[i] > idx[j]:  # below the diagonal blocks
-                    assert not any(g.entry(i, j))
+                    assert not g.planes[:, i, j].any()
 
     def test_determinism(self):
         par = ParabolicGL(Composition((2, 2)), 2)

@@ -1,15 +1,18 @@
 """Series module tests.
 
-The Artin-Hasse coefficients are checked against two independent
+The Artin-Hasse coefficients are checked against three independent
 derivations: the derivative recurrence (n+1) C_{n+1} = sum_j C_{n-(p^j-1)}
-(from E' = E * d/dt of the exponent) and the classical product form
+(from E' = E * d/dt of the exponent), the classical product form
 prod_{gcd(n,p)=1} (1 - t^n)^(-mu(n)/n) expanded with exact binomial
-series.
+series, and for small n a count of permutations; and against the former
+Fraction implementation, the product of exp(t^q/q) over q = p^j.
 """
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
+from math import factorial, gcd
 
 import pytest
 
@@ -22,6 +25,59 @@ from ahspringer.series import (
     series_mul,
     series_reversion,
 )
+
+
+def exp_of_term(k, c, degree):
+    """exp(c t^k) truncated: c^i / i! at t^(k i)."""
+    out = [Fraction(0)] * (degree + 1)
+    term = Fraction(1)
+    i = 0
+    while k * i <= degree:
+        out[k * i] = term
+        i += 1
+        term = term * c / i
+    return out
+
+
+def sparse_product(a, b):
+    """Product of Fraction coefficient lists over their nonzero terms,
+    truncated to the shorter."""
+    n = min(len(a), len(b)) - 1
+    out = [Fraction(0)] * (n + 1)
+    terms = [(j, c) for j, c in enumerate(b[:n + 1]) if c]
+    for i, x in enumerate(a[:n + 1]):
+        if x:
+            for j, c in terms:
+                if i + j > n:
+                    break
+                out[i + j] += x * c
+    return out
+
+
+def ah_via_exp_product(p, degree):
+    """The former Fraction implementation: prod over q = p^j <= degree of
+    exp(t^q / q), multiplied out on Fractions."""
+    coeffs = [Fraction(1)] + [Fraction(0)] * degree
+    q = 1
+    while q <= degree:
+        coeffs = sparse_product(coeffs, exp_of_term(q, Fraction(1, q), degree))
+        q *= p
+    return coeffs
+
+
+def cycle_types(n):
+    """How many permutations of n letters have each multiset of cycle lengths."""
+    tally = Counter()
+    for perm in permutations(range(n)):
+        seen, lengths = [False] * n, []
+        for start in range(n):
+            length, i = 0, start
+            while not seen[i]:
+                seen[i], i, length = True, perm[i], length + 1
+            if length:
+                lengths.append(length)
+        tally[tuple(sorted(lengths))] += 1
+    return tally
 
 
 def ah_via_recurrence(p, degree):
@@ -105,6 +161,27 @@ class TestRationalCoefficients:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_product_formula_oracle(self, p):
         assert list(ah_rational_coeffs(p, 12).coeffs) == ah_via_product_formula(p, 12)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_equals_the_former_fraction_product(self, p):
+        # a truncated product is the prefix of a longer one, so the reference
+        # at degree 60 covers every degree from 0 to 60
+        reference = ah_via_exp_product(p, 60)
+        for degree in range(61):
+            assert list(ah_rational_coeffs(p, degree).coeffs) == reference[:degree + 1], degree
+        for degree in (127, 256):
+            assert list(ah_rational_coeffs(p, degree).coeffs) == ah_via_exp_product(p, degree)
+
+    def test_permutation_count_oracle(self):
+        # exponential formula (Stanley, Enumerative Combinatorics 2, 5.1): n! C_n
+        # counts the permutations of n letters whose cycle lengths are all powers of p
+        types = [cycle_types(n) for n in range(9)]
+        for p in (2, 3, 5, 7, 11, 13):
+            powers = {p ** j for j in range(4)}
+            coeffs = ah_rational_coeffs(p, 8).coeffs
+            for n, tally in enumerate(types):
+                count = sum(k for lengths, k in tally.items() if set(lengths) <= powers)
+                assert coeffs[n] * factorial(n) == count, (p, n)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_integrality_through_degree_60(self, p):
@@ -243,7 +320,6 @@ def test_series_construction_validation():
 
     with pytest.raises(ValueError):
         RationalSeries([])
-    assert RationalSeries.one(2).coeffs == (1, 0, 0)
 
 
 def test_compose_requires_zero_constant():
@@ -267,8 +343,9 @@ def dense_product(a, b):
     ([1, -1, Fraction(1, 2), -Fraction(1, 6), Fraction(1, 24)], [1, 0, Fraction(1, 2), 0, Fraction(1, 8)]),
 ])
 def test_sparse_product_is_the_dense_product(a, b):
+    # the multiplication of the Fraction reference, ah_via_exp_product
     for x, y in ((a, b), (b, a)):
-        assert (RationalSeries(x) * RationalSeries(y)).coeffs == tuple(dense_product(x, y))
+        assert sparse_product(x, y) == dense_product(x, y)
 
 
 # sha-256 of ",".join(map(str, C_0..C_60)), from the dense product

@@ -1,7 +1,10 @@
 """Start-up cost guards: ``import ahspringer`` loads no submodule, its
-public names resolve on first use, and the scalar commands (``ah-coeffs``,
-``witt``) run without loading numpy or the suites."""
+public names resolve on first use, the scalar commands (``ah-coeffs``,
+``witt``, ``parabolic class``) run without loading numpy or the suites,
+``exp`` and ``log`` without the samplers, and only the process entry
+point ``cli.run`` sets the BLAS thread count and freezes the heap."""
 
+import gc
 import json
 import os
 import subprocess
@@ -14,7 +17,8 @@ import ahspringer
 from ahspringer import suites
 from ahspringer.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # (argv, stdout); the outputs are those of the eagerly importing CLI
 SCALAR_CALLS = [
@@ -27,7 +31,14 @@ SCALAR_CALLS = [
      "(0+0w),(1+0w),(2+0w)\n"),
     (["witt", "order", "--p", "3", "--m", "2", "--vector", "1,2"], "9\n"),
     (["witt", "from-int", "--p", "5", "--m", "3", "--int", "77"], "2,4,1\n"),
+    (["parabolic", "class", "--comp", "2,1"], "1\n"),
+    (["parabolic", "class", "--comp", "1,2,1,1", "--p", "5"], "3\n"),
 ]
+
+# X is nilpotent over F_3 and U = e_3(X), so log maps U back to X
+X = {"p": 3, "e": 1, "n": 3, "entries": [[0, 1, 2], [0, 0, 1], [0, 0, 0]]}
+U = {"p": 3, "e": 1, "n": 3, "entries": [[1, 1, 1], [0, 1, 1], [0, 0, 1]]}
+NOT_LOADED_BY_EXP_LOG = ("groups", "linalg", "rng", "witt", "parabolic", "suites")
 
 # runs each argv of argv[1] through cli.main in this fresh interpreter and
 # prints the exit codes, the outputs and the modules then loaded
@@ -44,9 +55,24 @@ print(json.dumps({"calls": calls, "loaded": loaded}))
 """
 
 
-def _fresh(code: str, *args: str) -> str:
+# calls cli.run on the argv of argv[1] in this fresh interpreter and prints
+# what it returned and left behind
+_RUN = """
+import contextlib, gc, io, json, os, sys
+from ahspringer import cli
+sys.argv = ["ahspringer", *json.loads(sys.argv[1])]
+before = gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.run()
+print(json.dumps({"code": code, "threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "frozen_before": before, "frozen_after": gc.get_freeze_count()}))
+"""
+
+
+def _fresh(code: str, *args: str, **env: str) -> str:
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        [sys.executable, "-c", code, *args], env=dict(environ, PYTHONPATH=str(SRC), **env),
         capture_output=True, text=True, timeout=60, check=True,
     )
     return proc.stdout
@@ -69,12 +95,57 @@ def test_scalar_commands_load_neither_numpy_nor_the_suites():
     assert "ahspringer.suites" not in result["loaded"]
 
 
-def test_the_probe_sees_numpy_when_a_command_loads_it():
-    # parabolic class still goes through the numpy-backed parabolic module
-    result = _probe([["parabolic", "class", "--comp", "2,1"]])
-    assert result["calls"] == [[0, "1\n"]]
+def _matrix_files(tmp_path):
+    paths = []
+    for name, obj in (("X", X), ("U", U)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(obj), encoding="utf-8")
+    return paths
+
+
+def test_the_probe_sees_numpy_when_a_command_loads_it(tmp_path):
+    x_path, _ = _matrix_files(tmp_path)
+    result = _probe([["exp", "--matrix", str(x_path)]])
+    assert result["calls"] == [[0, json.dumps(U) + "\n"]]
     assert "numpy" in result["loaded"]
     assert "ahspringer.suites" not in result["loaded"]
+
+
+def test_exp_and_log_load_none_of_the_samplers(tmp_path):
+    x_path, u_path = _matrix_files(tmp_path)
+    result = _probe([["exp", "--matrix", str(x_path)], ["log", "--matrix", str(u_path)]])
+    assert result["calls"] == [[0, json.dumps(U) + "\n"], [0, json.dumps(X) + "\n"]]
+    assert "ahspringer.expmaps" in result["loaded"]
+    assert not {f"ahspringer.{m}" for m in NOT_LOADED_BY_EXP_LOG} & set(result["loaded"])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["witt", "neg", "--p", "5", "--m", "3", "--vector", "1,0,3"], 0),
+    (["witt", "neg", "--p", "4", "--m", "3", "--vector", "1,0,3"], 2),  # 4 is not prime
+])
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_run_sets_one_blas_thread_unless_preset_and_freezes_the_heap(argv, code, preset):
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    result = json.loads(_fresh(_RUN, json.dumps(argv), **env))
+    assert result["code"] == code
+    assert result["threads"] == (preset or "1")
+    assert result["frozen_before"] == 0 < result["frozen_after"]
+
+
+def test_the_script_entry_point_is_run():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'ahspringer = "ahspringer.cli:run"' in text
+
+
+def test_main_in_process_leaves_environment_and_freeze_count_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    environ, frozen = dict(os.environ), gc.get_freeze_count()
+    x_path, _ = _matrix_files(tmp_path)
+    assert main(["exp", "--matrix", str(x_path)]) == 0
+    assert main(["witt", "neg", "--p", "4", "--m", "3", "--vector", "1,0,3"]) == 2
+    assert dict(os.environ) == environ
+    assert gc.get_freeze_count() == frozen
+    assert capsys.readouterr().out == json.dumps(U) + "\n"
 
 
 def test_every_public_name_is_its_defining_modules_attribute():

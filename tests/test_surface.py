@@ -1,7 +1,7 @@
 """The package ships only what runs: every name the benchmark harness
-imports from it exists, and every module-level function or class in
-``src/ahspringer`` has a user.  Both checks read the source with ``ast``
-and import nothing from ``perfbench/``."""
+imports from it exists, and every module-level function or class and
+every public method in ``src/ahspringer`` has a user.  The checks read
+the source with ``ast`` and import nothing from ``perfbench/``."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,8 @@ import ahspringer
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ahspringer"
 HOOKS = {"__getattr__", "__dir__"}  # module hooks Python calls by name
+# public methods whose only callers are tests, left for a later change
+PENDING = {"matrices.FpMatrix.zeros"}
 
 
 def parse(path: Path) -> ast.Module:
@@ -55,17 +57,23 @@ def perfbench_imports():
                             if alias.name.split(".")[0] == "ahspringer")
 
 
+def read_off_package(node: ast.AST) -> bool:
+    """Whether node is an attribute read that may reach the package: any
+    but one on numpy (``np.trace`` is no use of a method named trace)."""
+    return isinstance(node, ast.Attribute) and not (isinstance(node.value, ast.Name) and node.value.id == "np")
+
+
 def references(tree: ast.Module) -> set:
     """Names read anywhere in a module, except a function's or class's reads
-    of its own name: every attribute, and a bare name only where the module
-    defines or imports it at module level, or imports it inside a function
-    (a local variable that happens to share a definition's name is no use
-    of it)."""
+    of its own name: every attribute not read on numpy, and a bare name
+    only where the module defines or imports it at module level, or
+    imports it inside a function (a local variable that happens to share a
+    definition's name is no use of it)."""
     bound, used = module_names(tree) | imported_names(tree), set()
     for node in tree.body:
         own = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
         used |= {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
-                 if isinstance(n, ast.Attribute) or isinstance(n, ast.Name) and n.id in bound} - own
+                 if read_off_package(n) or isinstance(n, ast.Name) and n.id in bound} - own
     return used
 
 
@@ -93,3 +101,18 @@ def test_perfbench_imports_resolve_and_every_definition_has_a_user():
         and node.name not in used | set(ahspringer.__all__) | imported | HOOKS
     ]
     assert unused == []
+
+
+def test_every_public_method_has_a_user():
+    trees = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*map(references, trees.values()))
+    # the harness spans methods by qualified name, such as "rng.Stream.below"
+    spanned = {n.value for path in sorted((ROOT / "perfbench").glob("*.py")) for n in ast.walk(parse(path))
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    unused = {
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items() for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in used
+    }
+    assert unused - spanned == PENDING
