@@ -249,12 +249,14 @@ def run() -> int:
 
     No kernel multiplies floats, the only products numpy hands to BLAS, so
     OpenBLAS gets one thread (a value the user set stays) and starts no
-    worker at import.  Freezing the heap before exit spares the
-    interpreter's shutdown collections a scan of every object still alive.
+    worker at import.  The cycle collector stays off (a run leaves under a
+    thousand cyclic objects whatever its size), and freezing the heap before
+    exit spares the shutdown collections a scan of every object still alive.
     """
     import gc
 
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
     code = main()
     gc.freeze()
     return code

@@ -38,12 +38,13 @@ def eval_series_in_matrix(coeffs, x: FpMatrix, limit: int | None = None,
     One reduction over the walked powers x^0, ..., x^(d-1); the terms from
     the nilpotency degree d on are zero.  DomainError(message) unless
     x^limit = 0 (limit defaults to n).  A stack x is evaluated lane by
-    lane, so every map built on this one takes stacks too.
+    lane, so every map built on this one takes stacks too; 2-D coeffs, one
+    row per series, give one leading lane per row, all from the one walk.
     """
     powers = nilpotent_powers(x, limit, message)
-    k = min(len(powers), len(coeffs))
-    total = np.array(coeffs[:k], dtype=np.int64) @ powers[:k].reshape(k, -1)
-    return FpMatrix._wrap(x.p, x.e, x.n, total.reshape(x.planes.shape) % x.p)
+    coeffs = np.asarray(coeffs, dtype=np.int64)[..., :len(powers)]
+    total = coeffs @ powers[:coeffs.shape[-1]].reshape(coeffs.shape[-1], -1)
+    return FpMatrix._wrap(x.p, x.e, x.n, total.reshape(coeffs.shape[:-1] + x.planes.shape) % x.p)
 
 
 @lru_cache(maxsize=None)

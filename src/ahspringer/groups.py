@@ -140,15 +140,6 @@ def unipotent_order_exponent(u: FpMatrix):
     return _per_lane(j)
 
 
-def _unipotent_inverse(u: FpMatrix) -> FpMatrix:
-    """u^-1 = sum_k (1 - u)^k for unipotent u (lane by lane for a stack),
-    from the power walk of the nilpotent 1 - u; DomainError if u is not
-    unipotent."""
-    ident = FpMatrix.identity(u.p, u.e, u.n)
-    powers = nilpotent_powers(ident - u, message="matrix is not unipotent")
-    return FpMatrix._wrap(u.p, u.e, u.n, powers.sum(axis=0) % u.p)
-
-
 def in_group(spec: GroupSpec, g: FpMatrix):
     """Whether g lies in G, per lane for a stack."""
     if g.n != spec.n:
@@ -391,9 +382,11 @@ def _nilpotent_draws(specs, p: int, e: int, states: np.ndarray) -> FpMatrix:
     Each lane draws X over the upper nilradical basis; then, unless that
     basis is empty, one coin below(2); and on the lanes whose coin is 1,
     L over the lower basis and U over the upper one, after which X is
-    conjugated to a X a^-1 with a = e_p(L) e_p(U).
+    conjugated to a X a^-1 with a = e_p(L) e_p(U).  One power walk of
+    (L, U) gives e_p and the inverse series F (F e_p = 1, so F(L) e_p(L) = 1).
     """
-    from .expmaps import ah_exp
+    from .expmaps import eval_series_in_matrix
+    from .series import ah_coeffs_mod_p, ah_inverse_coeffs
 
     size = max(spec.n for spec in specs)
     x, counts = _combination_lanes(_triangle_runs(specs, p, e), p, e, states, size)
@@ -403,8 +396,9 @@ def _nilpotent_draws(specs, p: int, e: int, states: np.ndarray) -> FpMatrix:
         combos = [_combination_lanes(_triangle_runs(sub, p, e, lower), p, e, sub_states, size)[0]
                   for lower in (True, False)]
         states[on] = sub_states
-        exps = ah_exp(FpMatrix._wrap(p, e, size, np.stack(combos)))
-        inverses = _unipotent_inverse(exps)
+        series = [f(p, size - 1).coeffs for f in (ah_coeffs_mod_p, ah_inverse_coeffs)]
+        walk = eval_series_in_matrix(series, FpMatrix._wrap(p, e, size, np.stack(combos)))
+        exps, inverses = walk.lane(0), walk.lane(1)
         a = exps.lane(0) @ exps.lane(1)
         x[on] = (a @ FpMatrix._wrap(p, e, size, x[on]) @ inverses.lane(1) @ inverses.lane(0)).planes
     return FpMatrix._wrap(p, e, size, x)

@@ -24,18 +24,18 @@ def _eliminate(planes, p, e):
 
     Works on a stack (..., e, rows, cols), every lane at once.  For each
     column, each lane's pivot is its first row that is not yet a pivot
-    row and is nonzero there, marked by a one-hot row mask (empty in a
-    lane with no such row).  One rank-one update r -= m (x) (row / s)
-    then clears the column and scales the pivot row in every lane, where
-    row is the pivot row, s the pivot and m the column with s - 1 at the
-    pivot; a lane without a pivot has row = 0 and is left unchanged.
-    Rows are not swapped while eliminating: each lane's pivot rows are
-    moved to the top, in pivot order, at the end.
+    row and is nonzero there (a column where no lane has one is skipped).
+    One rank-one update r -= m (x) (row / s) then clears the column and
+    scales the pivot row in every lane, where row is the pivot row, s the
+    pivot and m the column with s - 1 at the pivot; a lane without a pivot
+    takes s = 0, so 1/s = 0, and is left unchanged.  Rows are not swapped
+    while eliminating: each lane's pivot rows are moved to the top, in
+    pivot order, at the end.
 
     Returns the reduced row echelon forms, a boolean (..., cols) marking
     each lane's pivot columns, and (..., e) coordinates of the product of
-    the pivots times the sign of the final row order: the determinant
-    when the lane is square of full rank.
+    the pivots times the sign of the final row order, defined only for a
+    square lane of full rank, where it is the determinant.
     """
     planes = np.asarray(planes, dtype=np.int64)
     if planes.ndim == 2:
@@ -49,8 +49,7 @@ def _eliminate(planes, p, e):
     first = np.arange(rows)
     unit = np.eye(e, 1, dtype=np.int64)[:, :, None]  # coordinates of 1
     # a pivot row's key is its pivot column; the other rows sort after them
-    key = np.empty((len(lanes), rows), dtype=np.intp)
-    key[:] = first + cols
+    key = np.tile(first + cols, (len(lanes), 1))
     factor = tuple(unit[:, :, 0])
     for c in range(cols):
         free = key >= cols
@@ -58,9 +57,12 @@ def _eliminate(planes, p, e):
             break
         col = r_mat[..., c]
         nonzero = col.any(axis=0) & free
-        onehot = (first == nonzero.argmax(axis=1)[:, None]) & nonzero
-        row = np.matmul(onehot[:, None, :], r_mat)[..., 0, :]
-        s = row[..., c, None]  # 0 in a lane without a pivot here, where row = 0
+        if not nonzero.any():
+            continue
+        at = nonzero.argmax(axis=1)
+        onehot = (first == at[:, None]) & nonzero
+        row = r_mat[:, lanes[:, 0], at]
+        s = row[..., c, None] * onehot.any(axis=1)[:, None]  # 0 in a lane without a pivot here
         row = _field_mul(_field_inv(s, p, mod), row, p, mod, np.multiply)
         outer = _field_mul((col - unit * onehot)[..., None], tuple(x[:, None, :] for x in row),
                            p, mod, np.multiply)

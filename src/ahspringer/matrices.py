@@ -92,10 +92,6 @@ class FpMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, p: int, e: int, n: int) -> "FpMatrix":
-        return cls(p, e, np.zeros((e, n, n), dtype=np.int64))
-
-    @classmethod
     def identity(cls, p: int, e: int, n: int) -> "FpMatrix":
         planes = np.zeros((e, n, n), dtype=np.int64)
         planes[0] = np.eye(n, dtype=np.int64)

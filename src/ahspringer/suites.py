@@ -21,7 +21,6 @@ from itertools import groupby, product
 import numpy as np
 
 from . import linalg
-from .compositions import ParabolicGL, restricted_compositions
 from .expmaps import (
     ah_exp,
     bch,
@@ -45,7 +44,6 @@ from .groups import (
     unipotent_order_exponent,
 )
 from .matrices import FpMatrix, _mat_mul_planes, nilpotent_powers
-from .parabolic import eps_p, p_elements, radical_elements
 from .rng import stream_lanes, u64_lanes
 from .series import ah_coeffs_mod_p, ah_inverse_coeffs, ah_rational_coeffs, series_mul
 from .witt import WittVector, witt_add, witt_from_integer, witt_neg, witt_order, witt_pow_p
@@ -347,20 +345,22 @@ def suite_eps_parabolic(cfg: SuiteConfig, rec: Recorder) -> None:
     cases are recorded parabolic by parabolic, property by property, as
     each stack's slice of verdicts for that parabolic, with the samples of
     its failing cases as witnesses.  A stack holds as many whole
-    parabolics of one p as fit in LANE_BUDGET lanes, of mixed n, each lane
-    padded to the largest n and its witnesses cropped to its own.  A
-    parabolic whose trials do not fit runs alone, each property in chunks
-    of LANE_BUDGET trials recorded as they finish, so memory does not grow
-    with the trials."""
+    parabolics as fit in LANE_BUDGET lanes, those of one p (and of one n
+    when one stack cannot hold them all), each lane padded to the largest
+    n and its witnesses cropped to its own.  A parabolic whose trials do
+    not fit runs alone, each property in chunks of LANE_BUDGET trials
+    recorded as they finish, so memory does not grow with the trials."""
+    from .compositions import ParabolicGL, restricted_compositions
     trials = cfg.trials_or(100)
     step = max(1, LANE_BUDGET // trials)
     for p in cfg.primes:
         if p > 5:
             continue
         checks = [(prop, fn) for prop, fn in _EPS_CHECKS.items() if p >= 3 or prop != "dynkin"]
-        pars = [ParabolicGL(comp, p) for n in range(2, min(6, cfg.max_dim) + 1)
-                for comp in restricted_compositions(n, p)]
-        for group in (pars[i:i + step] for i in range(0, len(pars), step)):
+        by_n = [[ParabolicGL(comp, p) for comp in restricted_compositions(n, p)]
+                for n in range(2, min(6, cfg.max_dim) + 1)]
+        blocks = by_n if sum(map(len, by_n)) > step else [sum(by_n, [])]
+        for group in (block[i:i + step] for block in blocks for i in range(0, len(block), step)):
             runs = [_eps_chunks(cfg, group, prop, 1 if prop == "tangent" else trials, fn)
                     for prop, fn in checks]
             if len(group) > 1:  # each stack serves every parabolic of the group
@@ -390,18 +390,21 @@ def _eps_chunks(cfg: SuiteConfig, pars: list, prop: str, count: int, check):
 # verdict per lane and the stacked witness inputs.
 
 def _eps_equivariance(lanes, seeds):
+    from .parabolic import eps_p, p_elements, radical_elements
     g, x = p_elements(lanes, seeds), radical_elements(lanes, seeds, 1)
     ginv = linalg.inv(g)
     return eps_p(lanes, g @ x @ ginv).lanes_equal(g @ eps_p(lanes, x) @ ginv), {"g": g, "X": x}
 
 
 def _eps_bch(lanes, seeds):
+    from .parabolic import eps_p, radical_elements
     x, y = radical_elements(lanes, seeds, 0), radical_elements(lanes, seeds, 1)
     return eps_p(lanes, bch(x, y)).lanes_equal(eps_p(lanes, x) @ eps_p(lanes, y)), {"X": x, "Y": y}
 
 
 def _eps_dynkin(lanes, seeds):
     # the truncated-log/exp route against the Dynkin expansion
+    from .parabolic import radical_elements
     x, y = radical_elements(lanes, seeds, 0), radical_elements(lanes, seeds, 1)
     return bch(x, y).lanes_equal(bch_dynkin(x, y, x.p - 1)), {"X": x, "Y": y}
 
@@ -412,6 +415,7 @@ def _eps_tangent(lanes, seeds):
     # coefficient is -sum_{s in F_p} s^(p-2) eps_P(sX), because
     # sum_{s in F_p} s^k is -1 when p - 1 divides k > 0 and 0 otherwise
     # (0^0 = 1, which p = 2 needs); every s on one stack (s, lane)
+    from .parabolic import eps_p, radical_elements
     x = radical_elements(lanes, seeds, 0)
     p, s = x.p, np.arange(x.p)
     values = eps_p(lanes, FpMatrix._wrap(p, x.e, x.n, s[:, None, None, None, None] * x.planes % p)).planes
@@ -422,6 +426,7 @@ def _eps_tangent(lanes, seeds):
 
 def _eps_restriction(lanes, seeds):
     # the Artin-Hasse map restricts to eps_P on the nilradical
+    from .parabolic import eps_p, radical_elements
     x = radical_elements(lanes, seeds, 0)
     return ah_exp(x).lanes_equal(eps_p(lanes, x)), {"X": x}
 

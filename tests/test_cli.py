@@ -3,6 +3,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from ahspringer.cli import main
@@ -145,7 +146,7 @@ def test_witt_from_int_refuses_a_huge_length_at_once(capsys):
 
 def test_embed_zero_matrix_exits_2(tmp_path, capsys):
     src = tmp_path / "zero.json"
-    src.write_text(FpMatrix.zeros(2, 1, 3).dumps())
+    src.write_text(FpMatrix(2, 1, np.zeros((1, 3, 3), dtype=np.int64)).dumps())
     code, _, err = run_cli(capsys, "embed", "--matrix", str(src), "--vector", "")
     assert code == 2
     assert "zero matrix has nilpotent order 0" in err
@@ -186,7 +187,7 @@ def test_parabolic_class_beyond_128_exits_2(capsys, comp):
 
 def test_parabolic_eps_names_a_size_mismatch(tmp_path, capsys):
     src = tmp_path / "x.json"
-    src.write_text(FpMatrix.zeros(3, 1, 4).dumps())
+    src.write_text(FpMatrix(3, 1, np.zeros((1, 4, 4), dtype=np.int64)).dumps())
     code, out, err = run_cli(capsys, "parabolic", "eps", "--comp", "2,1", "--matrix", str(src))
     assert (code, out) == (2, "")
     assert err.strip() == "error: matrix is 4 x 4 but composition (2, 1) has n = 3"

@@ -12,6 +12,8 @@ from ahspringer.errors import DomainError
 from ahspringer.groups import (
     GroupSpec,
     JordanType,
+    _combination_lanes,
+    _triangle_runs,
     centralizer_space,
     default_form,
     _nilpotent_draws,
@@ -30,8 +32,9 @@ from ahspringer.groups import (
     random_nilpotent,
     unipotent_order_exponent,
 )
-from ahspringer.expmaps import ah_exp
-from ahspringer.matrices import FpMatrix
+from ahspringer.expmaps import ah_exp, eval_series_in_matrix
+from ahspringer.matrices import FpMatrix, nilpotent_powers
+from ahspringer.series import ah_coeffs_mod_p, ah_inverse_coeffs
 from ahspringer.rng import stream, stream_lanes
 
 from field_reference import Elem
@@ -86,7 +89,7 @@ class TestNilpotentOrder:
     def test_examples(self):
         assert nilpotent_order(jordan_nilpotent(JordanType((3,)), 2)) == 2
         assert nilpotent_order(jordan_nilpotent(JordanType((5,)), 2)) == 3
-        assert nilpotent_order(FpMatrix.zeros(7, 1, 4)) == 0
+        assert nilpotent_order(FpMatrix(7, 1, np.zeros((1, 4, 4), dtype=np.int64))) == 0
 
     def test_direct_powering_oracle(self):
         # p^m is the first p-power at which the matrix dies
@@ -134,7 +137,7 @@ class TestMembership:
         with pytest.raises(ValueError):
             in_group(GroupSpec("SO", 3), FpMatrix.identity(2, 1, 3))
         with pytest.raises(ValueError):
-            in_lie_algebra(GroupSpec("Sp", 4), FpMatrix.zeros(2, 1, 4))
+            in_lie_algebra(GroupSpec("Sp", 4), FpMatrix(2, 1, np.zeros((1, 4, 4), dtype=np.int64)))
 
     def test_sp_needs_even_dimension(self):
         with pytest.raises(ValueError):
@@ -190,7 +193,7 @@ class TestMembership:
 
 class TestCentralizer:
     def test_zero_matrix_full_space(self):
-        assert len(centralizer_space(FpMatrix.zeros(3, 1, 3))) == 9
+        assert len(centralizer_space(FpMatrix(3, 1, np.zeros((1, 3, 3), dtype=np.int64)))) == 9
 
     def test_regular_nilpotent_dimension(self):
         for n in (2, 3, 4):
@@ -333,19 +336,39 @@ def test_enumerate_nilpotents_counts():
         assert all((x.p, x.e, x.n) == (p, e, n) and nilpotency_degree(x) <= n for x in found)
 
 
-@pytest.mark.parametrize("p,e,n", [(2, 1, 5), (3, 2, 4), (5, 1, 6)])
+def unipotent_inverse(u: FpMatrix) -> FpMatrix:
+    """u^-1 = sum_k (1 - u)^k for unipotent u (lane by lane for a stack),
+    from the power walk of the nilpotent 1 - u."""
+    ident = FpMatrix.identity(u.p, u.e, u.n)
+    powers = nilpotent_powers(ident - u, message="matrix is not unipotent")
+    return FpMatrix._wrap(u.p, u.e, u.n, powers.sum(axis=0) % u.p)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 5), (3, 2, 4), (5, 1, 6), (2, 2, 8), (2, 1, 1), (3, 1, 8),
+                                   (5, 2, 3), (7, 1, 8), (7, 2, 5)])
 def test_unipotent_inverse_from_the_power_walk(p, e, n):
-    import numpy as np
-
-    from ahspringer.expmaps import ah_exp
-    from ahspringer.groups import _unipotent_inverse
-
-    us = [ah_exp(random_nilpotent(GroupSpec("GL", n), "any", 40 + k, p, e=e)) for k in range(4)]
-    stacked = _unipotent_inverse(FpMatrix._wrap(p, e, n, np.stack([u.planes for u in us])))
-    for k, u in enumerate(us):
-        assert stacked.lane(k) == _unipotent_inverse(u) == linalg.inv(u)
-    with pytest.raises(DomainError, match="not unipotent"):
-        _unipotent_inverse(FpMatrix.zeros(p, e, n))
+    # the conjugator stack of _nilpotent_draws: L over the lower triangle
+    # basis and U over the upper one, walked once under the rows e_p and F
+    # (F e_p = 1); F(L) is e_p(L)^-1 at every p, also at p = 2, where
+    # e_p(t) e_p(-t) = e_p(t^2) != 1, so the inverse is not e_p(-L)
+    kinds = ["GL", "SL"] + ["SO"] * (p > 2 and n > 1) + ["Sp"] * (p > 2 and n % 2 == 0)
+    specs = [GroupSpec(kind, n) for kind in kinds for _ in range(3)]
+    states = stream_lanes(range(len(specs)), f"conjugator-inverse/{p}/{e}/{n}")
+    x = FpMatrix._wrap(p, e, n, np.stack([_combination_lanes(_triangle_runs(specs, p, e, lower), p, e,
+                                                             states, n)[0] for lower in (True, False)]))
+    rows = [f(p, n - 1).coeffs for f in (ah_coeffs_mod_p, ah_inverse_coeffs)]
+    walk = eval_series_in_matrix(rows, x)
+    exps, inverses = walk.lane(0), walk.lane(1)
+    assert exps == ah_exp(x)
+    assert inverses == unipotent_inverse(exps)
+    ident = FpMatrix.identity(p, e, n)
+    assert (exps @ inverses).lanes_equal(ident).all() and (inverses @ exps).lanes_equal(ident).all()
+    for side, lane in product(range(2), range(len(specs))):
+        assert inverses.lane(side).lane(lane) == linalg.inv(exps.lane(side).lane(lane))
+    squares = (x @ x).planes.any(axis=(-3, -2, -1))
+    if p == 2 and n > 2:
+        assert squares.any()
+        assert not (ah_exp(-x).lanes_equal(inverses) & squares).any()
 
 
 # -- lane samplers against one Stream per sample ------------------------
@@ -353,7 +376,7 @@ def test_unipotent_inverse_from_the_power_walk(p, e, n):
 
 def ref_combination(basis, p, e, st):
     """sum_i s_i B_i, drawing the e coordinates of each s_i in turn."""
-    acc = FpMatrix.zeros(p, e, basis.shape[-1])
+    acc = FpMatrix(p, e, np.zeros(basis.shape[1:], dtype=np.int64))
     for b in basis:
         acc = acc + FpMatrix(p, e, b).scale(tuple(st.below(p) for _ in range(e)))
     return acc
@@ -366,7 +389,7 @@ def ref_nilpotent(spec, p, e, st):
     a = e_p(L) e_p(U).  Returns (X, coin)."""
     upper = _nilradical_planes(spec.kind, spec.n, p, e)
     if not len(upper):
-        return FpMatrix.zeros(p, e, spec.n), None
+        return FpMatrix(p, e, np.zeros((e, spec.n, spec.n), dtype=np.int64)), None
     x = ref_combination(upper, p, e, st)
     coin = st.below(2)
     if coin:

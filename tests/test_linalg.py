@@ -112,3 +112,107 @@ def test_rref_idempotent_and_pivots():
     r2, piv2 = linalg.rref_planes(r1, 2, 1)
     assert np.array_equal(r1, r2) and piv1 == piv2
     assert len(piv1) == linalg.rank_planes(m.planes, 2, 1)
+
+
+# -- columns where no lane has a pivot ----------------------------------
+
+
+def rref_reference(planes, p, e):
+    """Reduced row echelon form of one lane's (e, rows, cols) planes and its
+    pivot columns, by Gauss-Jordan in the plain-integer reference field."""
+    rows, cols = planes.shape[1:]
+    a = [[Elem(p, e, planes[:, i, j].tolist()) for j in range(cols)] for i in range(rows)]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        k = next((i for i in range(r, rows) if not a[i][c].is_zero()), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        scale = a[r][c].inverse()
+        a[r] = [x * scale for x in a[r]]
+        for i in range(rows):
+            if i != r:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    reduced = np.array([[[x.coords[k] for x in row] for row in a] for k in range(e)])
+    return reduced.reshape(planes.shape), pivots
+
+
+def null_space_reference(planes, p, e):
+    """One vector per non-pivot column f of the reference rref: 1 at f,
+    minus column f of the rref at the pivot columns."""
+    r_mat, pivots = rref_reference(planes, p, e)
+    cols = planes.shape[2]
+    out = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = np.zeros((e, cols), dtype=np.int64)
+        v[0, f] = 1
+        for i, c in enumerate(pivots):
+            v[:, c] = (-r_mat[:, i, f]) % p
+        out.append(v)
+    return np.array(out, dtype=np.int64).reshape(len(out), e, cols)
+
+
+def pivotless_stacks(p, e, st):
+    """(name, stack (B, e, rows, cols)) where some lane or some column has
+    no pivot: a zero column shared by every lane, an all-zero lane beside
+    full-rank ones, rank-deficient lanes mixed with full-rank ones, a
+    column that repeats another in every lane, and wide and tall stacks
+    whose shared zero or repeated columns are skipped."""
+    def draw(rows, cols):
+        return np.array([[[st.below(p) for _ in range(cols)] for _ in range(rows)] for _ in range(e)])
+
+    def full_rank(n):
+        while True:
+            m = draw(n, n)
+            if len(rref_reference(m, p, e)[1]) == n:
+                return m
+
+    n = 4
+    shared_zero = np.stack([draw(n, n) for _ in range(4)])
+    shared_zero[:, :, :, 1] = 0
+    zero = np.zeros((e, n, n), dtype=np.int64)
+    zero_lane = np.stack([full_rank(n), zero, full_rank(n)])
+    deficient = np.stack([full_rank(n), draw(n, n), full_rank(n), draw(n, n), zero])
+    deficient[1, :, :, 2] = (deficient[1, :, :, 0] + 2 * deficient[1, :, :, 1]) % p  # col 2 from cols 0, 1
+    deficient[3, :, 3] = deficient[3, :, 0]  # two equal rows
+    repeated = np.stack([draw(n, n) for _ in range(3)] + [zero])
+    repeated[:, :, :, 3] = repeated[:, :, :, 0]  # col 3 repeats col 0 in every lane
+    wide = np.stack([draw(3, 7) for _ in range(4)])
+    wide[:, :, :, [2, 5]] = 0
+    wide[1] = 0
+    tall = np.stack([draw(6, 3) for _ in range(3)])
+    tall[:, :, :, 1] = tall[:, :, :, 0]
+    return [("shared zero column", shared_zero), ("zero lane", zero_lane), ("rank-deficient", deficient),
+            ("repeated column", repeated), ("wide", wide), ("tall", tall)]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)])
+def test_pivotless_columns_match_the_reference(p, e):
+    st = stream(25, f"pivotless/{p}/{e}")
+    for name, stack in pivotless_stacks(p, e, st):
+        r_mat, pivot, _ = linalg._eliminate(stack, p, e)
+        for lane, planes in enumerate(stack):
+            ref, pivots = rref_reference(planes, p, e)
+            assert np.array_equal(r_mat[lane], ref) and np.flatnonzero(pivot[lane]).tolist() == pivots, name
+            alone = linalg.rref_planes(planes, p, e)
+            assert np.array_equal(alone[0], ref) and alone[1] == pivots, name
+            assert np.array_equal(linalg.null_space_planes(planes, p, e),
+                                  null_space_reference(planes, p, e)), name
+        if stack.shape[-1] != stack.shape[-2]:
+            continue
+        n = stack.shape[-1]
+        inverse, ok = linalg.inv_planes(stack, p, e)
+        det = linalg.det_planes(stack, p, e)
+        for lane, planes in enumerate(stack):
+            m = FpMatrix(p, e, planes)
+            assert tuple(det[lane].tolist()) == det_by_permutation_expansion(m), name
+            # a full-rank lane's determinant does not depend on its stack-mates
+            assert np.array_equal(det[lane], linalg.det_planes(planes, p, e)), name
+            identity = FpMatrix.identity(p, e, n).planes
+            aug = np.concatenate([planes, identity], axis=-1)
+            ref, pivots = rref_reference(aug, p, e)
+            assert ok[lane] == (pivots[:n] == list(range(n))), name
+            assert np.array_equal(inverse[lane], ref[..., n:] if ok[lane] else np.zeros_like(planes)), name
+        assert ok.any() or name in ("shared zero column", "repeated column")

@@ -163,7 +163,7 @@ class TestNilpotenceClass:
 class TestEpsP:
     def test_zero(self):
         par = ParabolicGL(Composition((2, 1)), 2)
-        assert eps_p(par, FpMatrix.zeros(2, 1, 3)) == FpMatrix.identity(2, 1, 3)
+        assert eps_p(par, FpMatrix(2, 1, np.zeros((1, 3, 3), dtype=np.int64))) == FpMatrix.identity(2, 1, 3)
 
     def test_abelian_radical(self):
         par = ParabolicGL(Composition((2, 1)), 2)
@@ -178,7 +178,7 @@ class TestEpsP:
     def test_rejects_non_restricted(self):
         par = ParabolicGL(Composition((1, 1, 1)), 2)
         with pytest.raises(DomainError):
-            eps_p(par, FpMatrix.zeros(2, 1, 3))
+            eps_p(par, FpMatrix(2, 1, np.zeros((1, 3, 3), dtype=np.int64)))
 
     def test_rejects_outside_radical(self):
         par = ParabolicGL(Composition((2, 1)), 3)
@@ -187,9 +187,10 @@ class TestEpsP:
 
     def test_rejects_another_size_or_field_by_name(self):
         par = ParabolicGL(Composition((2, 1)), 3)
-        for x, message in ((FpMatrix.zeros(3, 1, 4), "matrix is 4 x 4 but composition (2, 1) has n = 3"),
-                           (FpMatrix.zeros(3, 2, 3), "matrix is over F_3^2 but the parabolic is over F_3^1"),
-                           (FpMatrix.zeros(5, 1, 3), "matrix is over F_5^1 but the parabolic is over F_3^1")):
+        for (p, e, n), message in (((3, 1, 4), "matrix is 4 x 4 but composition (2, 1) has n = 3"),
+                                   ((3, 2, 3), "matrix is over F_3^2 but the parabolic is over F_3^1"),
+                                   ((5, 1, 3), "matrix is over F_5^1 but the parabolic is over F_3^1")):
+            x = FpMatrix(p, e, np.zeros((e, n, n), dtype=np.int64))
             assert not in_nilradical(par, x)
             with pytest.raises(ValueError) as err:
                 eps_p(par, x)

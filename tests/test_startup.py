@@ -1,8 +1,10 @@
 """Start-up cost guards: ``import ahspringer`` loads no submodule, its
 public names resolve on first use, the scalar commands (``ah-coeffs``,
 ``witt``, ``parabolic class``) run without loading numpy or the suites,
-``exp`` and ``log`` without the samplers, and only the process entry
-point ``cli.run`` sets the BLAS thread count and freezes the heap."""
+``exp`` and ``log`` without the samplers, ``verify`` loads the
+parabolic layers only for eps-parabolic, and only the process entry point
+``cli.run`` sets the BLAS thread count, turns the cycle collector off and
+freezes the heap."""
 
 import gc
 import json
@@ -61,11 +63,12 @@ _RUN = """
 import contextlib, gc, io, json, os, sys
 from ahspringer import cli
 sys.argv = ["ahspringer", *json.loads(sys.argv[1])]
-before = gc.get_freeze_count()
+before, before_enabled = gc.get_freeze_count(), gc.isenabled()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.run()
 print(json.dumps({"code": code, "threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-                  "frozen_before": before, "frozen_after": gc.get_freeze_count()}))
+                  "frozen_before": before, "frozen_after": gc.get_freeze_count(),
+                  "collecting_before": before_enabled, "collecting_after": gc.isenabled()}))
 """
 
 
@@ -130,6 +133,7 @@ def test_run_sets_one_blas_thread_unless_preset_and_freezes_the_heap(argv, code,
     assert result["code"] == code
     assert result["threads"] == (preset or "1")
     assert result["frozen_before"] == 0 < result["frozen_after"]
+    assert result["collecting_before"] is True and result["collecting_after"] is False
 
 
 def test_the_script_entry_point_is_run():
@@ -141,11 +145,31 @@ def test_main_in_process_leaves_environment_and_freeze_count_alone(tmp_path, mon
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     environ, frozen = dict(os.environ), gc.get_freeze_count()
     x_path, _ = _matrix_files(tmp_path)
-    assert main(["exp", "--matrix", str(x_path)]) == 0
-    assert main(["witt", "neg", "--p", "4", "--m", "3", "--vector", "1,0,3"]) == 2
+    for collecting in (True, False):  # the collector is left as found
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert main(["exp", "--matrix", str(x_path)]) == 0
+            assert main(["witt", "neg", "--p", "4", "--m", "3", "--vector", "1,0,3"]) == 2
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
     assert dict(os.environ) == environ
     assert gc.get_freeze_count() == frozen
-    assert capsys.readouterr().out == json.dumps(U) + "\n"
+    assert capsys.readouterr().out == 2 * (json.dumps(U) + "\n")
+
+
+MATRIX_SUITES = "frobenius-compat,order-preservation,commuting-pairs,equivariance"
+PARABOLIC_LAYERS = {"ahspringer.parabolic", "ahspringer.compositions"}
+
+
+def test_verify_loads_the_parabolic_layers_only_for_eps_parabolic():
+    matrix = _probe([["verify", "--suite", MATRIX_SUITES, "--p", "3", "--trials", "1", "--max-dim", "3"]])
+    assert matrix["calls"][0][0] == 0
+    assert "ahspringer.suites" in matrix["loaded"]
+    assert not PARABOLIC_LAYERS & set(matrix["loaded"])
+    eps = _probe([["verify", "--suite", "eps-parabolic", "--p", "3", "--trials", "1", "--max-dim", "3"]])
+    assert eps["calls"][0][0] == 0
+    assert PARABOLIC_LAYERS <= set(eps["loaded"])
 
 
 def test_every_public_name_is_its_defining_modules_attribute():

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ahspringer"
 HOOKS = {"__getattr__", "__dir__"}  # module hooks Python calls by name
 # public methods whose only callers are tests, left for a later change
-PENDING = {"matrices.FpMatrix.zeros"}
+PENDING = set()
 
 
 def parse(path: Path) -> ast.Module:
