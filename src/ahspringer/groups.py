@@ -2,13 +2,13 @@
 
 Covers nilpotent generation by Jordan type, group / Lie algebra
 membership for the classical forms, nilpotent order, centralizers, and
-seeded sampling of nilpotents and group elements.  One kernel solve,
-``_kernel_span``, gives every Lie subspace: ``lie_basis`` (Lie(G) on a
-set of matrix-unit positions, such as a triangle or the block-upper
-positions of a parabolic) and ``centralizer_space``.  SO and Sp preserve
-a fixed antidiagonal form, so Lie(G) on the strictly upper triangle is a
-nilpotent subalgebra; ``_combination_lanes`` samples it and parabolic
-nilradicals alike.
+seeded sampling of nilpotents and group elements.  ``lie_basis``
+(Lie(G) on a set of matrix-unit positions, such as a triangle or the
+block-upper positions of a parabolic) is written down from the units
+its conditions tie together; ``centralizer_space`` is the one kernel
+solve, ``_kernel_span``.  SO and Sp preserve a fixed antidiagonal form, so
+Lie(G) on the strictly upper triangle is a nilpotent subalgebra;
+``_combination_lanes`` samples it and parabolic nilradicals alike.
 
 The samplers draw many elements at once, one lane per (group, seed),
 from SplitMix64 lanes (``rng.stream_lanes``); a stack of groups of
@@ -178,7 +178,8 @@ def in_lie_algebra(spec: GroupSpec, x: FpMatrix):
 def _kernel_span(units: np.ndarray, images: np.ndarray, p: int, e: int) -> np.ndarray:
     """Planes (d, e, n, n) of a kernel basis of a linear map on the span of
     the matrix units (k, n, n), from the coordinates (k, e, m) of each
-    unit's image: the package's one null-space solve."""
+    unit's image: the package's one null-space solve, behind
+    ``centralizer_space``."""
     k, n = units.shape[0], units.shape[-1]
     conditions = images[:, :, images.any(axis=(0, 1))]  # a zero row holds for every unit
     if not conditions.size:  # no condition, as for GL: the kernel is every unit
@@ -190,15 +191,37 @@ def _kernel_span(units: np.ndarray, images: np.ndarray, p: int, e: int) -> np.nd
 @lru_cache(maxsize=None)
 def lie_basis(kind: str, n: int, p: int, e: int, support: tuple) -> np.ndarray:
     """Read-only planes (k, e, n, n) of a basis of Lie(G) on the span of
-    the matrix units at support, a tuple of (i, j) positions: the kernel
-    of ``_lie_residual`` there, so its entries lie in F_p (plane 0 only);
-    for GL, the units themselves in the order of support."""
-    units = np.zeros((len(support), 1, n, n), dtype=np.int64)
-    units[(np.arange(len(support)), 0, *np.array(support, dtype=np.intp).reshape(-1, 2).T)] = 1
-    # the map has F_p coefficients, so an F_p basis spans the F_{p^e} solutions
-    solved = _kernel_span(units[:, 0], _lie_residual(GroupSpec(kind, n), units, p), p, 1)
-    basis = np.zeros((len(solved), e, n, n), dtype=np.int64)
-    basis[:, :1] = solved
+    the matrix units at support, a tuple of (i, j) positions: the null
+    space of ``_lie_residual`` there that an elimination would give,
+    written down instead (F_p entries, plane 0 only).  Each condition ties
+    a unit only to its partners; the first of them in support is a pivot,
+    and each later one b gives 1 at b and c at that pivot a, while a unit
+    under no condition gives itself, all in support order.  GL has no
+    condition; SL ties the diagonal units, c = -1; SO/Sp tie b = (i, j) to
+    its mirror (n-1-j, n-1-i) by s_i x_b + s_j x_mirror = 0, s_i =
+    J[i, n-1-i] = +-1, so c = -s_i s_j, and an antidiagonal unit (its own
+    mirror) is under no condition for Sp (s_j = -s_i), a pivot for SO."""
+    form = GroupSpec(kind, n).form_for(p, 1)  # refuses SO and Sp at p = 2
+    sign = None if form is None else np.diag(form.planes[0][:, ::-1]).tolist()
+    index = {unit: k for k, unit in enumerate(support)}
+    diagonal = [k for k, (i, j) in enumerate(support) if i == j]
+    vectors = []  # (b, a, c); a = b for a unit that stands alone
+    for b, (i, j) in enumerate(support):
+        if sign is not None:
+            a = index.get((n - 1 - j, n - 1 - i), len(support))  # missing: b is a pivot
+            if a < b:
+                vectors.append((b, a, -sign[i] * sign[j] % p))
+            elif a == b and kind == "Sp":
+                vectors.append((b, b, 1))
+        elif kind == "GL" or i != j:
+            vectors.append((b, b, 1))
+        elif b != diagonal[0]:
+            vectors.append((b, diagonal[0], p - 1))
+    b, a, c = np.array(vectors, dtype=np.int64).reshape(-1, 3).T
+    at = np.array(support, dtype=np.intp).reshape(-1, 2)
+    basis = np.zeros((len(vectors), e, n, n), dtype=np.int64)
+    basis[np.arange(len(vectors)), 0, at[a, 0], at[a, 1]] = c
+    basis[np.arange(len(vectors)), 0, at[b, 0], at[b, 1]] = 1
     basis.flags.writeable = False
     return basis
 

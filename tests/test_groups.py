@@ -13,6 +13,8 @@ from ahspringer.groups import (
     GroupSpec,
     JordanType,
     _combination_lanes,
+    _kernel_span,
+    _lie_residual,
     _triangle_runs,
     centralizer_space,
     default_form,
@@ -281,36 +283,98 @@ class TestSampling:
             return {"GL": n * (n - 1) // 2, "SL": n * (n - 1) // 2, "Sp": m * m,
                     "SO": m * m if n % 2 else m * (m - 1)}[kind]
 
-        keep = {"full": lambda i, j: True, "upper": lambda i, j: i < j, "lower": lambda i, j: i > j}
-        for p, e, kind, n in product((3, 5, 7), (1, 2), ("GL", "SL", "SO", "Sp"), range(1, 9)):
-            if kind == "Sp" and n % 2:
+        for kind, n, p, e, name, support in lie_cases((2, 3, 5, 7)):
+            if name == "irregular":
                 continue
             spec = GroupSpec(kind, n)
             form = default_form(kind, n, p, e) if kind in ("SO", "Sp") else None
-            for name, inside in keep.items():
-                support = tuple((i, j) for i in range(n) for j in range(n) if inside(i, j))
-                basis = lie_basis(kind, n, p, e, support)
-                assert basis.shape == (expected(kind, n, name), e, n, n), (p, e, kind, n, name)
-                # F_p entries only, on the support, linearly independent
-                assert not basis[:, 1:].any() and not basis.flags.writeable
-                outside = np.ones((n, n), dtype=bool)
-                outside[tuple(np.reshape(support, (-1, 2)).astype(int).T)] = False
-                assert not basis[:, 0, outside].any()
-                if len(basis):
-                    assert linalg.rank_planes(basis[:, 0].reshape(1, len(basis), n * n), p, 1) == len(basis)
-                for b in basis:
-                    x = FpMatrix(p, e, b)
-                    assert in_lie_algebra(spec, x)
-                    if kind == "SL":
-                        assert not (np.trace(x.planes, axis1=1, axis2=2) % p).any()
-                    if form is not None:
-                        assert (x.transpose() @ form + form @ x).is_zero()
+            basis = lie_basis(kind, n, p, e, support)
+            assert basis.shape == (expected(kind, n, name), e, n, n), (p, e, kind, n, name)
+            # F_p entries only, on the support, linearly independent
+            assert not basis[:, 1:].any() and not basis.flags.writeable
+            outside = np.ones((n, n), dtype=bool)
+            outside[tuple(np.reshape(support, (-1, 2)).astype(int).T)] = False
+            assert not basis[:, 0, outside].any()
+            if len(basis):
+                assert linalg.rank_planes(basis[:, 0].reshape(1, len(basis), n * n), p, 1) == len(basis)
+            for b in basis:
+                x = FpMatrix(p, e, b)
+                assert in_lie_algebra(spec, x)
+                if kind == "SL":
+                    assert not (np.trace(x.planes, axis1=1, axis2=2) % p).any()
+                if form is not None:
+                    assert (x.transpose() @ form + form @ x).is_zero()
+
+
+SUPPORTS = {"full": lambda i, j: True, "upper": lambda i, j: i < j, "lower": lambda i, j: i > j,
+            "irregular": lambda i, j: (i + j) % 3 != 1}
+
+
+def ref_lie_basis(kind, n, p, e, support):
+    """Lie(G) on the units at support by elimination: the kernel of
+    _lie_residual, solved over F_p by groups._kernel_span."""
+    units = np.zeros((len(support), 1, n, n), dtype=np.int64)
+    units[(np.arange(len(support)), 0, *np.array(support, dtype=np.intp).reshape(-1, 2).T)] = 1
+    # the map has F_p coefficients, so an F_p basis spans the F_{p^e} solutions
+    solved = _kernel_span(units[:, 0], _lie_residual(GroupSpec(kind, n), units, p), p, 1)
+    basis = np.zeros((len(solved), e, n, n), dtype=np.int64)
+    basis[:, :1] = solved
+    return basis
+
+
+def lie_cases(primes):
+    """(kind, n, p, e, support name, support) over the kinds valid at each p."""
+    for kind, n, p, e in product(("GL", "SL", "SO", "Sp"), range(1, 9), primes, (1, 2)):
+        if (kind == "Sp" and n % 2) or (kind in ("SO", "Sp") and p == 2):
+            continue
+        for name, inside in SUPPORTS.items():
+            yield kind, n, p, e, name, tuple((i, j) for i in range(n) for j in range(n) if inside(i, j))
+
+
+def test_lie_basis_is_the_elimination_basis():
+    # the written-down basis against the old solve, array for array: the
+    # same rows in the same order, int64 and read-only
+    for kind, n, p, e, name, support in lie_cases((2, 3, 5, 7)):
+        basis, ref = lie_basis(kind, n, p, e, support), ref_lie_basis(kind, n, p, e, support)
+        assert basis.dtype == np.int64 and not basis.flags.writeable, (kind, n, p, e, name)
+        assert basis.shape == ref.shape and np.array_equal(basis, ref), (kind, n, p, e, name)
+
+
+@pytest.mark.parametrize("kind,n", [("SO", 3), ("SO", 4), ("Sp", 4)])
+def test_lie_basis_refuses_so_and_sp_at_p_2(kind, n):
+    with pytest.raises(ValueError, match=f"^{kind} is not supported in characteristic 2$"):
+        lie_basis(kind, n, 2, 1, ((0, 1),))
+
+
+def test_lie_basis_and_sampling_run_no_elimination(monkeypatch):
+    def draws(p, e):
+        specs = [GroupSpec(kind, n) for kind in ("GL", "SL", "SO", "Sp") for n in range(1, 9)
+                 if not (kind == "Sp" and n % 2)]
+        forms = [spec for spec in specs if spec.kind in ("SO", "Sp")]
+        states = stream_lanes(range(len(forms)), f"no-solve/{p}/{e}")
+        return (nilpotent_lanes(specs, p, e, range(len(specs))).planes,
+                group_element_lanes(forms, p, e, states).planes)
+
+    grid = list(product((3, 5), (1, 2)))
+    expected = [draws(p, e) for p, e in grid]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an elimination ran")
+
+    lie_basis.cache_clear()
+    _nilradical_planes.cache_clear()
+    monkeypatch.setattr(linalg, "_eliminate", no_solve)
+    for kind, n, p, e, _, support in lie_cases((3, 5)):
+        lie_basis(kind, n, p, e, support)
+    for (p, e), (nilpotents, elements) in zip(grid, expected):
+        got = draws(p, e)
+        assert np.array_equal(got[0], nilpotents) and np.array_equal(got[1], elements)
 
 
 def test_one_null_space_solve_and_one_nilradical_sampler():
-    # every Lie subspace and centralizer is a kernel from groups._kernel_span,
-    # and parabolic draws its nilradical coordinates through
-    # groups._combination_lanes, never from below_lanes itself
+    # centralizer_space is the one kernel solve, through groups._kernel_span
+    # (lie_basis writes its basis down), and parabolic draws its nilradical
+    # coordinates through groups._combination_lanes, never from below_lanes
     def name(func):
         return getattr(func, "attr", getattr(func, "id", None))
 
