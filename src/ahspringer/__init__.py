@@ -22,8 +22,8 @@ _SUBMODULE = {
         "matrices": ("FpMatrix", "load_matrix"),
         "groups": (
             "GroupSpec", "JordanType", "centralizer_space", "in_group", "in_lie_algebra",
-            "jordan_nilpotent", "nilpotency_degree", "nilpotent_order", "random_nilpotent",
-            "unipotent_order_exponent",
+            "jordan_nilpotent", "nilpotency_degree", "nilpotent_order", "nilradical_basis",
+            "random_nilpotent", "unipotent_order_exponent",
         ),
         "witt": (
             "WittVector", "witt_add", "witt_from_integer", "witt_neg", "witt_order",
@@ -34,7 +34,7 @@ _SUBMODULE = {
             "witt_embed",
         ),
         "compositions": ("Composition", "ParabolicGL", "is_restricted", "nilpotence_class"),
-        "parabolic": ("eps_p", "nilradical_basis"),
+        "parabolic": ("eps_p",),
         "suites": ("Report", "SuiteConfig", "run_suite"),
     }.items()
     for name in names

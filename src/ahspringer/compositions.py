@@ -5,34 +5,29 @@ subgroup P of GL_n.  The i-th term of the lower central series of its
 nilradical u_P is spanned by the matrix units at least i blocks above
 the diagonal, so the nilpotence class is r - 1, and P is restricted when
 that is below p.  Everything here is integer bookkeeping without numpy,
-so ``parabolic class`` runs without it; the matrices of P live in
-``parabolic``.
+so ``parabolic class`` runs without it; eps_P lives in ``parabolic``
+and the samplers of P and u_P in ``groups``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .gf import MAX_DIM, _check_field_params
+from .gf import MAX_DIM, _check_field_params, _Frozen
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Ordered positive block sizes."""
+class Composition(_Frozen):
+    """Ordered positive block sizes, and n, their sum."""
 
-    blocks: tuple[int, ...]
+    __slots__ = ("blocks", "n")
+    _fields = ("blocks",)
 
-    def __post_init__(self):
-        blocks = tuple(int(b) for b in self.blocks)
+    def __init__(self, blocks: tuple[int, ...]):
+        blocks = tuple(int(b) for b in blocks)
         if not blocks:
             raise ValueError("a composition needs at least one block")
         if any(b <= 0 for b in blocks):
             raise ValueError("block sizes must be positive")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def n(self) -> int:
-        return sum(self.blocks)
+        self._freeze(blocks)
+        object.__setattr__(self, "n", sum(blocks))
 
     @classmethod
     def parse(cls, text: str) -> "Composition":
@@ -42,22 +37,18 @@ class Composition:
             raise ValueError(f"bad composition {text!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ParabolicGL:
-    """A standard parabolic of GL_n over F_{p^e}."""
+class ParabolicGL(_Frozen):
+    """A standard parabolic of GL_n over F_{p^e}, n = comp.n."""
 
-    comp: Composition
-    p: int
-    e: int = 1
+    __slots__ = ("comp", "p", "e", "n")
+    _fields = ("comp", "p", "e")
 
-    def __post_init__(self):
-        _check_field_params(self.p, self.e)
-        if self.n > MAX_DIM:
-            raise ValueError(f"matrix dimension must be between 1 and {MAX_DIM}, got {self.n}")
-
-    @property
-    def n(self) -> int:
-        return self.comp.n
+    def __init__(self, comp: Composition, p: int, e: int = 1):
+        _check_field_params(p, e)
+        if comp.n > MAX_DIM:
+            raise ValueError(f"matrix dimension must be between 1 and {MAX_DIM}, got {comp.n}")
+        self._freeze(comp, p, e)
+        object.__setattr__(self, "n", comp.n)
 
     def block_index(self) -> tuple[int, ...]:
         """block_index()[i] = which block row/column i belongs to."""

@@ -16,7 +16,6 @@ with its independent Dynkin-expansion oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -27,7 +26,9 @@ from .gf import inverse_mod
 from .matrices import FpMatrix, nilpotent_powers
 from .series import ah_coeffs_mod_p, series_reversion
 
-if TYPE_CHECKING:  # witt is loaded by its callers, not by exp and log
+if TYPE_CHECKING:  # witt is loaded by its callers, fractions by the Dynkin table
+    from fractions import Fraction
+
     from .witt import WittVector
 
 
@@ -146,6 +147,7 @@ def _dynkin_word_table(maxdeg: int) -> tuple[tuple[str, Fraction], ...]:
     # log(exp X exp Y), collapsed over block decompositions:
     # sum over n and (r_i, s_i) with r_i + s_i > 0 of
     # (-1)^(n-1) / (n * |word| * prod r_i! s_i!)
+    from fractions import Fraction
     from math import factorial
 
     table: dict[str, Fraction] = {}

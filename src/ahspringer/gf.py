@@ -168,6 +168,39 @@ def _field_inv(a, p: int, mod):
     return tuple(x * norm_inv % p for x in conj)
 
 
+class _Frozen:
+    """Base of the immutable values of the numpy-free layers, in place of
+    frozen dataclasses, whose module loads ``inspect``: a subclass names
+    its fields in ``_fields`` and stores them with ``_freeze``, which keeps
+    their tuple as the key; values of one class are equal, and hash, by it."""
+
+    __slots__ = ("_key",)
+    _fields: tuple[str, ...] = ()
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+
 def inverse_mod(a: int, p: int) -> int:
     """Inverse of a mod prime p; raises ZeroDivisionError when p | a."""
     a %= p

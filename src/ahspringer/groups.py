@@ -2,7 +2,8 @@
 
 Covers nilpotent generation by Jordan type, group / Lie algebra
 membership for the classical forms, nilpotent order, centralizers, and
-seeded sampling of nilpotents and group elements.  ``lie_basis``
+seeded sampling of nilpotents and group elements, and of the elements
+of standard parabolics of GL_n and their nilradicals.  ``lie_basis``
 (Lie(G) on a set of matrix-unit positions, such as a triangle or the
 block-upper positions of a parabolic) is written down from the units
 its conditions tie together; ``centralizer_space`` is the one kernel
@@ -13,8 +14,9 @@ Lie(G) on the strictly upper triangle is a nilpotent subalgebra;
 The samplers draw many elements at once, one lane per (group, seed),
 from SplitMix64 lanes (``rng.stream_lanes``); a stack of groups of
 different n pads each lane to the largest, nilpotents as diag(X, 0) and
-group elements as diag(G, 1).  ``random_nilpotent`` and
-``random_matrix`` are their one-lane views.  The order and membership
+group elements as diag(G, 1); a stack of parabolics (``p_elements``,
+``radical_elements``) is padded the same way.  ``random_nilpotent`` and
+``random_matrix`` are one-lane views.  The order and membership
 functions take a stack as well and return one value per lane.
 """
 
@@ -22,14 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
 from . import linalg
 from .errors import DomainError
 from .gf import _check_field_params, _field_inv, _field_mul, field_modulus
-from .matrices import FpMatrix, _mat_mul_planes, nilpotent_powers
+from .matrices import FpMatrix, _mat_mul_planes, _runs, nilpotent_powers
 from .rng import Stream, below_lanes, stream, stream_lanes
 
 KINDS = ("GL", "SL", "SO", "Sp")
@@ -326,12 +327,6 @@ def _nilradical_planes(kind: str, n: int, p: int, e: int, lower: bool = False) -
     return lie_basis(kind, n, p, e, support)
 
 
-def _runs(items) -> list[tuple[object, int]]:
-    """(item, run length) for each run of one object in a lane list, so
-    per-item work is done once per run, not once per lane."""
-    return [(run[0], len(run)) for run in (list(g) for _, g in groupby(items, key=id))]
-
-
 def _triangle_runs(specs, p: int, e: int, lower: bool = False) -> list[tuple[np.ndarray, int]]:
     """(basis, lane count) runs of each lane's upper (or lower) triangle basis."""
     return [(_nilradical_planes(spec.kind, spec.n, p, e, lower), k) for spec, k in _runs(specs)]
@@ -444,6 +439,67 @@ def jordan_nilpotent_lanes(spec: GroupSpec, jordan_type: JordanType, p: int, e: 
     states = stream_lanes(seeds, f"nilpotent/{spec.kind}/{spec.n}/{p}/{e}/{type_label}")
     g = FpMatrix._wrap(p, e, spec.n, invertible_lanes(p, e, [spec.n] * len(states), states))
     return g @ jordan_nilpotent(jordan_type, p, e) @ linalg.inv(g)
+
+
+@lru_cache(maxsize=None)
+def nilradical_basis(par) -> np.ndarray:
+    """Read-only planes (k, e, n, n) of the matrix units spanning the
+    nilradical u_P of a ``compositions.ParabolicGL``, row-major over the
+    block-upper positions: ``lie_basis`` of GL there."""
+    idx = par.block_index()
+    support = tuple((i, j) for i in range(par.n) for j in range(par.n) if idx[i] < idx[j])
+    return lie_basis("GL", par.n, par.p, par.e, support)
+
+
+def _parabolic_lanes(pars, prefix: str, seeds, index=0):
+    """The runs of a lane list of parabolics, the (p, e, n) of its largest,
+    and the lane states of stream(seeds[i], "<prefix>/<blocks>/<p>/<e>",
+    index), each label built once per run."""
+    runs = _runs(pars)
+    q = max((q for q, _ in runs), key=lambda q: q.n)
+    labels = [label for r, k in runs for label in [f"{prefix}/{r.comp.blocks}/{r.p}/{r.e}"] * k]
+    return runs, (q.p, q.e, q.n), stream_lanes(seeds, labels, index)
+
+
+def _radical_draws(runs, field, states: np.ndarray) -> np.ndarray:
+    """Planes (B, e, n, n) of u_P elements, (p, e, n) = field, drawn from
+    the lanes by ``_combination_lanes`` over ``nilradical_basis``: e
+    coordinates per block-upper position, in row-major order."""
+    p, e, n = field
+    return _combination_lanes([(nilradical_basis(q), k) for q, k in runs], p, e, states, n)[0]
+
+
+def p_elements(pars, seeds) -> FpMatrix:
+    """Seeded invertible block-upper-triangular matrices, lane i in the
+    parabolic P_i = pars[i] and padded to diag(G, 1) at the largest n.
+
+    Lane i draws from stream(seeds[i], "p-element/<blocks>/<p>/<e>"):
+    first each diagonal block, in block order, as a uniform invertible
+    matrix (``invertible_lanes``), then the entries above the blocks, as
+    ``_radical_draws``.
+    """
+    runs, (p, e, n), states = _parabolic_lanes(pars, "p-element", seeds)
+    lengths = [k for _, k in runs]
+    index = np.repeat([q.block_index() + (-1,) * (n - q.n) for q, _ in runs], lengths, axis=0)
+    planes = np.zeros((len(pars), e, n, n), dtype=np.int64)
+    planes[:, 0, range(n), range(n)] = index < 0
+    for b in range(max(len(q.comp.blocks) for q, _ in runs)):
+        sizes = np.repeat([q.comp.blocks[b] if b < len(q.comp.blocks) else 0 for q, _ in runs], lengths)
+        g = invertible_lanes(p, e, sizes, states)
+        inner = np.arange(g.shape[-1]) < sizes[:, None]
+        slot = index == b
+        for k in range(e):
+            planes[:, k][slot[:, :, None] & slot[:, None, :]] = g[:, k][inner[:, :, None] & inner[:, None, :]]
+    planes += _radical_draws(runs, (p, e, n), states)
+    return FpMatrix._wrap(p, e, n, planes)
+
+
+def radical_elements(pars, seeds, index=0) -> FpMatrix:
+    """Seeded elements of u_P, lane i in the nilradical of P_i = pars[i]
+    and padded to diag(X, 0) at the largest n, drawn from
+    stream(seeds[i], "radical/<blocks>/<p>/<e>", index)."""
+    runs, field, states = _parabolic_lanes(pars, "radical", seeds, index)
+    return FpMatrix._wrap(*field, _radical_draws(runs, field, states))
 
 
 _SAMPLE_CAP = 3000

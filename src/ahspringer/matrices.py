@@ -17,6 +17,7 @@ single matrices.
 from __future__ import annotations
 
 import json
+from itertools import groupby
 
 import numpy as np
 
@@ -253,6 +254,12 @@ def nilpotent_powers(x: FpMatrix, limit: int | None = None,
         d += 1
         y = _mat_mul_planes(y, x.planes, x.p, x._mod)
     return powers[:d]
+
+
+def _runs(items) -> list[tuple[object, int]]:
+    """(item, run length) for each run of one object in a lane list, so
+    per-item work is done once per run, not once per lane."""
+    return [(run[0], len(run)) for run in (list(g) for _, g in groupby(items, key=id))]
 
 
 def load_matrix(path: str) -> FpMatrix:

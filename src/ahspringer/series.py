@@ -16,9 +16,8 @@ those of exp(t), i.e. C_i = 1/i!.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 from .gf import check_prime, inverse_mod
 
@@ -35,6 +34,8 @@ class RationalSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
+        from fractions import Fraction  # loaded only where a rational is built
+
         self.coeffs = tuple(Fraction(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
@@ -78,15 +79,14 @@ class FpSeries:
 
 
 @lru_cache(maxsize=None)
-def ah_rational_coeffs(p: int, degree: int) -> RationalSeries:
-    """Coefficients C_0..C_degree of E_p(t) = exp(sum_j t^(p^j)/p^j).
+def _ah_integer_coeffs(p: int, degree: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The integers A_n = n! C_n and the factorials n!, n <= degree, of
+    the coefficients C_n of E_p(t) = exp(sum_j t^(p^j)/p^j).
 
-    The product of the exponentials exp(t^q/q), q = p^j, computed on the
-    integers A_n = n! C_n: exp(t^q/q) has A_(qi) = (qi)!/(q^i i!), a
-    product is the binomial convolution sum_k binom(n, k) a_k b_(n-k), and
-    each C_n = A_n / n! is formed once at the end; every denominator comes
-    out coprime to p.  The derivative recurrence (n+1) C_{n+1} =
-    sum_{p^j - 1 <= n} C_{n - (p^j - 1)}, which on the A_n reads
+    The product of the exponentials exp(t^q/q), q = p^j: exp(t^q/q) has
+    A_(qi) = (qi)!/(q^i i!), and a product is the binomial convolution
+    sum_k binom(n, k) a_k b_(n-k).  The derivative recurrence (n+1) C_{n+1}
+    = sum_{p^j - 1 <= n} C_{n - (p^j - 1)}, which on the A_n reads
     A_{n+1} = sum_{q <= n+1} n!/(n+1-q)! A_{n+1-q}, is rechecked on every
     fresh expansion.
     """
@@ -112,24 +112,36 @@ def ah_rational_coeffs(p: int, degree: int) -> RationalSeries:
             raise ArithmeticError(
                 f"Artin-Hasse expansion failed the derivative recurrence at degree {n + 1}"
             )
-    return RationalSeries(Fraction(x, f) for x, f in zip(a, fact))
+    return tuple(a), tuple(fact)
+
+
+@lru_cache(maxsize=None)
+def ah_rational_coeffs(p: int, degree: int) -> RationalSeries:
+    """Coefficients C_0..C_degree of E_p(t), each C_n = A_n / n! formed
+    once from ``_ah_integer_coeffs``; every denominator comes out coprime
+    to p."""
+    from fractions import Fraction
+
+    return RationalSeries(Fraction(a, fact) for a, fact in zip(*_ah_integer_coeffs(p, degree)))
 
 
 @lru_cache(maxsize=None)
 def ah_coeffs_mod_p(p: int, degree: int) -> FpSeries:
-    """The mod-p reduction e_p(t) of the Artin-Hasse series.
+    """The mod-p reduction e_p(t) of the Artin-Hasse series: each A_n / n!
+    in lowest terms, its numerator times the inverse of its denominator.
 
     Raises ArithmeticError if any denominator were divisible by p; that
     would be an internal invariant violation, not a caller error.
     """
-    rational = ah_rational_coeffs(p, degree)
     out = []
-    for i, c in enumerate(rational.coeffs):
-        if c.denominator % p == 0:
+    for i, (a, fact) in enumerate(zip(*_ah_integer_coeffs(p, degree))):
+        g = gcd(a, fact)
+        num, den = a // g, fact // g
+        if den % p == 0:
             raise ArithmeticError(
-                f"integrality violated: coefficient {i} of E_{p} is {c}"
+                f"integrality violated: coefficient {i} of E_{p} is {num}/{den}"
             )
-        out.append(c.numerator * inverse_mod(c.denominator, p) % p)
+        out.append(num * inverse_mod(den, p) % p)
     return FpSeries(p, out)
 
 

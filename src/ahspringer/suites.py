@@ -41,6 +41,8 @@ from .groups import (
     nilpotent_order,
     in_group,
     in_lie_algebra,
+    p_elements,
+    radical_elements,
     unipotent_order_exponent,
 )
 from .matrices import FpMatrix, _mat_mul_planes, nilpotent_powers
@@ -390,21 +392,20 @@ def _eps_chunks(cfg: SuiteConfig, pars: list, prop: str, count: int, check):
 # verdict per lane and the stacked witness inputs.
 
 def _eps_equivariance(lanes, seeds):
-    from .parabolic import eps_p, p_elements, radical_elements
+    from .parabolic import eps_p
     g, x = p_elements(lanes, seeds), radical_elements(lanes, seeds, 1)
     ginv = linalg.inv(g)
     return eps_p(lanes, g @ x @ ginv).lanes_equal(g @ eps_p(lanes, x) @ ginv), {"g": g, "X": x}
 
 
 def _eps_bch(lanes, seeds):
-    from .parabolic import eps_p, radical_elements
+    from .parabolic import eps_p
     x, y = radical_elements(lanes, seeds, 0), radical_elements(lanes, seeds, 1)
     return eps_p(lanes, bch(x, y)).lanes_equal(eps_p(lanes, x) @ eps_p(lanes, y)), {"X": x, "Y": y}
 
 
 def _eps_dynkin(lanes, seeds):
     # the truncated-log/exp route against the Dynkin expansion
-    from .parabolic import radical_elements
     x, y = radical_elements(lanes, seeds, 0), radical_elements(lanes, seeds, 1)
     return bch(x, y).lanes_equal(bch_dynkin(x, y, x.p - 1)), {"X": x, "Y": y}
 
@@ -415,7 +416,7 @@ def _eps_tangent(lanes, seeds):
     # coefficient is -sum_{s in F_p} s^(p-2) eps_P(sX), because
     # sum_{s in F_p} s^k is -1 when p - 1 divides k > 0 and 0 otherwise
     # (0^0 = 1, which p = 2 needs); every s on one stack (s, lane)
-    from .parabolic import eps_p, radical_elements
+    from .parabolic import eps_p
     x = radical_elements(lanes, seeds, 0)
     p, s = x.p, np.arange(x.p)
     values = eps_p(lanes, FpMatrix._wrap(p, x.e, x.n, s[:, None, None, None, None] * x.planes % p)).planes
@@ -426,7 +427,7 @@ def _eps_tangent(lanes, seeds):
 
 def _eps_restriction(lanes, seeds):
     # the Artin-Hasse map restricts to eps_P on the nilradical
-    from .parabolic import eps_p, radical_elements
+    from .parabolic import eps_p
     x = radical_elements(lanes, seeds, 0)
     return ah_exp(x).lanes_equal(eps_p(lanes, x)), {"X": x}
 

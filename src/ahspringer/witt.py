@@ -19,9 +19,7 @@ polynomials (``tests/witt_reference.py``) and the Teichmuller map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .gf import _check_field_params, _field_pow, _frobenius, field_modulus, scalar_to_json
+from .gf import _check_field_params, _field_pow, _Frozen, _frobenius, field_modulus, scalar_to_json
 
 MAX_LENGTH = 3
 
@@ -31,25 +29,21 @@ def _check_length(m: int) -> None:
         raise ValueError(f"Witt length must be 1..{MAX_LENGTH}, got {m}")
 
 
-@dataclass(frozen=True)
-class WittVector:
+class WittVector(_Frozen):
     """Length-m Witt vector with entries in F_{p^e}, each the tuple of its
     e coordinates, reduced into [0, p) on construction."""
 
-    p: int
-    e: int
-    m: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("p", "e", "m", "entries")
+    _fields = __slots__
 
-    def __post_init__(self):
-        _check_field_params(self.p, self.e)
-        _check_length(self.m)
-        if len(self.entries) != self.m:
+    def __init__(self, p: int, e: int, m: int, entries: tuple[tuple[int, ...], ...]):
+        _check_field_params(p, e)
+        _check_length(m)
+        if len(entries) != m:
             raise ValueError("entry count does not match length")
-        if any(len(a) != self.e for a in self.entries):
-            raise ValueError(f"every entry needs {self.e} coordinates")
-        reduced = tuple(tuple(int(x) % self.p for x in a) for a in self.entries)
-        object.__setattr__(self, "entries", reduced)
+        if any(len(a) != e for a in entries):
+            raise ValueError(f"every entry needs {e} coordinates")
+        self._freeze(p, e, m, tuple(tuple(int(x) % p for x in a) for a in entries))
 
     @classmethod
     def from_ints(cls, p: int, m: int, values, e: int = 1) -> "WittVector":

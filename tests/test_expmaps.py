@@ -24,11 +24,11 @@ from ahspringer.groups import (
     JordanType,
     jordan_nilpotent,
     nilpotent_order,
+    radical_elements,
     random_nilpotent,
     unipotent_order_exponent,
 )
 from ahspringer.matrices import FpMatrix
-from ahspringer.parabolic import radical_elements
 from ahspringer.series import ah_inverse_coeffs
 from ahspringer.witt import WittVector, witt_add
 

@@ -373,8 +373,9 @@ def test_lie_basis_and_sampling_run_no_elimination(monkeypatch):
 
 def test_one_null_space_solve_and_one_nilradical_sampler():
     # centralizer_space is the one kernel solve, through groups._kernel_span
-    # (lie_basis writes its basis down), and parabolic draws its nilradical
-    # coordinates through groups._combination_lanes, never from below_lanes
+    # (lie_basis writes its basis down), and the parabolic samplers draw
+    # their nilradical coordinates through _combination_lanes, never
+    # straight from below_lanes
     def name(func):
         return getattr(func, "attr", getattr(func, "id", None))
 
@@ -386,9 +387,14 @@ def test_one_null_space_solve_and_one_nilradical_sampler():
             callers += [(path.name, getattr(top, "name", None)) for node in calls
                         if name(node.func) == "null_space_planes"]
     assert callers == [("groups.py", "_kernel_span")]
-    imported = {alias.name for node in ast.walk(ast.parse((src / "parabolic.py").read_text()))
-                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    assert "below_lanes" not in imported
+    samplers = {top.name: {name(node.func) for node in ast.walk(top) if isinstance(node, ast.Call)}
+                for top in ast.parse((src / "groups.py").read_text()).body
+                if getattr(top, "name", None) in ("nilradical_basis", "_parabolic_lanes", "_radical_draws",
+                                                  "p_elements", "radical_elements")}
+    assert len(samplers) == 5
+    assert not any("below_lanes" in calls for calls in samplers.values())
+    assert "_combination_lanes" in samplers["_radical_draws"]
+    assert {"_radical_draws", "_parabolic_lanes"} <= samplers["p_elements"] & samplers["radical_elements"]
 
 
 def test_enumerate_nilpotents_counts():

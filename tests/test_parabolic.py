@@ -1,5 +1,6 @@
 """Parabolic subgroup tests: nilradicals, classes, the block exponential."""
 
+from collections import namedtuple
 from itertools import product
 
 import numpy as np
@@ -15,9 +16,9 @@ from ahspringer.compositions import (
 )
 from ahspringer.errors import DomainError
 from ahspringer.expmaps import ah_exp, bch, truncated_log
-from ahspringer.groups import JordanType, jordan_nilpotent
+from ahspringer.groups import JordanType, jordan_nilpotent, nilradical_basis, p_elements, radical_elements
 from ahspringer.matrices import FpMatrix
-from ahspringer.parabolic import eps_p, in_nilradical, nilradical_basis, p_elements, radical_elements
+from ahspringer.parabolic import _support_mask, eps_p, in_nilradical
 from ahspringer.rng import stream
 
 
@@ -89,6 +90,34 @@ class TestComposition:
         with pytest.raises(ValueError):
             Composition.parse("2,x")
 
+    def test_value_contract(self):
+        # what the frozen dataclasses gave: equality and hash by the fields
+        # within the one class, no assignment, a field-by-field repr
+        comp, par = Composition(["2", 1.0]), ParabolicGL(Composition((2, 1)), 3, e=2)
+        assert comp == Composition((2, 1)) and hash(comp) == hash(Composition((2, 1)))
+        assert par == ParabolicGL(comp, 3, 2) and hash(par) == hash(ParabolicGL(comp, 3, 2))
+        assert (comp.n, par.n) == (3, 3)
+        assert par != ParabolicGL(comp, 3) and comp != Composition((1, 2))
+        assert comp != ((2, 1),) and comp != namedtuple("Composition", "blocks")((2, 1))
+        assert par != (comp, 3, 2) and par != namedtuple("ParabolicGL", "comp p e")(comp, 3, 2)
+        for value, names in ((comp, ("blocks", "n", "other")), (par, ("comp", "p", "e", "n", "other"))):
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, 0)
+        assert repr(comp) == "Composition(blocks=(2, 1))"
+        assert repr(par) == "ParabolicGL(comp=Composition(blocks=(2, 1)), p=3, e=2)"
+        for make, message in (
+            (lambda: Composition(()), "a composition needs at least one block"),
+            (lambda: Composition((2, 0)), "block sizes must be positive"),
+            (lambda: Composition.parse("2,x"), "bad composition '2,x': invalid literal for int() with base 10: 'x'"),
+            (lambda: ParabolicGL(comp, 4), "p must be prime, got 4"),
+            (lambda: ParabolicGL(comp, 3, 3), "extension degree must be 1 or 2, got 3"),
+            (lambda: ParabolicGL(Composition((64, 65)), 2), "matrix dimension must be between 1 and 128, got 129"),
+        ):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == message
+
 
 class TestNilradical:
     def test_full_group_is_empty(self):
@@ -105,6 +134,22 @@ class TestNilradical:
     def test_borel(self):
         par = ParabolicGL(Composition((1, 1, 1)), 3)
         assert len(nilradical_basis(par)) == 3
+
+    def test_an_equal_parabolic_hits_the_cache(self):
+        first = nilradical_basis(ParabolicGL(Composition((3, 1, 2)), 7))
+        before = nilradical_basis.cache_info()
+        assert nilradical_basis(ParabolicGL(Composition((3, 1, 2)), 7)) is first
+        after = nilradical_basis.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 2)])
+    def test_support_mask_is_the_basis_support(self, p, e):
+        for n in range(1, 7):
+            for blocks in compositions(n):
+                par = ParabolicGL(Composition(blocks), p, e)
+                mask = _support_mask(par, 7)
+                assert (mask[:n, :n] == nilradical_basis(par).any(axis=(0, 1))).all()
+                assert not mask[n:].any() and not mask[:, n:].any()
 
     def test_membership(self):
         par = ParabolicGL(Composition((2, 1)), 3)

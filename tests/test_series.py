@@ -16,6 +16,7 @@ from math import factorial, gcd
 
 import pytest
 
+from ahspringer import series
 from ahspringer.series import (
     FpSeries,
     RationalSeries,
@@ -215,6 +216,20 @@ class TestModPCoefficients:
 
     def test_deterministic(self):
         assert ah_coeffs_mod_p(5, 30) == ah_coeffs_mod_p(5, 30)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_reduction_of_the_rational_series(self, p):
+        # ah_coeffs_mod_p reduces the integer core itself, not the Fractions
+        for degree in range(128):
+            rational = ah_rational_coeffs(p, degree).coeffs
+            expected = tuple(c.numerator * pow(c.denominator, -1, p) % p for c in rational)
+            assert ah_coeffs_mod_p(p, degree).coeffs == expected, degree
+
+    def test_a_p_divisible_denominator_raises(self, monkeypatch):
+        # a core whose C_2 = 6/4 = 3/2 (named in lowest terms) is not 2-integral
+        monkeypatch.setattr(series, "_ah_integer_coeffs", lambda p, degree: ((1, 1, 6), (1, 1, 4)))
+        with pytest.raises(ArithmeticError, match="^integrality violated: coefficient 2 of E_2 is 3/2$"):
+            ah_coeffs_mod_p.__wrapped__(2, 2)
 
 
 class TestInverseSeries:

@@ -1,10 +1,12 @@
 """Start-up cost guards: ``import ahspringer`` loads no submodule, its
 public names resolve on first use, the scalar commands (``ah-coeffs``,
 ``witt``, ``parabolic class``) run without loading numpy or the suites,
-``exp`` and ``log`` without the samplers, ``verify`` loads the
-parabolic layers only for eps-parabolic, and only the process entry point
-``cli.run`` sets the BLAS thread count, turns the cycle collector off and
-freezes the heap."""
+and without ``dataclasses`` (which loads ``inspect``) or ``fractions``,
+save ``ah-coeffs --rational``, which prints Fractions; ``exp`` and
+``log`` run without the samplers, ``parabolic eps`` loads what ``exp``
+loads, ``verify`` loads the parabolic layers only for eps-parabolic, and
+only the process entry point ``cli.run`` sets the BLAS thread count,
+turns the cycle collector off and freezes the heap."""
 
 import gc
 import json
@@ -41,6 +43,8 @@ SCALAR_CALLS = [
 X = {"p": 3, "e": 1, "n": 3, "entries": [[0, 1, 2], [0, 0, 1], [0, 0, 0]]}
 U = {"p": 3, "e": 1, "n": 3, "entries": [[1, 1, 1], [0, 1, 1], [0, 0, 1]]}
 NOT_LOADED_BY_EXP_LOG = ("groups", "linalg", "rng", "witt", "parabolic", "suites")
+# standard-library modules a scalar command has no use for
+HEAVY_STDLIB = {"dataclasses", "inspect", "fractions"}
 
 # runs each argv of argv[1] through cli.main in this fresh interpreter and
 # prints the exit codes, the outputs and the modules then loaded
@@ -52,7 +56,8 @@ for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         calls.append([main(argv), buf.getvalue()])
-loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("ahspringer"))
+loaded = sorted(m for m in sys.modules
+                if m in ("numpy", "dataclasses", "inspect", "fractions") or m.startswith("ahspringer"))
 print(json.dumps({"calls": calls, "loaded": loaded}))
 """
 
@@ -98,6 +103,17 @@ def test_scalar_commands_load_neither_numpy_nor_the_suites():
     assert "ahspringer.suites" not in result["loaded"]
 
 
+def test_scalar_commands_load_no_dataclasses_inspect_or_fractions():
+    rational = [call for call in SCALAR_CALLS if "--rational" in call[0]]
+    integral = [call for call in SCALAR_CALLS if call not in rational]
+    result = _probe([argv for argv, _ in integral])
+    assert result["calls"] == [[0, out] for _, out in integral]
+    assert not HEAVY_STDLIB & set(result["loaded"])
+    result = _probe([argv for argv, _ in rational])
+    assert result["calls"] == [[0, out] for _, out in rational]
+    assert HEAVY_STDLIB & set(result["loaded"]) == {"fractions"}
+
+
 def _matrix_files(tmp_path):
     paths = []
     for name, obj in (("X", X), ("U", U)):
@@ -120,6 +136,16 @@ def test_exp_and_log_load_none_of_the_samplers(tmp_path):
     assert result["calls"] == [[0, json.dumps(U) + "\n"], [0, json.dumps(X) + "\n"]]
     assert "ahspringer.expmaps" in result["loaded"]
     assert not {f"ahspringer.{m}" for m in NOT_LOADED_BY_EXP_LOG} & set(result["loaded"])
+
+
+def test_parabolic_eps_loads_what_exp_loads(tmp_path):
+    x_path, _ = _matrix_files(tmp_path)
+    exp = _probe([["exp", "--matrix", str(x_path)]])
+    eps = _probe([["parabolic", "eps", "--comp", "1,1,1", "--matrix", str(x_path)]])
+    # X is strictly upper over F_3, so eps_P(X) = 1 + X + 2X^2 = e_3(X) = U
+    assert eps["calls"] == [[0, json.dumps(U) + "\n"]]
+    assert not {f"ahspringer.{m}" for m in ("groups", "linalg", "rng", "witt", "suites")} & set(eps["loaded"])
+    assert set(eps["loaded"]) == set(exp["loaded"]) | {"ahspringer.compositions", "ahspringer.parabolic"}
 
 
 @pytest.mark.parametrize("argv, code", [

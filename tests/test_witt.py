@@ -4,6 +4,7 @@ Teichmuller oracles."""
 
 import ast
 import random
+from collections import namedtuple
 from itertools import product
 from pathlib import Path
 
@@ -345,6 +346,29 @@ class TestValidation:
             WittVector(2, 1, 2, ((1,), (1, 0)))  # an F_{p^2} entry in W(F_p)
         with pytest.raises(ValueError):
             WittVector.from_ints(2, 4, [0, 0, 0, 0])  # length cap
+
+    def test_value_contract(self):
+        # what the frozen dataclass gave: equality and hash by the reduced
+        # fields within the one class, no assignment, a field-by-field repr
+        w = WittVector(3, 2, 2, ((4, 2), (0, 7)))
+        same = WittVector(p=3, e=2, m=2, entries=((1, 2), (0, 1)))
+        assert w == same and hash(w) == hash(same) and w is not same
+        assert {w: 1}[same] == 1
+        assert w != WittVector(3, 2, 2, ((1, 2), (0, 2)))
+        fields = (3, 2, 2, ((1, 2), (0, 1)))
+        assert w != fields and w != namedtuple("WittVector", "p e m entries")(*fields)
+        for name in ("p", "e", "m", "entries", "other"):
+            with pytest.raises(AttributeError):
+                setattr(w, name, 0)
+        assert repr(w) == "WittVector(p=3, e=2, m=2, entries=((1, 2), (0, 1)))"
+        for args, message in (((4, 1, 1, ((0,),)), "p must be prime, got 4"),
+                              ((3, 3, 1, ((0, 0, 0),)), "extension degree must be 1 or 2, got 3"),
+                              ((3, 1, 4, ((0,),) * 4), "Witt length must be 1..3, got 4"),
+                              ((3, 1, 2, ((0,),)), "entry count does not match length"),
+                              ((3, 2, 1, ((0,),)), "every entry needs 2 coordinates")):
+            with pytest.raises(ValueError) as err:
+                WittVector(*args)
+            assert str(err.value) == message
 
     def test_zpoly_eval_arity(self):
         poly = ZPoly.var(2, 0)
