@@ -34,7 +34,7 @@ _SUBMODULE = {
             "witt_embed",
         ),
         "compositions": ("Composition", "ParabolicGL", "is_restricted", "nilpotence_class"),
-        "parabolic": ("eps_p",),
+        "parabolic": ("eps_p", "in_nilradical"),
         "suites": ("Report", "SuiteConfig", "run_suite"),
     }.items()
     for name in names

@@ -26,9 +26,7 @@ from .gf import inverse_mod
 from .matrices import FpMatrix, nilpotent_powers
 from .series import ah_coeffs_mod_p, series_reversion
 
-if TYPE_CHECKING:  # witt is loaded by its callers, fractions by the Dynkin table
-    from fractions import Fraction
-
+if TYPE_CHECKING:  # witt is loaded by its callers
     from .witt import WittVector
 
 
@@ -142,20 +140,25 @@ def bch(x: FpMatrix, y: FpMatrix) -> FpMatrix:
 
 
 @lru_cache(maxsize=None)
-def _dynkin_word_table(maxdeg: int) -> tuple[tuple[str, Fraction], ...]:
+def _dynkin_table_mod_p(p: int, maxdeg: int) -> tuple[tuple[str, int], ...]:
     # coefficient of each X/Y word in the Dynkin expansion of
     # log(exp X exp Y), collapsed over block decompositions:
     # sum over n and (r_i, s_i) with r_i + s_i > 0 of
-    # (-1)^(n-1) / (n * |word| * prod r_i! s_i!)
-    from fractions import Fraction
+    # (-1)^(n-1) / (n * |word| * prod r_i! s_i!), summed exactly as an
+    # integer over common = (maxdeg!)^3, which every denominator divides
+    # (n and |word| divide maxdeg!, prod r_i! s_i! divides |word|!); words
+    # whose sum is zero are dropped.  common is a unit mod p for the
+    # maxdeg < p of bch_dynkin; at p <= maxdeg inverse_mod raises
+    # ZeroDivisionError, an ArithmeticError
     from math import factorial
 
-    table: dict[str, Fraction] = {}
+    common = factorial(maxdeg) ** 3
+    table: dict[str, int] = {}
 
     def extend(prefix: str, blocks: int, denom: int, budget: int):
         if prefix:
-            weight = Fraction((-1) ** (blocks - 1), blocks * len(prefix) * denom)
-            table[prefix] = table.get(prefix, Fraction(0)) + weight
+            weight = (-1) ** (blocks - 1) * (common // (blocks * len(prefix) * denom))
+            table[prefix] = table.get(prefix, 0) + weight
         if budget == 0:
             return
         for r in range(budget + 1):
@@ -170,18 +173,8 @@ def _dynkin_word_table(maxdeg: int) -> tuple[tuple[str, Fraction], ...]:
                 )
 
     extend("", 0, 1, maxdeg)
-    return tuple(sorted((w, c) for w, c in table.items() if c != 0))
-
-
-@lru_cache(maxsize=None)
-def _dynkin_table_mod_p(p: int, maxdeg: int) -> tuple[tuple[str, int], ...]:
-    out = []
-    for word, coeff in _dynkin_word_table(maxdeg):
-        num, den = coeff.numerator, coeff.denominator
-        if den % p == 0:
-            raise ArithmeticError(f"Dynkin coefficient {coeff} not p-integral at p={p}")
-        out.append((word, num * inverse_mod(den, p) % p))
-    return tuple(out)
+    scale = inverse_mod(common, p)
+    return tuple(sorted((w, c * scale % p) for w, c in table.items() if c != 0))
 
 
 def bch_dynkin(x: FpMatrix, y: FpMatrix, maxdeg: int) -> FpMatrix:

@@ -172,15 +172,17 @@ class _Frozen:
     """Base of the immutable values of the numpy-free layers, in place of
     frozen dataclasses, whose module loads ``inspect``: a subclass names
     its fields in ``_fields`` and stores them with ``_freeze``, which keeps
-    their tuple as the key; values of one class are equal, and hash, by it."""
+    their tuple as the key, and its hash; values of one class are equal,
+    and hash, by it, and a cache keyed on one never hashes its fields."""
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_hash")
     _fields: tuple[str, ...] = ()
 
     def _freeze(self, *values) -> None:
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_key", values)
+        object.__setattr__(self, "_hash", hash(values))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -194,7 +196,7 @@ class _Frozen:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))

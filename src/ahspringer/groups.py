@@ -15,9 +15,13 @@ The samplers draw many elements at once, one lane per (group, seed),
 from SplitMix64 lanes (``rng.stream_lanes``); a stack of groups of
 different n pads each lane to the largest, nilpotents as diag(X, 0) and
 group elements as diag(G, 1); a stack of parabolics (``p_elements``,
-``radical_elements``) is padded the same way.  ``random_nilpotent`` and
-``random_matrix`` are one-lane views.  The order and membership
-functions take a stack as well and return one value per lane.
+``radical_elements``) is padded the same way.  An invertible draw (a GL
+or SL element, a Levi block of a P-element) tests candidates up to 3 x 3
+by closed-form determinants, larger ones by elimination, and moves each
+lane's state past the candidates it used by the raw draw counts of
+``rng.below_lanes``.  ``random_nilpotent`` and ``random_matrix`` are
+one-lane views.  The order and membership functions take a stack as
+well and return one value per lane.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from . import linalg
 from .errors import DomainError
 from .gf import _check_field_params, _field_inv, _field_mul, field_modulus
 from .matrices import FpMatrix, _mat_mul_planes, _runs, nilpotent_powers
-from .rng import Stream, below_lanes, stream, stream_lanes
+from .rng import _GAMMA, Stream, below_lanes, stream, stream_lanes
 
 KINDS = ("GL", "SL", "SO", "Sp")
 
@@ -264,24 +268,52 @@ def _on_stream(st: Stream, draw):
 
 def random_matrix(p: int, e: int, n: int, st: Stream) -> FpMatrix:
     """Seeded matrix with uniform entries: one lane of ``_matrix_lanes``."""
-    planes = _on_stream(st, lambda states: _matrix_lanes(p, e, np.array([n]), states, n))
+    planes = _on_stream(st, lambda states: _matrix_lanes(p, e, np.array([n]), states, n)[0])
     return FpMatrix._wrap(p, e, n, planes[0, 0])
 
 
 def _matrix_lanes(p: int, e: int, sizes: np.ndarray, states: np.ndarray, size: int,
-                  count: int = 1) -> np.ndarray:
+                  count: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """count successive matrices diag(A, 1) from each lane, as planes
     (B, count, e, size, size): A of size sizes[i] has uniform entries, drawn
-    plane by plane, row by row."""
+    plane by plane, row by row, and the raw draw ends of the entries, in
+    that order (``below_lanes``)."""
     inner = np.arange(size) < sizes[:, None]
     block = inner[:, None, None, :, None] & inner[:, None, None, None, :]
     block = np.broadcast_to(block, (len(sizes), count, e, size, size))
     total = count * e * sizes * sizes
-    draws = below_lanes(states, p, total)
+    draws, ends = below_lanes(states, p, total)
     planes = np.zeros(block.shape, dtype=np.int64)
     planes[:, :, 0] = ~block[:, :, 0] & np.eye(size, dtype=bool)
     planes[block] = draws[np.arange(draws.shape[1]) < total[:, None]]
-    return planes
+    return planes, ends
+
+
+def _corner_det(m: np.ndarray, p: int, e: int) -> tuple:
+    """Coordinates of the determinants of planes (..., e, k, k), by Laplace
+    expansion along the first row: a for (a), ad - bc for (a b; c d)."""
+    if m.shape[-1] == 1:
+        return tuple(m[..., t, 0, 0] for t in range(e))
+    mod, k = field_modulus(p, e), m.shape[-1]
+    terms = [_field_mul(tuple(m[..., t, 0, j] for t in range(e)),
+                        _corner_det(m[..., 1:, [c for c in range(k) if c != j]], p, e), p, mod, np.multiply)
+             for j in range(k)]
+    return tuple(sum((-1) ** j * term[t] for j, term in enumerate(terms)) % p for t in range(e))
+
+
+def _invertible(cands: np.ndarray, sizes: np.ndarray, p: int, e: int) -> np.ndarray:
+    """Whether each candidate diag(A, 1), planes (B, C, e, S, S) with A of
+    size sizes[i] in lane i, is invertible: det A != 0, from ``_corner_det``
+    of the corner of size min(S, 3) where A fits in it, else from
+    ``linalg.det_planes`` on those lanes, cropped to their largest A."""
+    k = min(cands.shape[-1], 3)
+    small, big = np.flatnonzero(sizes <= k), np.flatnonzero(sizes > k)
+    ok = np.empty(cands.shape[:2], dtype=bool)
+    ok[small] = np.any(_corner_det(cands[small, ..., :k, :k], p, e), axis=0)
+    if big.size:
+        m = sizes[big].max()
+        ok[big] = linalg.det_planes(cands[big, ..., :m, :m], p, e).any(axis=-1)
+    return ok
 
 
 # Matrices drawn per lane and round by invertible_lanes.  Over F_2 about
@@ -298,9 +330,11 @@ def invertible_lanes(p: int, e: int, sizes, states: np.ndarray) -> np.ndarray:
     Lane i keeps the first invertible matrix of its stream, as drawing one
     matrix at a time and redrawing while the determinant is zero would.
     Each round draws the next _CANDIDATES matrices of every lane still
-    open from a copy of its state, keeps the first invertible one, and
-    then advances the lane's state past exactly the matrices it used; the
-    lanes with none invertible, and only they, go on to another round.
+    open from a copy of its state, keeps the first invertible one
+    (``_invertible``: up to 3 x 3 in closed form), and then moves the
+    lane's state past exactly the matrices it used, by their raw draws
+    times SplitMix64's increment; the lanes with none invertible, and only
+    they, go on to another round.
     """
     sizes = np.asarray(sizes)
     size = max(int(sizes.max(initial=0)), 1)
@@ -308,14 +342,13 @@ def invertible_lanes(p: int, e: int, sizes, states: np.ndarray) -> np.ndarray:
     planes[:, 0] = np.eye(size, dtype=np.int64)
     todo = np.flatnonzero(sizes)  # a 0 x 0 matrix draws nothing and stays 1
     while todo.size:
-        start = states[todo]
-        cands = _matrix_lanes(p, e, sizes[todo], start.copy(), size, _CANDIDATES)
-        ok = linalg.det_planes(cands, p, e).any(axis=-1)
+        open_sizes = sizes[todo]
+        cands, ends = _matrix_lanes(p, e, open_sizes, states[todo], size, _CANDIDATES)
+        ok = _invertible(cands, open_sizes, p, e)
         found, pick = ok.any(axis=1), ok.argmax(axis=1)
         planes[todo[found]] = cands[found, pick[found]]
-        used = np.where(found, pick + 1, _CANDIDATES)
-        below_lanes(start, p, used * e * sizes[todo] ** 2)
-        states[todo] = start
+        used = np.where(found, pick + 1, _CANDIDATES) * e * open_sizes ** 2
+        states[todo] += ends[np.arange(len(todo)), used - 1].astype(np.uint64) * np.uint64(_GAMMA)
         todo = todo[~found]
     return planes
 
@@ -343,7 +376,7 @@ def _combination_lanes(runs, p: int, e: int, states: np.ndarray, size: int) -> t
     basis element would.  Coordinate j of the sum is sum_i s_i[j] B_i, as
     B_i lies in plane 0: one integer matmul per run."""
     counts = np.repeat([len(basis) * e for basis, _ in runs], [k for _, k in runs])
-    draws = below_lanes(states, p, counts).astype(np.int64)
+    draws = below_lanes(states, p, counts)[0].astype(np.int64)
     planes = np.zeros((len(counts), e, size, size), dtype=np.int64)
     start = 0
     for basis, k in runs:
@@ -408,7 +441,7 @@ def _nilpotent_draws(specs, p: int, e: int, states: np.ndarray) -> FpMatrix:
 
     size = max(spec.n for spec in specs)
     x, counts = _combination_lanes(_triangle_runs(specs, p, e), p, e, states, size)
-    on = np.flatnonzero(below_lanes(states, 2, counts > 0).any(axis=1))
+    on = np.flatnonzero(below_lanes(states, 2, counts > 0)[0].any(axis=1))
     if on.size:
         sub, sub_states = [specs[i] for i in on], states[on]
         combos = [_combination_lanes(_triangle_runs(sub, p, e, lower), p, e, sub_states, size)[0]

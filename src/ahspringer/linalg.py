@@ -61,14 +61,15 @@ def _eliminate(planes, p, e):
             continue
         at = nonzero.argmax(axis=1)
         onehot = (first == at[:, None]) & nonzero
-        row = r_mat[:, lanes[:, 0], at]
-        s = row[..., c, None] * onehot.any(axis=1)[:, None]  # 0 in a lane without a pivot here
+        # a pivot row is zero left of its pivot, so columns < c do not change
+        row = r_mat[:, lanes[:, 0], at, c:]
+        s = row[..., :1] * onehot.any(axis=1)[:, None]  # 0 in a lane without a pivot here
         row = _field_mul(_field_inv(s, p, mod), row, p, mod, np.multiply)
         outer = _field_mul((col - unit * onehot)[..., None], tuple(x[:, None, :] for x in row),
                            p, mod, np.multiply)
         for k in range(e):
-            r_mat[k] -= outer[k]
-        r_mat %= p
+            r_mat[k, ..., c:] -= outer[k]
+        r_mat[..., c:] += p * (r_mat[..., c:] < 0)  # reduced minus reduced: in (-p, p)
         factor = _field_mul(factor, s, p, mod, np.multiply)
         key[onehot] = c
     perm = np.argsort(key, axis=1)

@@ -51,7 +51,11 @@ def in_nilradical(par, x: FpMatrix) -> bool:
     """Whether x lies in u_P; for a stack x, par holds each lane's parabolic
     and the answer is whether every lane lies in its own, padded as
     diag(X, 0)."""
-    runs, q = _lanes(par)
+    return _in_nilradical(*_lanes(par), x)
+
+
+def _in_nilradical(runs, q, x: FpMatrix) -> bool:
+    """``in_nilradical`` on the runs of a lane list and the largest of them."""
     if (x.p, x.e, x.n) != (q.p, q.e, q.n):
         return False
     support = np.repeat(np.stack([_support_mask(r, q.n) for r, _ in runs]), [k for _, k in runs], axis=0)
@@ -75,6 +79,6 @@ def eps_p(par, x: FpMatrix) -> FpMatrix:
     for r, _ in runs:
         if not is_restricted(r):
             raise DomainError(f"parabolic {r.comp.blocks} has nilpotence class >= {r.p}")
-    if not in_nilradical(par, x):
+    if not _in_nilradical(runs, q, x):
         raise DomainError("matrix is not in the nilradical of this parabolic")
     return truncated_exp(x)

@@ -15,6 +15,8 @@ consumes from each lane exactly the draws ``Stream.below`` would.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -28,6 +30,7 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+@lru_cache(maxsize=None)  # the suites' labels: one hash per distinct label and process
 def _fnv1a(label: str) -> int:
     h = 0xCBF29CE484222325
     for b in label.encode("utf-8"):
@@ -106,27 +109,29 @@ def u64_lanes(states: np.ndarray) -> np.ndarray:
     return _mix64_lanes(states)
 
 
-def below_lanes(states: np.ndarray, n: int, counts=1) -> np.ndarray:
+def below_lanes(states: np.ndarray, n: int, counts=1) -> tuple[np.ndarray, np.ndarray]:
     """counts[i] uniform draws in [0, n) from lane i, as successive
-    ``Stream.below(n)`` calls on that lane would give them.
+    ``Stream.below(n)`` calls on that lane would give them, and the raw
+    draws (rejected ones included) the lane had consumed through each.
 
     states (B,) uint64 is advanced in place by exactly the draws consumed,
-    rejected ones included.  counts is an int or one int per lane; the
-    result is (B, max count) uint64, each lane's draws first in its row
-    and zeros after them.  Each round draws, for every lane still short,
-    as many candidates as it is short, so a lane never draws past its
-    last accepted value; only lanes that had a candidate rejected go on
-    to another round.
+    so the state after value j of lane i is its start + ends[i, j] * GAMMA.
+    counts is an int or one int per lane; the values (B, max count) uint64
+    and their ends (int64) are first in each lane's row, zeros after them.
+    Each round draws, for every lane still short, as many candidates as it
+    is short, so a lane never draws past its last accepted value; only
+    lanes that had a candidate rejected go on to another round.
     """
     if not 0 < n < 1 << 64:
         raise ValueError("below() needs a bound in 1..2^64 - 1")
     counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), states.shape)
     out = np.zeros((len(states), int(counts.max(initial=0))), dtype=np.uint64)
+    ends = np.zeros(out.shape, dtype=np.int64)
     # a bound dividing 2^64 (a power of two) rejects nothing
     rem = (1 << 64) % n
     limit = np.uint64((1 << 64) - rem) if rem else None
     gamma = np.uint64(_GAMMA)
-    short = counts.copy()
+    short, taken = counts.copy(), np.zeros(len(states), dtype=np.int64)
     lanes = np.flatnonzero(short)
     while lanes.size:
         need = short[lanes]
@@ -136,9 +141,15 @@ def below_lanes(states: np.ndarray, n: int, counts=1) -> np.ndarray:
         keep = steps <= need[:, None]
         if limit is not None:
             keep &= draws < limit
+        if not taken.any() and keep.sum() == need.sum():  # one round, nothing rejected
+            out[lanes] = np.where(keep, draws % np.uint64(n), 0)
+            ends[lanes] = np.where(keep, steps, 0)
+            break
         rows, cols = np.nonzero(keep)
         slots = (counts[lanes] - need)[rows] + np.cumsum(keep, axis=1)[rows, cols] - 1
         out[lanes[rows], slots] = draws[rows, cols] % np.uint64(n)
+        ends[lanes[rows], slots] = taken[lanes[rows]] + cols + 1
+        taken[lanes] += need
         short[lanes] -= keep.sum(axis=1)
         lanes = lanes[short[lanes] > 0]
-    return out
+    return out, ends

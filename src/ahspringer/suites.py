@@ -382,8 +382,8 @@ def _eps_chunks(cfg: SuiteConfig, pars: list, prop: str, count: int, check):
     stream(seed, "eps-parabolic/<p>/<blocks>/<prop>", k)."""
     for lo in range(0, count, LANE_BUDGET):
         ks = np.arange(lo, min(count, lo + LANE_BUDGET))
-        names = [f"eps-parabolic/{par.p}/{','.join(map(str, par.comp.blocks))}/{prop}"
-                 for par in pars for _ in ks]
+        names = [name for par in pars
+                 for name in [f"eps-parabolic/{par.p}/{','.join(map(str, par.comp.blocks))}/{prop}"] * len(ks)]
         seeds = u64_lanes(stream_lanes(cfg.seed, names, np.tile(ks, len(pars))))
         yield check([par for par in pars for _ in ks], seeds)
 

@@ -2,6 +2,9 @@
 and its inverse, Witt embeddings, and the two independent BCH routes."""
 
 import gc
+from collections import defaultdict
+from fractions import Fraction
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from ahspringer.compositions import Composition, ParabolicGL
 from ahspringer.errors import DomainError
 from ahspringer.expmaps import (
+    _dynkin_table_mod_p,
     ah_exp,
     ah_log,
     bch,
@@ -286,3 +290,41 @@ class TestBchDynkin:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def ref_dynkin_table(maxdeg):
+    """The Dynkin coefficient of each X/Y word of length <= maxdeg, as an
+    exact Fraction: the sum over block sequences ((r_1, s_1), ..., (r_n, s_n)),
+    r_i + s_i > 0, spelling the word X^r_1 Y^s_1 ... X^r_n Y^s_n, of
+    (-1)^(n-1) / (n |word| prod r_i! s_i!); zero words dropped."""
+    def sequences(budget):
+        yield ()
+        for r in range(budget + 1):
+            for s in range(budget + 1 - r):
+                if r + s:
+                    for rest in sequences(budget - r - s):
+                        yield ((r, s),) + rest
+
+    coeff = defaultdict(Fraction)
+    for seq in sequences(maxdeg):
+        if seq:
+            word = "".join("X" * r + "Y" * s for r, s in seq)
+            denom = len(seq) * len(word) * prod(factorial(r) * factorial(s) for r, s in seq)
+            coeff[word] += Fraction((-1) ** (len(seq) - 1), denom)
+    return {word: c for word, c in coeff.items() if c}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_integer_dynkin_table_is_the_reduced_fraction_table(p):
+    want = tuple(sorted((word, c.numerator * pow(c.denominator, -1, p) % p)
+                        for word, c in ref_dynkin_table(p - 1).items()))
+    assert _dynkin_table_mod_p(p, p - 1) == want
+
+
+def test_dynkin_table_refuses_p_at_most_maxdeg():
+    # only a direct caller reaches it: bch_dynkin keeps maxdeg below p, where
+    # every denominator is a unit
+    for p, maxdeg in ((2, 2), (3, 3), (3, 5), (5, 6)):
+        assert any(c.denominator % p == 0 for c in ref_dynkin_table(maxdeg).values())
+        with pytest.raises(ArithmeticError):
+            _dynkin_table_mod_p(p, maxdeg)

@@ -13,6 +13,7 @@ from ahspringer.groups import (
     GroupSpec,
     JordanType,
     _combination_lanes,
+    _invertible,
     _kernel_span,
     _lie_residual,
     _triangle_runs,
@@ -24,6 +25,7 @@ from ahspringer.groups import (
     group_element_lanes,
     in_group,
     in_lie_algebra,
+    invertible_lanes,
     jordan_nilpotent,
     jordan_nilpotent_lanes,
     jordan_type_of,
@@ -579,3 +581,84 @@ class TestLaneSamplers:
             assert orders[i] == nilpotent_order(x_i)
             assert exponents[i] == unipotent_order_exponent(u.lane(i, spec.n))
             assert exponents[i] == orders[i]
+
+
+def ref_det(rows, p, e):
+    """Determinant of a square list of coordinate tuples by plain Gaussian
+    elimination on ``Elem``s."""
+    m = [[Elem(p, e, a) for a in row] for row in rows]
+    det = Elem.lift(p, e, 1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if not m[r][c].is_zero()), None)
+        if piv is None:
+            return Elem.lift(p, e, 0)
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det = det * m[c][c]
+        inv = m[c][c].inverse()
+        for r in range(c + 1, len(m)):
+            f = m[r][c] * inv
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def every_matrix(p, e, k):
+    """Planes (p^(e k^2), e, k, k) of every k x k matrix over F_{p^e}."""
+    total = p ** (e * k * k)
+    return (np.arange(total)[:, None] // p ** np.arange(e * k * k) % p).reshape(total, e, k, k)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_closed_form_invertibility_is_det_planes(p, e):
+    # every 1 x 1 and 2 x 2 matrix, every 3 x 3 one over F_2 and F_3 (3^9
+    # seeded ones over the larger fields), each size alone and then all
+    # padded as diag(A, 1) to 5 x 5 in one stack with seeded 4 x 4 and
+    # 5 x 5 lanes, which go to det_planes
+    rng = np.random.default_rng(p * 10 + e)
+    stacks = [every_matrix(p, e, k) for k in (1, 2)]
+    stacks.append(every_matrix(p, e, 3) if p ** (9 * e) <= 3 ** 9 else rng.integers(0, p, (3 ** 9, e, 3, 3)))
+    stacks += [rng.integers(0, p, (500, e, k, k)) for k in (4, 5)]
+    padded, sizes = [], []
+    for planes in stacks:
+        k = planes.shape[-1]
+        want = linalg.det_planes(planes, p, e).any(axis=-1)
+        assert want.any() and not want.all()
+        assert np.array_equal(_invertible(planes[:, None], np.full(len(planes), k), p, e)[:, 0], want)
+        pad = np.zeros((len(planes), e, 5, 5), dtype=np.int64)
+        pad[:, 0] = np.eye(5, dtype=np.int64)
+        pad[:, :, :k, :k] = planes
+        padded.append(pad)
+        sizes += [k] * len(planes)
+    padded = np.concatenate(padded)
+    want = linalg.det_planes(padded, p, e).any(axis=-1)
+    assert np.array_equal(_invertible(padded[:, None], np.array(sizes), p, e)[:, 0], want)
+
+
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_invertible_lanes_leave_each_lane_at_its_stream_state(p, e):
+    # three rounds of blocks on the same lanes, as p_elements draws them:
+    # each lane keeps the first invertible matrix of its stream, a 0 x 0
+    # block draws nothing and stays 1, and the state is the Stream's after
+    # exactly the matrices drawn
+    sizes = np.array([[0, 1, 2, 3, 4, 5, 1, 2, 3, 0, 6, 2],
+                      [2, 0, 1, 4, 3, 1, 2, 2, 0, 3, 1, 5],
+                      [1, 3, 0, 1, 2, 2, 4, 1, 3, 2, 0, 1]])
+    seeds = [4000 + 13 * i for i in range(sizes.shape[1])]
+    states = stream_lanes(seeds, "invertible")
+    refs = [stream(seed, "invertible") for seed in seeds]
+    for block in sizes:
+        got = invertible_lanes(p, e, block, states)
+        assert got.shape == (len(block), e, max(block), max(block))
+        for i, (k, st) in enumerate(zip(block, refs)):
+            while k:
+                a = [[[st.below(p) for _ in range(k)] for _ in range(k)] for _ in range(e)]
+                if not ref_det([[tuple(a[t][r][c] for t in range(e)) for c in range(k)] for r in range(k)],
+                               p, e).is_zero():
+                    break
+            want = np.zeros((e, max(block), max(block)), dtype=np.int64)
+            want[0] = np.eye(max(block), dtype=np.int64)
+            if k:
+                want[:, :k, :k] = a
+            assert np.array_equal(got[i], want)
+            assert int(states[i]) == st.state

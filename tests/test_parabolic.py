@@ -17,7 +17,7 @@ from ahspringer.compositions import (
 from ahspringer.errors import DomainError
 from ahspringer.expmaps import ah_exp, bch, truncated_log
 from ahspringer.groups import JordanType, jordan_nilpotent, nilradical_basis, p_elements, radical_elements
-from ahspringer.matrices import FpMatrix
+from ahspringer.matrices import FpMatrix, _runs
 from ahspringer.parabolic import _support_mask, eps_p, in_nilradical
 from ahspringer.rng import stream
 
@@ -96,6 +96,7 @@ class TestComposition:
         comp, par = Composition(["2", 1.0]), ParabolicGL(Composition((2, 1)), 3, e=2)
         assert comp == Composition((2, 1)) and hash(comp) == hash(Composition((2, 1)))
         assert par == ParabolicGL(comp, 3, 2) and hash(par) == hash(ParabolicGL(comp, 3, 2))
+        assert hash(comp) == hash(((2, 1),)) and hash(par) == hash((comp, 3, 2))  # the dataclasses' hashes
         assert (comp.n, par.n) == (3, 3)
         assert par != ParabolicGL(comp, 3) and comp != Composition((1, 2))
         assert comp != ((2, 1),) and comp != namedtuple("Composition", "blocks")((2, 1))
@@ -117,6 +118,17 @@ class TestComposition:
             with pytest.raises(ValueError) as err:
                 make()
             assert str(err.value) == message
+
+    def test_hash_is_kept_from_construction(self, monkeypatch):
+        # a cache keyed on a parabolic hashes it without hashing its fields
+        par = ParabolicGL(Composition((3, 2, 1)), 5)
+        same, key = ParabolicGL(par.comp, 5), hash(par)
+        calls = []
+        monkeypatch.setattr(Composition, "__hash__", lambda comp: calls.append(comp) or 0)
+        nilradical_basis(par)
+        _support_mask(par, 6)
+        assert hash(par) == key and {par: 1}[same] == 1
+        assert calls == []
 
 
 class TestNilradical:
@@ -398,6 +410,17 @@ class TestLaneSamplers:
             assert g.lane(k) == p_element(par, seed)  # one lane alone
             assert (x.lane(k).planes == ref_radical_element(par, seed, 2)).all()
             assert x.lane(k) == radical_element(par, seed, 2)
+
+    def test_eps_p_groups_a_stack_once(self, monkeypatch):
+        # its own checks and the nilradical test share one grouping
+        import ahspringer.parabolic as parabolic
+
+        pars = [ParabolicGL(Composition(b), 5) for b in ((1, 1, 2), (2, 2), (4,)) for _ in range(3)]
+        x = radical_elements(pars, range(len(pars)))
+        calls = []
+        monkeypatch.setattr(parabolic, "_runs", lambda items: calls.append(items) or _runs(items))
+        assert eps_p(pars, x).lanes_equal(ah_exp(x)).all()
+        assert calls == [pars]
 
     def test_eps_p_on_a_stack_is_eps_p_per_lane(self):
         pars = [ParabolicGL(Composition(b), 5) for b in ((1, 1, 2), (2, 2), (4,), (1, 1, 1, 1))]

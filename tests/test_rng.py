@@ -54,7 +54,7 @@ def test_below_rejects_nonpositive():
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from ahspringer.rng import below_lanes, stream_lanes, u64_lanes  # noqa: E402
+from ahspringer.rng import _GAMMA, below_lanes, stream_lanes, u64_lanes  # noqa: E402
 
 SEEDS = [0, 1, 42, 2**64 - 1, -5, 2**70 + 3]
 LABELS = ["", "a", "radical/(2, 1)/3/1", "eps-parabolic/5/1,2,3/bch", "a", "p-element/(6,)/2/2"]
@@ -82,13 +82,34 @@ def test_u64_lanes_is_one_step_of_each_stream():
 def test_below_lanes_matches_stream_below_draw_for_draw(bound):
     counts = np.array([0, 1, 5, 40, 17, 3])
     states = stream_lanes(SEEDS, LABELS, INDICES)
-    got = below_lanes(states, bound, counts)
+    got = below_lanes(states, bound, counts)[0]
     assert got.shape == (6, 40)
     for lane, args in enumerate(zip(SEEDS, LABELS, INDICES)):
         st = stream(*args)
         assert [int(v) for v in got[lane, :counts[lane]]] == [st.below(bound) for _ in range(counts[lane])]
         assert not got[lane, counts[lane]:].any()
         assert int(states[lane]) == st.state
+
+
+@pytest.mark.parametrize("bound", [3, 2**63 + 1, 2])
+def test_below_lanes_count_the_raw_draws_through_each_value(bound):
+    # a lane's state after value j is its start + ends[j] * GAMMA, rejected
+    # draws included, so the stream can stop after any value without
+    # drawing it again
+    counts = np.array([0, 1, 5, 40, 17, 3])
+    states = stream_lanes(SEEDS, LABELS, INDICES)
+    start = states.copy()
+    values, ends = below_lanes(states, bound, counts)
+    assert ends.shape == values.shape and ends.dtype == np.int64
+    for lane, args in enumerate(zip(SEEDS, LABELS, INDICES)):
+        st = stream(*args)
+        for j in range(counts[lane]):
+            assert st.below(bound) == int(values[lane, j])
+            assert st.state == (int(start[lane]) + int(ends[lane, j]) * _GAMMA) % 2**64
+        assert int(states[lane]) == st.state
+        assert not ends[lane, counts[lane]:].any()
+    if bound == 2**63 + 1:
+        assert (ends[3, :40] > np.arange(1, 41)).any()  # rejections counted
 
 
 def test_below_lanes_rejection_path_is_exercised():

@@ -4,9 +4,10 @@ public names resolve on first use, the scalar commands (``ah-coeffs``,
 and without ``dataclasses`` (which loads ``inspect``) or ``fractions``,
 save ``ah-coeffs --rational``, which prints Fractions; ``exp`` and
 ``log`` run without the samplers, ``parabolic eps`` loads what ``exp``
-loads, ``verify`` loads the parabolic layers only for eps-parabolic, and
-only the process entry point ``cli.run`` sets the BLAS thread count,
-turns the cycle collector off and freezes the heap."""
+loads, ``verify`` loads the parabolic layers only for eps-parabolic and
+no ``fractions`` for the structure suites, and only the process entry
+point ``cli.run`` sets the BLAS thread count, turns the cycle collector
+off and freezes the heap."""
 
 import gc
 import json
@@ -198,6 +199,15 @@ def test_verify_loads_the_parabolic_layers_only_for_eps_parabolic():
     assert PARABOLIC_LAYERS <= set(eps["loaded"])
 
 
+def test_verify_structure_loads_no_fractions():
+    # the Dynkin oracle's table is summed on integers, so the structure
+    # suites build no rational
+    result = _probe([["verify", "--suite", "eps-parabolic,centralizer-equality", "--p", "2,3,5",
+                      "--trials", "2", "--seed", "42"]])
+    assert result["calls"][0][0] == 0
+    assert "fractions" not in result["loaded"]
+
+
 def test_every_public_name_is_its_defining_modules_attribute():
     for name in ahspringer.__all__:
         obj = getattr(ahspringer, name)
@@ -205,7 +215,7 @@ def test_every_public_name_is_its_defining_modules_attribute():
 
 
 def test_public_names_are_listed_once():
-    assert len(set(ahspringer.__all__)) == len(ahspringer.__all__) == 42
+    assert len(set(ahspringer.__all__)) == len(ahspringer.__all__) == 43
 
 
 def test_star_import_binds_every_public_name():

@@ -227,6 +227,33 @@ def test_stacked_suites_call_no_per_object_sampler():
             assert calls(loop, ELIMINATIONS) == [], (name, loop.lineno)
 
 
+def test_eps_parabolic_work_is_pinned(monkeypatch):
+    # a count, not a clock: one verify-structure-sized eps-parabolic run
+    # eliminates once per Levi round with a block larger than 3 x 3 and once
+    # per inverse, and no lane's stream is drawn from the same state twice
+    from ahspringer import groups, linalg, rng
+    from ahspringer.cli import main
+
+    eliminated, starts = [], []
+
+    def eliminate(planes, p, e):
+        eliminated.append(np.shape(planes))
+        return _eliminate(planes, p, e)
+
+    def below_lanes(states, n, counts=1):
+        drawn = np.broadcast_to(np.asarray(counts), states.shape) > 0
+        starts.extend(int(s) for s in states[drawn])
+        return _below_lanes(states, n, counts)
+
+    _eliminate, _below_lanes = linalg._eliminate, rng.below_lanes
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    monkeypatch.setattr(groups, "below_lanes", below_lanes)
+    assert main(["verify", "--suite", "eps-parabolic", "--p", "2,3,5", "--trials", "2", "--seed", "42"]) == 0
+    assert len(eliminated) == 15
+    assert min(shape[-2] for shape in eliminated) >= 4  # 1 x 1 to 3 x 3 blocks in closed form
+    assert len(starts) == len(set(starts)) > 0
+
+
 def test_stacked_suites_record_through_check_lanes():
     # Recorder.check counts one case per call: only the scalar suites call
     # it, and form-preservation for its negative control, outside any loop

@@ -353,6 +353,7 @@ class TestValidation:
         w = WittVector(3, 2, 2, ((4, 2), (0, 7)))
         same = WittVector(p=3, e=2, m=2, entries=((1, 2), (0, 1)))
         assert w == same and hash(w) == hash(same) and w is not same
+        assert hash(w) == hash((3, 2, 2, ((1, 2), (0, 1))))  # the dataclass's hash, kept from construction
         assert {w: 1}[same] == 1
         assert w != WittVector(3, 2, 2, ((1, 2), (0, 2)))
         fields = (3, 2, 2, ((1, 2), (0, 1)))
