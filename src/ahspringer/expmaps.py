@@ -10,8 +10,8 @@ behaves on matrices with X^p = 0; e_p is the extension beyond that
 range.
 
 Also here: the inverse map via compositional reversion, the Witt-vector
-product embedding, and the truncated Baker-Campbell-Hausdorff product
-with its independent Dynkin-expansion oracle.
+product embedding (on stacks too), and the truncated Baker-Campbell-Hausdorff
+product with its independent Dynkin-expansion oracle.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .gf import inverse_mod
+from .gf import _field_mul, inverse_mod
 from .matrices import FpMatrix, nilpotent_powers
-from .series import ah_coeffs_mod_p, series_reversion
+from .series import FpSeries, ah_coeffs_mod_p, series_reversion
 
 if TYPE_CHECKING:  # witt is loaded by its callers
     from .witt import WittVector
@@ -92,8 +92,6 @@ def _ah_reversion_coeffs(p: int, degree: int) -> tuple[int, ...]:
     # to degree n - 1 serves every n x n input
     e_coeffs = ah_coeffs_mod_p(p, degree).coeffs
     shifted = (0,) + e_coeffs[1:]
-    from .series import FpSeries
-
     return series_reversion(FpSeries(p, shifted)).coeffs
 
 
@@ -105,26 +103,31 @@ def ah_log(u: FpMatrix) -> FpMatrix:
     )
 
 
-def witt_embed(x: FpMatrix, w: WittVector) -> FpMatrix:
-    """e_p(a_0 x) e_p(a_1 x^p) ... e_p(a_{m-1} x^(p^(m-1))).
+def witt_embed(x: FpMatrix, w: WittVector | list[WittVector]) -> FpMatrix:
+    """e_p(a_0 x) e_p(a_1 x^p) ... e_p(a_{m-1} x^(p^(m-1))) for a Witt vector
+    w; for a sequence w, the stack of these, one lane per vector.
 
-    Requires the Witt length to equal the nilpotent order m of x; the
+    Requires each Witt length to equal the nilpotent order m of x; the
     map is then an injective homomorphism from W_m into the unipotent
     subgroup generated by the image.
     """
     from .groups import nilpotent_order
 
+    vectors = [w] if hasattr(w, "entries") else w
     m = nilpotent_order(x)
-    if w.m != m:
-        raise DomainError(f"Witt length {w.m} does not match nilpotent order {m}")
-    if (w.p, w.e) != (x.p, x.e):
-        raise ValueError("Witt vector field does not match matrix field")
-    acc = FpMatrix.identity(x.p, x.e, x.n)
-    power = x
-    for a_i in w.entries:
-        acc = acc @ ah_exp(power.scale(a_i))
-        power = power ** x.p
-    return acc
+    for v in vectors:
+        if v.m != m:
+            raise DomainError(f"Witt length {v.m} does not match nilpotent order {m}")
+        if (v.p, v.e) != (x.p, x.e):
+            raise ValueError("Witt vector field does not match matrix field")
+    # coords[k, i]: coordinate k of each lane's a_i; one ah_exp per i
+    coords = np.array([v.entries for v in vectors], dtype=np.int64).reshape(-1, m, x.e).T[..., None, None]
+    acc = None
+    for i in range(m):
+        scaled = _field_mul(tuple(coords[:, i]), tuple((x ** x.p ** i).planes), x.p, x._mod, np.multiply)
+        term = ah_exp(FpMatrix._wrap(x.p, x.e, x.n, np.stack(scaled, axis=-3)))
+        acc = term if acc is None else acc @ term
+    return acc if vectors is w else acc.lane(0)
 
 
 def bch(x: FpMatrix, y: FpMatrix) -> FpMatrix:

@@ -5,9 +5,9 @@ series, over a deterministic grid of cases.  Case randomness is derived
 from (seed, suite name, case index) through the SplitMix64 streams in
 ``rng``, so identical configs reproduce identical reports.  A failing
 case's witness is exactly its keyword inputs, so it can be replayed
-standalone: a scalar suite passes them to ``Recorder.check`` with each
-case, and a stacked suite, which records a whole verdict array with
-``Recorder.check_lanes``, builds them for its failing cases only.
+standalone.  Every suite records verdict arrays, row-major in the order
+of its inputs' loops, with ``Recorder.check_lanes``, which asks for the
+inputs of the failing cases only (a one-off check is one lane).
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
 from itertools import groupby, product
+from math import factorial, gcd
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from .groups import (
 )
 from .matrices import FpMatrix, _mat_mul_planes, nilpotent_powers
 from .rng import stream_lanes, u64_lanes
-from .series import ah_coeffs_mod_p, ah_inverse_coeffs, ah_rational_coeffs, series_mul
+from .series import _ah_integer_coeffs, ah_coeffs_mod_p, ah_inverse_coeffs, series_mul
 from .witt import WittVector, witt_add, witt_from_integer, witt_neg, witt_order, witt_pow_p
 
 INTEGRALITY_DEGREE = 60
@@ -132,14 +134,6 @@ class Recorder:
     passed: int = 0
     witnesses: list[dict] = field(default_factory=list)
 
-    def check(self, ok: bool, **inputs) -> None:
-        """Count one case; a failing case keeps its encoded inputs as its witness."""
-        self.cases += 1
-        if ok:
-            self.passed += 1
-        else:
-            self.witnesses.append({k: _encode(v) for k, v in inputs.items()})
-
     def check_lanes(self, ok: np.ndarray, witness) -> None:
         """Count a verdict array of any shape, case k at its row-major index k;
         witness(k) gives the keyword inputs of a failing case k, and is called
@@ -204,74 +198,76 @@ def _nilpotents(cfg: SuiteConfig, lanes, e: int = 1, per_case: int = 1):
 
 
 def suite_ah_integrality(cfg: SuiteConfig, rec: Recorder) -> None:
+    d = INTEGRALITY_DEGREE
     for p in cfg.primes:
-        rational = ah_rational_coeffs(p, INTEGRALITY_DEGREE)
-        for i, c in enumerate(rational.coeffs):
-            rec.check(c.denominator % p != 0, p=p, i=i, coefficient=str(c))
-        mod = ah_coeffs_mod_p(p, INTEGRALITY_DEGREE)
-        fact = 1
-        for i in range(p):
-            if i:
-                fact = fact * i % p
-            rec.check(mod.coeffs[i] * fact % p == 1, p=p, i=i, c_i=mod.coeffs[i])
-        inv = ah_inverse_coeffs(p, INTEGRALITY_DEGREE)
-        prod = series_mul(inv, mod)
-        rec.check(prod.coeffs == (1,) + (0,) * INTEGRALITY_DEGREE, p=p, product=list(prod.coeffs))
+        # C_i = A_i / i! in lowest terms, witnessed as its Fraction prints
+        terms = [(a // gcd(a, f), f // gcd(a, f)) for a, f in zip(*_ah_integer_coeffs(p, d))]
+        rec.check_lanes(np.array([den % p != 0 for _, den in terms]), lambda i: dict(
+            p=p, i=i, coefficient="{}/{}".format(*terms[i]).removesuffix("/1")))
+        mod = ah_coeffs_mod_p(p, d)  # C_i = 1/i! for i < p, through degree d
+        rec.check_lanes(np.array([mod.coeffs[i] * factorial(i) % p == 1 for i in range(min(p, d + 1))]),
+                        lambda i: dict(p=p, i=i, c_i=mod.coeffs[i]))
+        prod = series_mul(ah_inverse_coeffs(p, d), mod).coeffs
+        rec.check_lanes(np.array([prod == (1,) + (0,) * d]), lambda _: dict(p=p, product=list(prod)))
 
 
-def _witt_elements(p: int, m: int) -> list[WittVector]:
-    return [WittVector.from_ints(p, m, v) for v in product(range(p), repeat=m)]
+@lru_cache(maxsize=None)
+def _witt_table(p: int, m: int, add):
+    """The elements of W_m(F_p), their indices, and the (N, N) Cayley table
+    of add on indices: one add per ordered pair, shared by witt-group and
+    witt-hom, and keyed on add so that a replaced witt_add gets its own."""
+    elements = tuple(WittVector.from_ints(p, m, v) for v in product(range(p), repeat=m))
+    index = {w: i for i, w in enumerate(elements)}
+    table = np.array([[index[add(u, v)] for v in elements] for u in elements])
+    table.flags.writeable = False
+    return elements, index, table
 
 
 def suite_witt_group(cfg: SuiteConfig, rec: Recorder) -> None:
+    # each claim is a verdict array over element indices, read through the
+    # Cayley table t, in the order of its inputs' loops
     for p, m in ((2, 2), (2, 3), (3, 2)):
         if p not in cfg.primes:
             continue
-        elements = _witt_elements(p, m)
-        zero = WittVector.zero(p, m)
-        # the Cayley table: each sum is computed once and looked up after
-        add = {(u, v): witt_add(u, v) for u, v in product(elements, repeat=2)}
-        for w in elements:
-            rec.check(add[w, zero] == w, p=p, m=m, w=w)
-            rec.check(add[w, witt_neg(w)] == zero, p=p, m=m, w=w)
-        for u, v in product(elements, repeat=2):
-            rec.check(add[u, v] == add[v, u], p=p, m=m, u=u, v=v)
-        for u, v, w in product(elements, repeat=3):
-            rec.check(add[add[u, v], w] == add[u, add[v, w]], p=p, m=m, u=u, v=v, w=w)
+        elements, index, t = _witt_table(p, m, witt_add)
+        n, ids, zero = len(elements), np.arange(len(elements)), index[WittVector.zero(p, m)]
+        neg = [index[witt_neg(w)] for w in elements]
+        rec.check_lanes(np.stack([t[:, zero] == ids, t[ids, neg] == zero], axis=1),  # (w, identity | inverse)
+                        lambda k: dict(p=p, m=m, w=elements[k // 2]))
+        rec.check_lanes(t == t.T, lambda k: dict(p=p, m=m, u=elements[k // n], v=elements[k % n]))
+        rec.check_lanes(t[t] == t[:, t], lambda k: dict(  # (u, v, w): (u + v) + w = u + (v + w)
+            p=p, m=m, u=elements[k // n ** 2], v=elements[k // n % n], w=elements[k % n]))
         # Z/p^m oracle: bijective and additive
-        images = [witt_from_integer(p, m, k) for k in range(p ** m)]
-        rec.check(len(set(images)) == p ** m, p=p, m=m, note="witt_from_integer is not injective")
-        for a in range(p ** m):
-            for b in range(p ** m):
-                rec.check(add[images[a], images[b]] == images[(a + b) % p ** m], p=p, m=m, a=a, b=b)
-        # p-th power: repeated addition vs shifted Frobenius, plus order rule
-        for w in elements:
-            acc = zero
-            for _ in range(p):
-                acc = add[acc, w]
-            rec.check(acc == witt_pow_p(w), p=p, m=m, w=w)
-            lead = next((i for i, a in enumerate(w.entries) if any(a)), None)
-            expected = 1 if lead is None else p ** (m - lead)
-            order = witt_order(w)
-            rec.check(order == expected, p=p, m=m, w=w, order=order)
-
-
-def _witt_hom_configs(cfg: SuiteConfig):
-    if 2 in cfg.primes:
-        yield 2, jordan_nilpotent(JordanType((5,)), 2), 3
-    if 3 in cfg.primes:
-        yield 3, jordan_nilpotent(JordanType((4,)), 3), 2
+        images = np.array([index[witt_from_integer(p, m, k)] for k in range(n)])
+        rec.check_lanes(np.array([len(set(images.tolist())) == n]),
+                        lambda _: dict(p=p, m=m, note="witt_from_integer is not injective"))
+        rec.check_lanes(t[images[:, None], images] == images[(ids[:, None] + ids) % n],
+                        lambda k: dict(p=p, m=m, a=k // n, b=k % n))
+        # (w, p-fold sum = shifted Frobenius | order = p^(m - first nonzero entry))
+        acc = np.full(n, zero)
+        for _ in range(p):
+            acc = t[acc, ids]
+        orders = [witt_order(w) for w in elements]
+        leads = [next((i for i, a in enumerate(w.entries) if any(a)), m) for w in elements]
+        ok = np.stack([acc == [index[witt_pow_p(w)] for w in elements],
+                       np.equal(orders, [p ** (m - lead) for lead in leads])], axis=1)
+        rec.check_lanes(ok, lambda k: dict(p=p, m=m, w=elements[k // 2],
+                                           **({"order": orders[k // 2]} if k % 2 else {})))
 
 
 def suite_witt_hom(cfg: SuiteConfig, rec: Recorder) -> None:
-    for p, x, m in _witt_hom_configs(cfg):
-        assert nilpotent_order(x) == m
-        elements = _witt_elements(p, m)
-        embeds = {w: witt_embed(x, w) for w in elements}
-        for u, v in product(elements, repeat=2):
-            rec.check(embeds[witt_add(u, v)] == embeds[u] @ embeds[v], p=p, n=x.n, m=m, X=x, u=u, v=v)
-        distinct = len({mat for mat in embeds.values()}) == len(elements)
-        rec.check(distinct, p=p, n=x.n, m=m, note="embedding not injective")
+    # E(u) E(v) against E(u + v) for all pairs at once, u + v from the Cayley table
+    for p, size, m in ((2, 5, 3), (3, 4, 2)):  # J_size over F_p has nilpotent order m
+        if p not in cfg.primes:
+            continue
+        elements, _, table = _witt_table(p, m, witt_add)
+        x, n = jordan_nilpotent(JordanType((size,)), p), len(elements)
+        embeds = witt_embed(x, elements).planes  # one stacked lane per element
+        prods = _mat_mul_planes(embeds[:, None], embeds[None, :], p, x._mod)
+        rec.check_lanes((prods == embeds[table]).all(axis=(-3, -2, -1)),
+                        lambda k: dict(p=p, n=x.n, m=m, X=x, u=elements[k // n], v=elements[k % n]))
+        rec.check_lanes(np.array([len({lane.tobytes() for lane in embeds}) == n]),
+                        lambda _: dict(p=p, n=x.n, m=m, note="embedding not injective"))
 
 
 def _group_grid(cfg: SuiteConfig, suite: str, max_dim: int):
@@ -320,10 +316,8 @@ def suite_form_preservation(cfg: SuiteConfig, rec: Recorder) -> None:
         rec.check_lanes(ok, lambda i: dict(p=p, kind=specs[i].kind, n=specs[i].n,
                                            X=x.lane(i, specs[i].n)))
     if 3 in cfg.primes:
-        rec.check(
-            _find_truncation_counterexample(cfg.seed) is not None,
-            p=3, kind="Sp", n=6, note=f"no witness among {NEGATIVE_CONTROL_CAP} candidates",
-        )
+        rec.check_lanes(np.array([_find_truncation_counterexample(cfg.seed) is not None]), lambda _: dict(
+            p=3, kind="Sp", n=6, note=f"no witness among {NEGATIVE_CONTROL_CAP} candidates"))
 
 
 def _find_truncation_counterexample(seed: int):

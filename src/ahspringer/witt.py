@@ -19,6 +19,8 @@ polynomials (``tests/witt_reference.py``) and the Teichmuller map.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .gf import _check_field_params, _field_pow, _Frozen, _frobenius, field_modulus, scalar_to_json
 
 MAX_LENGTH = 3
@@ -71,19 +73,20 @@ def _check_pair(u: WittVector, v: WittVector) -> None:
         raise ValueError("Witt vector parameter mismatch")
 
 
-def _ghost_sum(p: int, n: int, coords, mod) -> list[int]:
+def _ghost_sum(p: int, n: int, coords, mod) -> tuple[int, ...]:
     # sum_i p^i coords[i]^(p^(n-i)) over the given coords, mod p^(n+1)
     q = p ** (n + 1)
     acc = [0] * (1 if mod is None else 2)
     for i, x in enumerate(coords):
         term = _field_pow(x, p ** (n - i), q, mod)
         acc = [a + p ** i * t for a, t in zip(acc, term)]
-    return [a % q for a in acc]
+    return tuple([a % q for a in acc])
 
 
-def _ghosts(w: WittVector, mod) -> list[list[int]]:
-    """Ghost components w_n mod p^(n+1), n < m, of the [0, p) lifts of w."""
-    return [_ghost_sum(w.p, n, w.entries[: n + 1], mod) for n in range(w.m)]
+@lru_cache(maxsize=1 << 12)
+def _ghosts(w: WittVector, mod) -> tuple[tuple[int, ...], ...]:
+    """Ghost components w_n mod p^(n+1), n < m, of the [0, p) lifts of w, once per vector."""
+    return tuple(_ghost_sum(w.p, n, w.entries[: n + 1], mod) for n in range(w.m))
 
 
 def _from_ghosts(p: int, e: int, targets, mod) -> WittVector:

@@ -226,6 +226,36 @@ class TestWittEmbed:
         assert len(set(embeds.values())) == 4
 
 
+    # witt-hom's grid points (J_5 over F_2, m = 3; J_4 over F_3, m = 2) and
+    # one over F_4 (J_3, m = 2), with every vector of W_m(F_{p^e}) stacked
+    @pytest.mark.parametrize("p, n, m, e", [(2, 5, 3, 1), (3, 4, 2, 1), (2, 3, 2, 2)])
+    def test_stack_is_the_one_vector_embedding_lane_by_lane(self, p, n, m, e):
+        from itertools import product
+
+        x = jordan_nilpotent(JordanType((n,)), p, e)
+        scalars = list(product(range(p), repeat=e))
+        vecs = [WittVector(p, e, m, entries) for entries in product(scalars, repeat=m)]
+        stack = witt_embed(x, vecs)
+        assert stack.planes.shape == (len(vecs), e, n, n)
+        for i, w in enumerate(vecs):
+            # the definition, one factor at a time
+            expected = FpMatrix.identity(p, e, n)
+            for k, a in enumerate(w.entries):
+                expected = expected @ ah_exp((x ** p ** k).scale(a))
+            assert stack.lane(i) == witt_embed(x, w) == expected, w
+
+    def test_stack_rejects_a_mismatch_as_one_vector_does(self):
+        j3 = jordan_nilpotent(JordanType((3,)), 2)
+        good = WittVector.zero(2, 2)
+        for bad, error in ((WittVector.zero(2, 3), DomainError), (WittVector.zero(3, 2), ValueError)):
+            with pytest.raises(error) as one:
+                witt_embed(j3, bad)
+            with pytest.raises(error) as stacked:
+                witt_embed(j3, [good, bad])
+            assert type(stacked.value) is type(one.value)
+            assert str(stacked.value) == str(one.value)
+
+
 class TestBch:
     def test_commuting_is_addition(self):
         x = jordan_nilpotent(JordanType((2,)), 3)

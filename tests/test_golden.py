@@ -53,10 +53,9 @@ def test_report_digest_is_pinned(name):
 
 
 def force_failures(monkeypatch):
-    """Record every case as failing, through both recording paths: the
-    scalar suites' `check` and the stacked suites' `check_lanes`."""
-    check, check_lanes = Recorder.check, Recorder.check_lanes
-    monkeypatch.setattr(Recorder, "check", lambda self, ok, **inputs: check(self, False, **inputs))
+    """Record every case as failing, through the one recording path,
+    `check_lanes`."""
+    check_lanes = Recorder.check_lanes
     monkeypatch.setattr(Recorder, "check_lanes", lambda self, ok, witness: check_lanes(
         self, np.zeros(ok.shape, dtype=bool), witness))
 

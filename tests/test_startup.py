@@ -5,9 +5,9 @@ and without ``dataclasses`` (which loads ``inspect``) or ``fractions``,
 save ``ah-coeffs --rational``, which prints Fractions; ``exp`` and
 ``log`` run without the samplers, ``parabolic eps`` loads what ``exp``
 loads, ``verify`` loads the parabolic layers only for eps-parabolic and
-no ``fractions`` for the structure suites, and only the process entry
-point ``cli.run`` sets the BLAS thread count, turns the cycle collector
-off and freezes the heap."""
+no ``fractions`` for the structure or field suites, and only the process
+entry point ``cli.run`` sets the BLAS thread count, turns the cycle
+collector off and freezes the heap."""
 
 import gc
 import json
@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ahspringer
@@ -199,13 +200,34 @@ def test_verify_loads_the_parabolic_layers_only_for_eps_parabolic():
     assert PARABOLIC_LAYERS <= set(eps["loaded"])
 
 
+FIELDS_SUITES = "ah-integrality,witt-group,witt-hom,one-parameter,frobenius-descent,form-preservation"
+
+
 def test_verify_structure_loads_no_fractions():
     # the Dynkin oracle's table is summed on integers, so the structure
-    # suites build no rational
-    result = _probe([["verify", "--suite", "eps-parabolic,centralizer-equality", "--p", "2,3,5",
-                      "--trials", "2", "--seed", "42"]])
-    assert result["calls"][0][0] == 0
-    assert "fractions" not in result["loaded"]
+    # suites build no rational; nor do the field suites, whose integrality
+    # check reduces the integer core A_n / n! itself
+    for argv in (["--suite", "eps-parabolic,centralizer-equality", "--p", "2,3,5", "--trials", "2"],
+                 ["--suite", FIELDS_SUITES, "--trials", "10"]):
+        result = _probe([["verify", *argv, "--seed", "42"]])
+        assert result["calls"][0][0] == 0
+        assert "fractions" not in result["loaded"], argv
+
+
+def test_integrality_witnesses_print_the_fraction(monkeypatch):
+    # every case at p = 5 recorded as failing: each witness's coefficient
+    # is the Fraction C_i = A_i / i!, as str() prints it ("num" when i! | A_i)
+    from ahspringer.series import ah_rational_coeffs
+
+    check_lanes = suites.Recorder.check_lanes
+    monkeypatch.setattr(suites.Recorder, "check_lanes", lambda self, ok, witness: check_lanes(
+        self, np.zeros(ok.shape, dtype=bool), witness))
+    record = suites.run_suite(suites.SuiteConfig(suites=("ah-integrality",), primes=(5,))).suites[0]
+    coefficients = [w for w in record["witnesses"] if "coefficient" in w]
+    rational = ah_rational_coeffs(5, suites.INTEGRALITY_DEGREE).coeffs
+    assert [(w["p"], w["i"]) for w in coefficients] == [(5, i) for i in range(len(rational))]
+    assert [w["coefficient"] for w in coefficients] == [str(c) for c in rational]
+    assert {"1", "1/2", "1/6"} <= {w["coefficient"] for w in coefficients}
 
 
 def test_every_public_name_is_its_defining_modules_attribute():
