@@ -14,10 +14,11 @@ Exit codes: 0 success / all properties pass, 1 any property failed,
 2 usage error (bad arguments, malformed input files, a report path that
 cannot be written) or a requested suite that ran no case.
 
-Each command imports only the modules it runs, after its arguments are
-parsed: ``ah-coeffs``, ``witt`` and ``parabolic class`` never load numpy,
-``exp`` and ``log`` load none of the samplers, and only ``verify`` loads
-the suites.
+A call builds the parser of its own command only, and imports only the
+modules it runs, after its arguments are parsed: ``ah-coeffs``, ``witt``
+and ``parabolic class`` never load numpy, ``exp`` and ``log`` load none
+of the samplers, only ``verify`` loads the suites, and it loads ``witt``
+only for the Witt suites; no command loads ``dataclasses``.
 
 ``run`` is the process entry point (the ``ahspringer`` script and
 ``python -m ahspringer.cli``); ``main`` is the command itself, for
@@ -40,40 +41,28 @@ SUITE_NAMES = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ahspringer",
-        description="Exact Artin-Hasse exponentials, Witt vectors, and "
-        "verification suites over small finite fields.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _coeffs_args(cmd) -> None:
+    cmd.add_argument("--p", type=int, required=True, help="prime")
+    cmd.add_argument("--n", type=int, required=True, help="truncation degree")
+    cmd.add_argument("--rational", action="store_true", help="print exact rationals instead of mod-p values")
 
-    coeffs = sub.add_parser("ah-coeffs", help="Artin-Hasse series coefficients")
-    coeffs.add_argument("--p", type=int, required=True, help="prime")
-    coeffs.add_argument("--n", type=int, required=True, help="truncation degree")
-    coeffs.add_argument(
-        "--rational", action="store_true", help="print exact rationals instead of mod-p values"
-    )
 
-    for name, help_text in (
-        ("exp", "Artin-Hasse exponential of a nilpotent matrix"),
-        ("log", "inverse Artin-Hasse map of a unipotent matrix"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--matrix", required=True, help="input matrix JSON file")
+def _matrix_args(cmd) -> None:
+    cmd.add_argument("--matrix", required=True, help="input matrix JSON file")
 
-    embed = sub.add_parser("embed", help="Witt-vector embedding at a nilpotent matrix")
-    embed.add_argument("--matrix", required=True, help="input matrix JSON file")
-    embed.add_argument("--vector", required=True, help="Witt entries, e.g. 1,0,1")
 
-    witt = sub.add_parser("witt", help="Witt vector arithmetic")
+def _embed_args(cmd) -> None:
+    _matrix_args(cmd)
+    cmd.add_argument("--vector", required=True, help="Witt entries, e.g. 1,0,1")
+
+
+def _witt_args(witt) -> None:
     witt_sub = witt.add_subparsers(dest="witt_command", required=True)
-    common = dict(p="prime", m="Witt length (<= 3)", e="extension degree (default 1)")
     for wname in ("add", "neg", "pow-p", "order", "from-int"):
         cmd = witt_sub.add_parser(wname)
-        cmd.add_argument("--p", type=int, required=True, help=common["p"])
-        cmd.add_argument("--m", type=int, required=True, help=common["m"])
-        cmd.add_argument("--e", type=int, default=1, help=common["e"])
+        cmd.add_argument("--p", type=int, required=True, help="prime")
+        cmd.add_argument("--m", type=int, required=True, help="Witt length (<= 3)")
+        cmd.add_argument("--e", type=int, default=1, help="extension degree (default 1)")
         if wname == "add":
             cmd.add_argument("--lhs", required=True, help="left Witt vector, e.g. 1,0")
             cmd.add_argument("--rhs", required=True, help="right Witt vector")
@@ -82,16 +71,18 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             cmd.add_argument("--vector", required=True, help="Witt vector, e.g. 1,0")
 
-    para = sub.add_parser("parabolic", help="standard parabolics of GL_n")
+
+def _parabolic_args(para) -> None:
     para_sub = para.add_subparsers(dest="parabolic_command", required=True)
     eps_cmd = para_sub.add_parser("eps", help="block exponential on the nilradical")
     eps_cmd.add_argument("--comp", required=True, help="block sizes, e.g. 2,1")
-    eps_cmd.add_argument("--matrix", required=True, help="input matrix JSON file")
+    _matrix_args(eps_cmd)
     class_cmd = para_sub.add_parser("class", help="nilpotence class of the unipotent radical")
     class_cmd.add_argument("--comp", required=True, help="block sizes, e.g. 2,1")
     class_cmd.add_argument("--p", type=int, default=2, help="prime (class is independent of it)")
 
-    verify = sub.add_parser("verify", help="run property suites")
+
+def _verify_args(verify) -> None:
     verify.add_argument(
         "--suite", required=True,
         help="comma-separated suite names, or 'all' (known: %s)" % ", ".join(SUITE_NAMES),
@@ -101,9 +92,24 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0, help="base seed")
     verify.add_argument("--report", default=None, help="write the JSON report here")
     verify.add_argument("--max-dim", type=int, default=8, help="cap matrix dimensions")
-    verify.add_argument(
-        "--kinds", default="GL,SL,SO,Sp", help="comma-separated group kinds to exercise"
+    verify.add_argument("--kinds", default="GL,SL,SO,Sp", help="comma-separated group kinds to exercise")
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of argv[0]'s command alone, which parses argv as the
+    parser of all seven does (its usage, which an unrecognized argument
+    prints, names all seven); of all seven when argv[0] names none."""
+    parser = argparse.ArgumentParser(
+        prog="ahspringer",
+        description="Exact Artin-Hasse exponentials, Witt vectors, and "
+        "verification suites over small finite fields.",
     )
+    names = [a for a in argv[:1] if a in _COMMANDS]
+    usage = "{%s}" % ",".join(_COMMANDS) if names else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=usage)
+    for name in names or _COMMANDS:
+        help_text, add_args, _ = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -223,22 +229,23 @@ def _cmd_verify(args) -> int:
     return 2 if skipped else 0
 
 
+# name -> (help, arguments, command), in help order
 _COMMANDS = {
-    "ah-coeffs": _cmd_ah_coeffs,
-    "exp": _cmd_exp,
-    "log": _cmd_log,
-    "embed": _cmd_embed,
-    "witt": _cmd_witt,
-    "parabolic": _cmd_parabolic,
-    "verify": _cmd_verify,
+    "ah-coeffs": ("Artin-Hasse series coefficients", _coeffs_args, _cmd_ah_coeffs),
+    "exp": ("Artin-Hasse exponential of a nilpotent matrix", _matrix_args, _cmd_exp),
+    "log": ("inverse Artin-Hasse map of a unipotent matrix", _matrix_args, _cmd_log),
+    "embed": ("Witt-vector embedding at a nilpotent matrix", _embed_args, _cmd_embed),
+    "witt": ("Witt vector arithmetic", _witt_args, _cmd_witt),
+    "parabolic": ("standard parabolics of GL_n", _parabolic_args, _cmd_parabolic),
+    "verify": ("run property suites", _verify_args, _cmd_verify),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ValueError as exc:  # includes DomainError and file-format errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,12 +4,12 @@ Covers nilpotent generation by Jordan type, group / Lie algebra
 membership for the classical forms, nilpotent order, centralizers, and
 seeded sampling of nilpotents and group elements, and of the elements
 of standard parabolics of GL_n and their nilradicals.  ``lie_basis``
-(Lie(G) on a set of matrix-unit positions, such as a triangle or the
-block-upper positions of a parabolic) is written down from the units
-its conditions tie together; ``centralizer_space`` is the one kernel
-solve, ``_kernel_span``.  SO and Sp preserve a fixed antidiagonal form, so
-Lie(G) on the strictly upper triangle is a nilpotent subalgebra;
-``_combination_lanes`` samples it and parabolic nilradicals alike.
+(Lie(G) on a set of matrix-unit positions) is written down from the
+units its conditions tie together, and u_P's basis is its block-upper
+units; ``centralizer_space`` is the one kernel solve, ``_kernel_span``.
+SO and Sp preserve a fixed antidiagonal form, so Lie(G) on the strictly
+upper triangle is a nilpotent subalgebra; ``_combination_lanes``
+samples it and parabolic nilradicals alike.
 
 The samplers draw many elements at once, one lane per (group, seed),
 from SplitMix64 lanes (``rng.stream_lanes``); a stack of groups of
@@ -26,56 +26,55 @@ well and return one value per lane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .errors import DomainError
-from .gf import _check_field_params, _field_inv, _field_mul, field_modulus
+from .gf import _check_field_params, _field_inv, _field_mul, _Frozen, field_modulus
 from .matrices import FpMatrix, _mat_mul_planes, _runs, nilpotent_powers
 from .rng import _GAMMA, Stream, below_lanes, stream, stream_lanes
 
 KINDS = ("GL", "SL", "SO", "Sp")
 
 
-@dataclass(frozen=True)
-class JordanType:
+class JordanType(_Frozen):
     """A partition (weakly decreasing positive block sizes)."""
 
-    partition: tuple[int, ...]
+    __slots__ = ("partition",)
+    _fields = __slots__
 
-    def __post_init__(self):
-        parts = tuple(int(x) for x in self.partition)
+    def __init__(self, partition: tuple[int, ...]):
+        parts = tuple(int(x) for x in partition)
         if not parts:
             raise ValueError("a Jordan type needs at least one block")
         if any(x <= 0 for x in parts):
             raise ValueError("Jordan block sizes must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("Jordan block sizes must be weakly decreasing")
-        object.__setattr__(self, "partition", parts)
+        self._freeze(parts)
 
     @property
     def n(self) -> int:
         return sum(self.partition)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Frozen):
     """One of GL_n, SL_n, SO_n, Sp_n; SO and Sp preserve the antidiagonal
     form of ``default_form``."""
 
-    kind: str
-    n: int
+    __slots__ = ("kind", "n")
+    _fields = __slots__
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.n < 1:
+    def __init__(self, kind: str, n: int):
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        if n < 1:
             raise ValueError("dimension must be positive")
-        if self.kind == "Sp" and self.n % 2:
+        if kind == "Sp" and n % 2:
             raise ValueError("Sp requires even dimension")
+        self._freeze(kind, n)
 
     def form_for(self, p: int, e: int) -> FpMatrix | None:
         """The bilinear form over F_{p^e}; checks the good-prime constraint."""
@@ -478,10 +477,13 @@ def jordan_nilpotent_lanes(spec: GroupSpec, jordan_type: JordanType, p: int, e: 
 def nilradical_basis(par) -> np.ndarray:
     """Read-only planes (k, e, n, n) of the matrix units spanning the
     nilradical u_P of a ``compositions.ParabolicGL``, row-major over the
-    block-upper positions: ``lie_basis`` of GL there."""
-    idx = par.block_index()
-    support = tuple((i, j) for i in range(par.n) for j in range(par.n) if idx[i] < idx[j])
-    return lie_basis("GL", par.n, par.p, par.e, support)
+    block-upper positions (Lie(GL) there needs no condition)."""
+    idx = np.array(par.block_index())
+    i, j = np.nonzero(idx[:, None] < idx)
+    basis = np.zeros((len(i), par.e, par.n, par.n), dtype=np.int64)
+    basis[np.arange(len(i)), 0, i, j] = 1
+    basis.flags.writeable = False
+    return basis
 
 
 def _parabolic_lanes(pars, prefix: str, seeds, index=0):

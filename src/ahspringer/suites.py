@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import groupby, product
@@ -30,7 +29,7 @@ from .expmaps import (
     truncated_exp,
     witt_embed,
 )
-from .gf import check_prime, inverse_mod, scalar_to_json
+from .gf import _Frozen, check_prime, inverse_mod, scalar_to_json
 from .groups import (
     GroupSpec,
     JordanType,
@@ -50,49 +49,44 @@ from .groups import (
 from .matrices import FpMatrix, _mat_mul_planes, nilpotent_powers
 from .rng import stream_lanes, u64_lanes
 from .series import _ah_integer_coeffs, ah_coeffs_mod_p, ah_inverse_coeffs, series_mul
-from .witt import WittVector, witt_add, witt_from_integer, witt_neg, witt_order, witt_pow_p
 
 INTEGRALITY_DEGREE = 60
 NEGATIVE_CONTROL_CAP = 10_000
 LANE_BUDGET = 512  # the most lanes one stack of a lane-stacked suite holds
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    suites: tuple[str, ...]
-    primes: tuple[int, ...] = (2, 3, 5, 7)
-    kinds: tuple[str, ...] = ("GL", "SL", "SO", "Sp")
-    max_dim: int = 8
-    trials: int | None = None
-    seed: int = 0
-    report_path: str | None = None
+class SuiteConfig(_Frozen):
+    __slots__ = ("suites", "primes", "kinds", "max_dim", "trials", "seed", "report_path")
+    _fields = __slots__
 
-    def __post_init__(self):
-        if not self.suites:
+    def __init__(self, suites: tuple[str, ...], primes: tuple[int, ...] = (2, 3, 5, 7),
+                 kinds: tuple[str, ...] = ("GL", "SL", "SO", "Sp"), max_dim: int = 8,
+                 trials: int | None = None, seed: int = 0, report_path: str | None = None):
+        if not suites:
             raise ValueError("no suites requested")
-        unknown = [s for s in self.suites if s != "all" and s not in SUITES]
+        unknown = [s for s in suites if s != "all" and s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
-        for p in self.primes:
+        for p in primes:
             check_prime(p)
-        if not self.primes:
+        if not primes:
             raise ValueError("at least one prime is required")
-        for k in self.kinds:
+        for k in kinds:
             if k not in ("GL", "SL", "SO", "Sp"):
                 raise ValueError(f"unknown group kind {k!r}")
-        if not self.kinds:
+        if not kinds:
             raise ValueError("at least one group kind is required")
         # a repeated entry would run its cases twice and overstate coverage
-        for what, values in (("suite", self.suites), ("prime", self.primes),
-                             ("group kind", self.kinds)):
+        for what, values in (("suite", suites), ("prime", primes), ("group kind", kinds)):
             if len(set(values)) != len(values):
                 raise ValueError(f"repeated {what} in {','.join(map(str, values))}")
-        if self.max_dim < 2:
+        if max_dim < 2:
             raise ValueError("max dimension must be at least 2")
-        if self.trials is not None and self.trials < 1:
+        if trials is not None and trials < 1:
             raise ValueError("trials must be >= 1")
-        if all(k in ("SO", "Sp") for k in self.kinds) and all(p == 2 for p in self.primes):
+        if all(k in ("SO", "Sp") for k in kinds) and all(p == 2 for p in primes):
             raise ValueError("SO/Sp with p = 2 violates the good-prime constraint")
+        self._freeze(suites, primes, kinds, max_dim, trials, seed, report_path)
 
     def resolved_suites(self) -> tuple[str, ...]:
         if "all" in self.suites:
@@ -115,24 +109,20 @@ class SuiteConfig:
 
 def _encode(value):
     """JSON form of one witness input; values already in JSON form pass through."""
-    if isinstance(value, FpMatrix):
+    if hasattr(value, "to_json_obj"):  # an FpMatrix or a WittVector
         return value.to_json_obj()
-    if isinstance(value, WittVector):
-        return {"p": value.p, "e": value.e, "m": value.m, "entries": value.to_json()}
     if isinstance(value, tuple):  # the coordinates of a field element
         return scalar_to_json(value)
     return value
 
 
-@dataclass
 class Recorder:
     """Accumulates case results for one suite."""
 
-    name: str
-    anchor: str
-    cases: int = 0
-    passed: int = 0
-    witnesses: list[dict] = field(default_factory=list)
+    __slots__ = ("name", "anchor", "cases", "passed", "witnesses")
+
+    def __init__(self, name: str, anchor: str):
+        self.name, self.anchor, self.cases, self.passed, self.witnesses = name, anchor, 0, 0, []
 
     def check_lanes(self, ok: np.ndarray, witness) -> None:
         """Count a verdict array of any shape, case k at its row-major index k;
@@ -144,22 +134,22 @@ class Recorder:
             self.witnesses.append({name: _encode(v) for name, v in witness(k).items()})
 
     def to_json(self) -> dict:
-        return dict(asdict(self), failed=len(self.witnesses))
+        return {"name": self.name, "anchor": self.anchor, "cases": self.cases, "passed": self.passed,
+                "witnesses": self.witnesses, "failed": len(self.witnesses)}
 
 
-@dataclass
 class Report:
-    version: int
-    config: dict
-    suites: list[dict]
-    generated_at: str
+    __slots__ = ("version", "config", "suites", "generated_at")
+
+    def __init__(self, version: int, config: dict, suites: list[dict], generated_at: str):
+        self.version, self.config, self.suites, self.generated_at = version, config, suites, generated_at
 
     @property
     def failed(self) -> int:
         return sum(record["failed"] for record in self.suites)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -216,6 +206,8 @@ def _witt_table(p: int, m: int, add):
     """The elements of W_m(F_p), their indices, and the (N, N) Cayley table
     of add on indices: one add per ordered pair, shared by witt-group and
     witt-hom, and keyed on add so that a replaced witt_add gets its own."""
+    from .witt import WittVector
+
     elements = tuple(WittVector.from_ints(p, m, v) for v in product(range(p), repeat=m))
     index = {w: i for i, w in enumerate(elements)}
     table = np.array([[index[add(u, v)] for v in elements] for u in elements])
@@ -226,6 +218,8 @@ def _witt_table(p: int, m: int, add):
 def suite_witt_group(cfg: SuiteConfig, rec: Recorder) -> None:
     # each claim is a verdict array over element indices, read through the
     # Cayley table t, in the order of its inputs' loops
+    from .witt import WittVector, witt_add, witt_from_integer, witt_neg, witt_order, witt_pow_p
+
     for p, m in ((2, 2), (2, 3), (3, 2)):
         if p not in cfg.primes:
             continue
@@ -257,6 +251,8 @@ def suite_witt_group(cfg: SuiteConfig, rec: Recorder) -> None:
 
 def suite_witt_hom(cfg: SuiteConfig, rec: Recorder) -> None:
     # E(u) E(v) against E(u + v) for all pairs at once, u + v from the Cayley table
+    from .witt import witt_add
+
     for p, size, m in ((2, 5, 3), (3, 4, 2)):  # J_size over F_p has nilpotent order m
         if p not in cfg.primes:
             continue
@@ -337,15 +333,15 @@ def _find_truncation_counterexample(seed: int):
 
 
 def suite_eps_parabolic(cfg: SuiteConfig, rec: Recorder) -> None:
-    """Each property runs on stacks, one lane per (parabolic, trial); the
-    cases are recorded parabolic by parabolic, property by property, as
-    each stack's slice of verdicts for that parabolic, with the samples of
-    its failing cases as witnesses.  A stack holds as many whole
-    parabolics as fit in LANE_BUDGET lanes, those of one p (and of one n
-    when one stack cannot hold them all), each lane padded to the largest
-    n and its witnesses cropped to its own.  A parabolic whose trials do
-    not fit runs alone, each property in chunks of LANE_BUDGET trials
-    recorded as they finish, so memory does not grow with the trials."""
+    """Each property runs on stacks, one lane per (parabolic, trial).  A
+    group of parabolics holds as many as fit in LANE_BUDGET lanes, those of
+    one p (and of one n when one group cannot hold them all), each lane
+    padded to the largest n and its witnesses cropped to its own; a group
+    of several is recorded as one verdict array, parabolic by parabolic,
+    property by property, with the samples of its failing cases as
+    witnesses.  A parabolic whose trials do not fit runs alone, each
+    property in chunks of LANE_BUDGET trials recorded as they finish, so
+    memory does not grow with the trials."""
     from .compositions import ParabolicGL, restricted_compositions
     trials = cfg.trials_or(100)
     step = max(1, LANE_BUDGET // trials)
@@ -359,15 +355,22 @@ def suite_eps_parabolic(cfg: SuiteConfig, rec: Recorder) -> None:
         for group in (block[i:i + step] for block in blocks for i in range(0, len(block), step)):
             runs = [_eps_chunks(cfg, group, prop, 1 if prop == "tangent" else trials, fn)
                     for prop, fn in checks]
-            if len(group) > 1:  # each stack serves every parabolic of the group
-                runs = [list(chunks) for chunks in runs]
-            for i, par in enumerate(group):
-                for chunks in runs:
-                    for ok, inputs in chunks:
-                        width = len(ok) // len(group)  # lanes per parabolic
-                        rec.check_lanes(ok[i * width:(i + 1) * width], lambda k: dict(
-                            p=p, comp=list(par.comp.blocks),
-                            **{name: v.lane(i * width + k, par.n) for name, v in inputs.items()}))
+
+            def witness(i, inputs, width, k):  # parabolic i's case k, at lane i * width + k
+                return dict(p=p, comp=list(group[i].comp.blocks),
+                            **{name: v.lane(i * width + k, group[i].n) for name, v in inputs.items()})
+
+            if len(group) == 1:
+                for ok, inputs in (chunk for chunks in runs for chunk in chunks):
+                    rec.check_lanes(ok, lambda k: witness(0, inputs, 0, k))
+                continue
+            # one chunk per property, of (parabolic, trial) lanes; column j of
+            # the verdicts (parabolic, property and trial) is cols[j]
+            results = [next(chunks) for chunks in runs]
+            cols = [(inputs, len(ok) // len(group), k) for ok, inputs in results
+                    for k in range(len(ok) // len(group))]
+            ok = np.concatenate([ok.reshape(len(group), -1) for ok, _ in results], axis=1)
+            rec.check_lanes(ok, lambda k: witness(k // len(cols), *cols[k % len(cols)]))
 
 
 def _eps_chunks(cfg: SuiteConfig, pars: list, prop: str, count: int, check):

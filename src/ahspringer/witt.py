@@ -62,6 +62,9 @@ class WittVector(_Frozen):
     def to_json(self) -> list:
         return [scalar_to_json(a) for a in self.entries]
 
+    def to_json_obj(self) -> dict:
+        return {"p": self.p, "e": self.e, "m": self.m, "entries": self.to_json()}
+
     def __str__(self):
         if self.e == 1:
             return ",".join(str(a[0]) for a in self.entries)
@@ -139,20 +142,13 @@ def witt_from_integer(p: int, m: int, value: int) -> WittVector:
     """The image of an integer under Z -> W_m(F_p), n -> n * (1, 0, ..., 0).
 
     This is the independent oracle for the group law: it realizes the
-    isomorphism Z/p^m = W_m(F_p).  Base field only (e = 1).  The multiple
-    is built by double-and-add over the bits of n mod p^m, so it takes at
-    most 2 * ceil(log2(p^m)) calls to witt_add.
+    isomorphism Z/p^m = W_m(F_p).  Base field only (e = 1).  The ghost map
+    is additive and w_k(1, 0, ..., 0) = 1, so every ghost component of the
+    image is n, and the vector is solved from those, with no witt_add.
     """
-    acc = WittVector.zero(p, m)
-    power = WittVector.from_ints(p, m, [1] + [0] * (m - 1))
-    k = value % (p ** m)
-    while k:
-        if k & 1:
-            acc = witt_add(acc, power)
-        k >>= 1
-        if k:
-            power = witt_add(power, power)
-    return acc
+    _check_length(m)
+    _check_field_params(p, 1)
+    return _from_ghosts(p, 1, [(value,)] * m, None)
 
 
 def witt_entries_from_string(p: int, m: int, text: str, e: int = 1) -> WittVector:

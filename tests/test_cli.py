@@ -1,12 +1,14 @@
 """CLI tests, exercising the documented subcommands and exit codes."""
 
+import contextlib
+import io
 import json
 import time
 
 import numpy as np
 import pytest
 
-from ahspringer.cli import main
+from ahspringer.cli import _build_parser, main
 from ahspringer.groups import JordanType, jordan_nilpotent
 from ahspringer.matrices import FpMatrix
 
@@ -376,3 +378,95 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+EMBEDS = [  # (matrix, vector, stdout): J_5 over F_2 has nilpotent order 3, this X over F_9 order 1
+    ({"p": 2, "e": 1, "n": 5, "entries": [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                                          [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]]}, "1,0,1",
+     '{"p": 2, "e": 1, "n": 5, "entries": [[1, 1, 1, 0, 1], [0, 1, 1, 1, 0], [0, 0, 1, 1, 1], '
+     '[0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]}\n'),
+    ({"p": 3, "e": 2, "n": 3, "entries": [[[0, 0], [1, 2], [0, 1]], [[0, 0], [0, 0], [2, 0]],
+                                          [[0, 0], [0, 0], [0, 0]]]}, "2",
+     '{"p": 3, "e": 2, "n": 3, "entries": [[[1, 0], [2, 1], [1, 1]], [[0, 0], [1, 0], [1, 0]], '
+     '[[0, 0], [0, 0], [1, 0]]]}\n'),
+]
+
+
+def test_embed_prints_the_pinned_bytes(tmp_path, capsys):
+    for k, (obj, vector, expected) in enumerate(EMBEDS):
+        src = tmp_path / f"x{k}.json"
+        src.write_text(json.dumps(obj))
+        assert run_cli(capsys, "embed", "--matrix", str(src), "--vector", vector) == (0, expected, "")
+
+
+# (command, a valid argument list), its first option a required one; each
+# is parsed, never run, so no file is opened
+PARSED = [
+    (["ah-coeffs"], ["--p", "3", "--n", "8", "--rational"]),
+    (["exp"], ["--matrix", "x.json"]),
+    (["log"], ["--matrix", "u.json"]),
+    (["embed"], ["--matrix", "x.json", "--vector", "1,0"]),
+    (["witt", "add"], ["--p", "3", "--m", "2", "--e", "2", "--lhs", "1,2", "--rhs", "2,2"]),
+    (["witt", "neg"], ["--p", "5", "--m", "3", "--vector", "1,0,3"]),
+    (["witt", "pow-p"], ["--p", "3", "--m", "3", "--vector", "1,2,0"]),
+    (["witt", "order"], ["--p", "3", "--m", "2", "--vector", "1,2"]),
+    (["witt", "from-int"], ["--p", "5", "--m", "3", "--int", "77"]),
+    (["parabolic", "eps"], ["--comp", "2,1", "--matrix", "x.json"]),
+    (["parabolic", "class"], ["--comp", "1,2,1", "--p", "5"]),
+    (["verify"], ["--suite", "all", "--p", "3", "--trials", "2", "--seed", "9", "--report", "r.json",
+                  "--max-dim", "4", "--kinds", "GL,SO"]),
+]
+
+
+def _parse(parser, argv):
+    """(Namespace or exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=f"{'-'.join(command)}/{how}")
+    for command, args in PARSED + [(["witt"], []), (["parabolic"], [])]  # a group alone: no subcommand
+    for how, argv in (("help", [*command, "--help"]), ("missing", [*command, *args[2:]]),
+                      ("valid", [*command, *args]), ("extra", [*command, *args, "extra"]))
+])
+def test_one_command_parser_parses_as_the_full_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    one = _build_parser(argv)
+    assert list(one._subparsers._group_actions[0].choices) == [argv[0]]  # the one subparser
+    assert _parse(one, argv) == _parse(_build_parser(), argv)
+
+
+# no command, an unknown command and the top-level help, at 80 columns
+TOP_LEVEL = [
+    ([], 2, "", "usage: ahspringer [-h] {ah-coeffs,exp,log,embed,witt,parabolic,verify} ...\n"
+     "ahspringer: error: the following arguments are required: command\n"),
+    (["bogus"], 2, "", "usage: ahspringer [-h] {ah-coeffs,exp,log,embed,witt,parabolic,verify} ...\n"
+     "ahspringer: error: argument command: invalid choice: 'bogus' (choose from 'ah-coeffs', "
+     "'exp', 'log', 'embed', 'witt', 'parabolic', 'verify')\n"),
+    (["--help"], 0, "usage: ahspringer [-h] {ah-coeffs,exp,log,embed,witt,parabolic,verify} ...\n\n"
+     "Exact Artin-Hasse exponentials, Witt vectors, and verification suites over\n"
+     "small finite fields.\n\npositional arguments:\n"
+     "  {ah-coeffs,exp,log,embed,witt,parabolic,verify}\n"
+     "    ah-coeffs           Artin-Hasse series coefficients\n"
+     "    exp                 Artin-Hasse exponential of a nilpotent matrix\n"
+     "    log                 inverse Artin-Hasse map of a unipotent matrix\n"
+     "    embed               Witt-vector embedding at a nilpotent matrix\n"
+     "    witt                Witt vector arithmetic\n"
+     "    parabolic           standard parabolics of GL_n\n"
+     "    verify              run property suites\n\n"
+     "options:\n  -h, --help            show this help message and exit\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", TOP_LEVEL, ids=["no-command", "unknown-command", "help"])
+def test_calls_without_a_known_command_print_the_full_usage(argv, code, out, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)

@@ -1,6 +1,7 @@
 """Group/Lie-algebra membership, Jordan forms, centralizers, sampling."""
 
 import ast
+from collections import namedtuple
 from itertools import product
 from pathlib import Path
 
@@ -52,6 +53,36 @@ def partitions(n, largest=None):
     for first in range(min(n, largest or n), 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
+
+
+def test_group_spec_and_jordan_type_value_contract():
+    # what the frozen dataclasses gave: equality and hash by the fields
+    # within the one class, no assignment, a field-by-field repr, and the
+    # messages of their validation
+    spec, jtype = GroupSpec("Sp", 4), JordanType(["2", 1.0, 1])
+    assert spec == GroupSpec(kind="Sp", n=4) and hash(spec) == hash(GroupSpec("Sp", 4)) == hash(("Sp", 4))
+    assert jtype == JordanType((2, 1, 1)) and hash(jtype) == hash(((2, 1, 1),)) and jtype.n == 4
+    assert {spec: 1}[GroupSpec("Sp", 4)] == 1
+    assert spec != GroupSpec("SO", 4) and jtype != JordanType((2, 2))
+    assert spec != ("Sp", 4) and spec != namedtuple("GroupSpec", "kind n")("Sp", 4)
+    assert jtype != ((2, 1, 1),) and jtype != namedtuple("JordanType", "partition")((2, 1, 1))
+    for value, names in ((spec, ("kind", "n", "other")), (jtype, ("partition", "n", "other"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+    assert repr(spec) == "GroupSpec(kind='Sp', n=4)"
+    assert repr(jtype) == "JordanType(partition=(2, 1, 1))"
+    for make, message in (
+        (lambda: GroupSpec("XX", 3), "kind must be one of ('GL', 'SL', 'SO', 'Sp'), got 'XX'"),
+        (lambda: GroupSpec("GL", 0), "dimension must be positive"),
+        (lambda: GroupSpec("Sp", 3), "Sp requires even dimension"),
+        (lambda: JordanType(()), "a Jordan type needs at least one block"),
+        (lambda: JordanType((2, 0)), "Jordan block sizes must be positive"),
+        (lambda: JordanType((1, 2)), "Jordan block sizes must be weakly decreasing"),
+    ):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
 
 
 class TestJordan:

@@ -4,8 +4,9 @@ public names resolve on first use, the scalar commands (``ah-coeffs``,
 and without ``dataclasses`` (which loads ``inspect``) or ``fractions``,
 save ``ah-coeffs --rational``, which prints Fractions; ``exp`` and
 ``log`` run without the samplers, ``parabolic eps`` loads what ``exp``
-loads, ``verify`` loads the parabolic layers only for eps-parabolic and
-no ``fractions`` for the structure or field suites, and only the process
+loads, ``verify`` loads the parabolic layers only for eps-parabolic,
+``witt`` only for the Witt suites, no ``fractions`` for the structure or
+field suites and no ``dataclasses`` for any, and only the process
 entry point ``cli.run`` sets the BLAS thread count, turns the cycle
 collector off and freezes the heap."""
 
@@ -212,6 +213,22 @@ def test_verify_structure_loads_no_fractions():
         result = _probe([["verify", *argv, "--seed", "42"]])
         assert result["calls"][0][0] == 0
         assert "fractions" not in result["loaded"], argv
+
+
+# the suite sets of the benchmark's three verify workloads
+VERIFY_SETS = {
+    "matrix": ["--suite", MATRIX_SUITES, "--p", "2,3,5", "--trials", "4"],
+    "structure": ["--suite", "eps-parabolic,centralizer-equality", "--p", "2,3,5", "--trials", "2"],
+    "fields": ["--suite", FIELDS_SUITES, "--trials", "10"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_SETS))
+def test_verify_loads_no_dataclasses_and_witt_only_for_the_witt_suites(name):
+    result = _probe([["verify", *VERIFY_SETS[name], "--seed", "42"]])
+    assert result["calls"][0][0] == 0
+    assert "dataclasses" not in result["loaded"]
+    assert ("ahspringer.witt" in result["loaded"]) == (name == "fields")
 
 
 def test_integrality_witnesses_print_the_fraction(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ahspringer import suites
+from ahspringer import suites, witt
 from ahspringer.expmaps import ah_exp
 from ahspringer.groups import GroupSpec, centralizer_space, nilpotent_lanes
 from ahspringer.matrices import FpMatrix
@@ -44,6 +44,40 @@ def test_config_validation():
         SuiteConfig(suites=("frobenius-compat",), kinds=("Sp",), primes=(2,))
     # but SO/Sp alongside an odd prime is fine
     SuiteConfig(suites=("frobenius-compat",), kinds=("Sp",), primes=(2, 3))
+
+
+def test_config_value_contract():
+    # what the frozen dataclass gave: equality and hash by the fields, no
+    # assignment, a field-by-field repr, and the messages of its validation
+    cfg = SuiteConfig(suites=("witt-group",), primes=(2, 3), seed=7)
+    fields = (("witt-group",), (2, 3), ("GL", "SL", "SO", "Sp"), 8, None, 7, None)
+    assert cfg == SuiteConfig(("witt-group",), (2, 3), seed=7) and hash(cfg) == hash(fields)
+    assert {cfg: 1}[SuiteConfig(*fields)] == 1
+    assert cfg != SuiteConfig(suites=("witt-group",), primes=(2, 3), seed=8) and cfg != fields
+    for name in ("suites", "primes", "kinds", "max_dim", "trials", "seed", "report_path", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, 0)
+    assert repr(cfg) == ("SuiteConfig(suites=('witt-group',), primes=(2, 3), kinds=('GL', 'SL', 'SO', 'Sp'), "
+                         "max_dim=8, trials=None, seed=7, report_path=None)")
+    for kwargs, message in (
+        (dict(suites=()), "no suites requested"),
+        (dict(suites=("bad", "witt-hom", "worse")), "unknown suite(s): bad, worse"),
+        (dict(suites=("all",), primes=(4,)), "p must be prime, got 4"),
+        (dict(suites=("all",), primes=(1 << 16,)), "p must be below 65536 for exact int64 arithmetic, got 65536"),
+        (dict(suites=("all",), primes=()), "at least one prime is required"),
+        (dict(suites=("all",), kinds=("GL", "XX")), "unknown group kind 'XX'"),
+        (dict(suites=("all",), kinds=()), "at least one group kind is required"),
+        (dict(suites=("witt-hom", "witt-hom")), "repeated suite in witt-hom,witt-hom"),
+        (dict(suites=("all",), primes=(2, 3, 2)), "repeated prime in 2,3,2"),
+        (dict(suites=("all",), kinds=("GL", "GL")), "repeated group kind in GL,GL"),
+        (dict(suites=("all",), max_dim=1), "max dimension must be at least 2"),
+        (dict(suites=("all",), trials=0), "trials must be >= 1"),
+        (dict(suites=("all",), kinds=("SO", "Sp"), primes=(2,)),
+         "SO/Sp with p = 2 violates the good-prime constraint"),
+    ):
+        with pytest.raises(ValueError) as err:
+            SuiteConfig(**kwargs)
+        assert str(err.value) == message
 
 
 def test_all_resolves_to_registry_order():
@@ -283,7 +317,7 @@ def test_witt_group_fails_on_a_sum_wrong_at_one_pair(monkeypatch):
     def add(a, b):  # wrong on (u, v) and (v, u) only, so still commutative
         return wrong if {a, b} == {u, v} else witt_add(a, b)
 
-    monkeypatch.setattr(suites, "witt_add", add)
+    monkeypatch.setattr(witt, "witt_add", add)
     record = run_suite(SuiteConfig(suites=("witt-group",), primes=(2,))).suites[0]
     assert record["failed"] > 0
     assert any(w.get("u") == encoded(u) and w.get("v") == encoded(v) for w in record["witnesses"])
@@ -318,7 +352,7 @@ def test_witt_suites_share_one_cayley_table(monkeypatch):
     # witt-group reaches, which witt-hom reads again, and one stacked
     # embedding per witt-hom grid point
     counts = {"add": 0, "embed": 0}
-    add, embed = suites.witt_add, suites.witt_embed
+    add, embed = witt.witt_add, suites.witt_embed
 
     def counted(name, fn):
         def call(*args):
@@ -326,7 +360,7 @@ def test_witt_suites_share_one_cayley_table(monkeypatch):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(suites, "witt_add", counted("add", add))
+    monkeypatch.setattr(witt, "witt_add", counted("add", add))
     monkeypatch.setattr(suites, "witt_embed", counted("embed", embed))
     report = run_suite(SuiteConfig(suites=FIELDS_SUITES, trials=10, seed=42))
     assert report.failed == 0
