@@ -16,8 +16,8 @@ _SUBMODULE = {
     for module, names in {
         "errors": ("DomainError",),
         "series": (
-            "FpSeries", "RationalSeries", "ah_coeffs_mod_p", "ah_inverse_coeffs",
-            "ah_rational_coeffs", "series_mul", "series_reversion",
+            "ah_coeffs_mod_p", "ah_inverse_coeffs", "ah_rational_coeffs", "series_mul",
+            "series_reversion",
         ),
         "matrices": ("FpMatrix", "load_matrix"),
         "groups": (

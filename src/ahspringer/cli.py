@@ -116,8 +116,8 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
 def _cmd_ah_coeffs(args) -> int:
     from .series import ah_coeffs_mod_p, ah_rational_coeffs
 
-    series = (ah_rational_coeffs if args.rational else ah_coeffs_mod_p)(args.p, args.n)
-    print(" ".join(str(c) for c in series.coeffs))
+    coeffs = (ah_rational_coeffs if args.rational else ah_coeffs_mod_p)(args.p, args.n)
+    print(" ".join(str(c) for c in coeffs))
     return 0
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .gf import _field_mul, inverse_mod
 from .matrices import FpMatrix, nilpotent_powers
-from .series import FpSeries, ah_coeffs_mod_p, series_reversion
+from .series import ah_coeffs_mod_p, series_reversion
 
 if TYPE_CHECKING:  # witt is loaded by its callers
     from .witt import WittVector
@@ -82,7 +82,7 @@ def ah_exp(x: FpMatrix) -> FpMatrix:
     The series truncates at the nilpotency degree of x, so this is a
     finite exact computation; the result is unipotent.
     """
-    return eval_series_in_matrix(ah_coeffs_mod_p(x.p, x.n - 1).coeffs, x)
+    return eval_series_in_matrix(ah_coeffs_mod_p(x.p, x.n - 1), x)
 
 
 @lru_cache(maxsize=None)
@@ -90,9 +90,7 @@ def _ah_reversion_coeffs(p: int, degree: int) -> tuple[int, ...]:
     # compositional inverse of e_p(t) - 1 through the given degree; its
     # low coefficients do not depend on the truncation, so one reversion
     # to degree n - 1 serves every n x n input
-    e_coeffs = ah_coeffs_mod_p(p, degree).coeffs
-    shifted = (0,) + e_coeffs[1:]
-    return series_reversion(FpSeries(p, shifted)).coeffs
+    return series_reversion((0,) + ah_coeffs_mod_p(p, degree)[1:], p)
 
 
 def ah_log(u: FpMatrix) -> FpMatrix:

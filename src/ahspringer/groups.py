@@ -6,10 +6,11 @@ seeded sampling of nilpotents and group elements, and of the elements
 of standard parabolics of GL_n and their nilradicals.  ``lie_basis``
 (Lie(G) on a set of matrix-unit positions) is written down from the
 units its conditions tie together, and u_P's basis is its block-upper
-units; ``centralizer_space`` is the one kernel solve, ``_kernel_span``.
-SO and Sp preserve a fixed antidiagonal form, so Lie(G) on the strictly
-upper triangle is a nilpotent subalgebra; ``_combination_lanes``
-samples it and parabolic nilradicals alike.
+units; ``centralizer_space``, the one null-space solve, reads its basis
+off one ``linalg._eliminate`` call.  SO and Sp preserve a fixed
+antidiagonal form, so Lie(G) on the strictly upper triangle is a
+nilpotent subalgebra; ``_combination_lanes`` samples it and parabolic
+nilradicals alike.
 
 The samplers draw many elements at once, one lane per (group, seed),
 from SplitMix64 lanes (``rng.stream_lanes``); a stack of groups of
@@ -20,8 +21,9 @@ or SL element, a Levi block of a P-element) tests candidates up to 3 x 3
 by closed-form determinants, larger ones by elimination, and moves each
 lane's state past the candidates it used by the raw draw counts of
 ``rng.below_lanes``.  ``random_nilpotent`` and ``random_matrix`` are
-one-lane views.  The order and membership functions take a stack as
-well and return one value per lane.
+one-lane views, and a Jordan type is sampled in GL and SL only.  The
+order and membership functions take a stack as well and return one
+value per lane.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import linalg
 from .errors import DomainError
 from .gf import _check_field_params, _field_inv, _field_mul, _Frozen, field_modulus
 from .matrices import FpMatrix, _mat_mul_planes, _runs, nilpotent_powers
-from .rng import _GAMMA, Stream, below_lanes, stream, stream_lanes
+from .rng import _GAMMA, Stream, below_lanes, stream_lanes
 
 KINDS = ("GL", "SL", "SO", "Sp")
 
@@ -179,19 +181,6 @@ def in_lie_algebra(spec: GroupSpec, x: FpMatrix):
     return _per_lane(~_lie_residual(spec, x.planes, x.p).any(axis=(-2, -1)))
 
 
-def _kernel_span(units: np.ndarray, images: np.ndarray, p: int, e: int) -> np.ndarray:
-    """Planes (d, e, n, n) of a kernel basis of a linear map on the span of
-    the matrix units (k, n, n), from the coordinates (k, e, m) of each
-    unit's image: the package's one null-space solve, behind
-    ``centralizer_space``."""
-    k, n = units.shape[0], units.shape[-1]
-    conditions = images[:, :, images.any(axis=(0, 1))]  # a zero row holds for every unit
-    if not conditions.size:  # no condition, as for GL: the kernel is every unit
-        return units[:, None] * np.eye(e, 1, dtype=np.int64)[:, :, None]
-    vecs = linalg.null_space_planes(conditions.transpose(1, 2, 0), p, e)
-    return (vecs @ units.reshape(k, n * n)).reshape(len(vecs), e, n, n)
-
-
 @lru_cache(maxsize=None)
 def lie_basis(kind: str, n: int, p: int, e: int, support: tuple) -> np.ndarray:
     """Read-only planes (k, e, n, n) of a basis of Lie(G) on the span of
@@ -232,42 +221,32 @@ def lie_basis(kind: str, n: int, p: int, e: int, support: tuple) -> np.ndarray:
 
 def centralizer_space(a: FpMatrix) -> np.ndarray:
     """Read-only planes (d, e, n, n) of a basis of { Z : ZA = AZ }: the
-    kernel of Z -> AZ - ZA on all n^2 matrix units, row-major."""
-    units = np.eye(a.n * a.n, dtype=np.int64).reshape(-1, a.n, a.n)
-    images = (a.planes @ units[:, None] - units[:, None] @ a.planes) % a.p
-    planes = _kernel_span(units, images.reshape(len(units), a.e, -1), a.p, a.e)
+    kernel of Z -> AZ - ZA on all n^2 matrix units, row-major, read off
+    one elimination of its conditions (a zero row holds for every unit):
+    one vector per non-pivot column f, 1 at f and minus column f of the
+    reduced form at the pivot columns."""
+    p, e, n = a.p, a.e, a.n
+    units = np.eye(n * n, dtype=np.int64).reshape(-1, n, n)
+    images = ((a.planes @ units[:, None] - units[:, None] @ a.planes) % p).reshape(n * n, e, n * n)
+    r_mat, pivot, _ = linalg._eliminate(images[:, :, images.any(axis=(0, 1))].transpose(1, 2, 0), p, e)
+    pivots, free = np.flatnonzero(pivot), np.flatnonzero(~pivot)
+    planes = np.zeros((len(free), e, n * n), dtype=np.int64)
+    planes[np.arange(len(free)), 0, free] = 1
+    planes[:, :, pivots] = (-r_mat[:, :len(pivots), free]).transpose(2, 0, 1) % p
+    planes = planes.reshape(-1, e, n, n)
     planes.flags.writeable = False
     return planes
-
-
-def jordan_type_of(x: FpMatrix) -> JordanType:
-    """Jordan type of a nilpotent matrix from its power-rank sequence."""
-    ranks = [linalg.rank_planes(power, x.p, x.e) for power in nilpotent_powers(x)] + [0]
-    # parts >= k appear (rank x^(k-1) - rank x^k) times
-    counts = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
-    parts = []
-    for size in range(len(counts), 0, -1):
-        copies = counts[size - 1] - (counts[size] if size < len(counts) else 0)
-        parts.extend([size] * copies)
-    parts.sort(reverse=True)
-    return JordanType(tuple(parts))
 
 
 # -- sampling ----------------------------------------------------------
 
 
-def _on_stream(st: Stream, draw):
-    """draw(states) on the one lane holding st's state; st then advances
-    past exactly the draws that lane consumed."""
-    states = np.array([st.state], dtype=np.uint64)
-    out = draw(states)
-    st.state = int(states[0])
-    return out
-
-
 def random_matrix(p: int, e: int, n: int, st: Stream) -> FpMatrix:
-    """Seeded matrix with uniform entries: one lane of ``_matrix_lanes``."""
-    planes = _on_stream(st, lambda states: _matrix_lanes(p, e, np.array([n]), states, n)[0])
+    """Seeded matrix with uniform entries: one lane of ``_matrix_lanes``,
+    after which st advances past exactly the draws it consumed."""
+    states = np.array([st.state], dtype=np.uint64)
+    planes = _matrix_lanes(p, e, np.array([n]), states, n)[0]
+    st.state = int(states[0])
     return FpMatrix._wrap(p, e, n, planes[0, 0])
 
 
@@ -446,7 +425,7 @@ def _nilpotent_draws(specs, p: int, e: int, states: np.ndarray) -> FpMatrix:
         combos = [_combination_lanes(_triangle_runs(sub, p, e, lower), p, e, sub_states, size)[0]
                   for lower in (True, False)]
         states[on] = sub_states
-        series = [f(p, size - 1).coeffs for f in (ah_coeffs_mod_p, ah_inverse_coeffs)]
+        series = [f(p, size - 1) for f in (ah_coeffs_mod_p, ah_inverse_coeffs)]
         walk = eval_series_in_matrix(series, FpMatrix._wrap(p, e, size, np.stack(combos)))
         exps, inverses = walk.lane(0), walk.lane(1)
         a = exps.lane(0) @ exps.lane(1)
@@ -537,22 +516,6 @@ def radical_elements(pars, seeds, index=0) -> FpMatrix:
     return FpMatrix._wrap(*field, _radical_draws(runs, field, states))
 
 
-_SAMPLE_CAP = 3000
-
-
-def _jordan_type_satisfiable(kind: str, n: int, t: JordanType) -> bool:
-    if t.n != n:
-        return False
-    if kind in ("GL", "SL"):
-        return True
-    mult = {}
-    for part in t.partition:
-        mult[part] = mult.get(part, 0) + 1
-    if kind == "Sp":
-        return all(mult[part] % 2 == 0 for part in mult if part % 2 == 1)
-    return all(mult[part] % 2 == 0 for part in mult if part % 2 == 0)
-
-
 def random_nilpotent(
     spec: GroupSpec,
     jordan_type: JordanType | str,
@@ -563,26 +526,16 @@ def random_nilpotent(
     """Seeded nilpotent element of Lie(G), optionally of a given Jordan type.
 
     Deterministic for fixed arguments; "any" is one lane of
-    ``nilpotent_lanes``, a Jordan type in GL or SL one lane of
-    ``jordan_nilpotent_lanes``.
+    ``nilpotent_lanes``, a Jordan type one lane of
+    ``jordan_nilpotent_lanes``, which samples GL and SL only.
     """
     if jordan_type == "any":
         return nilpotent_lanes([spec], p, e, [seed]).lane(0)
-    if not _jordan_type_satisfiable(spec.kind, spec.n, jordan_type):
+    if spec.kind not in ("GL", "SL") or jordan_type.n != spec.n:
         raise DomainError(
-            f"Jordan type {jordan_type.partition} is not realizable in {spec.kind}_{spec.n}"
+            f"Jordan type {jordan_type.partition} is not sampled in {spec.kind}_{spec.n}"
         )
-    if spec.kind in ("GL", "SL"):
-        return jordan_nilpotent_lanes(spec, jordan_type, p, e, [seed]).lane(0)
-    type_label = ",".join(map(str, jordan_type.partition))
-    st = stream(seed, f"nilpotent/{spec.kind}/{spec.n}/{p}/{e}/{type_label}")
-    for _ in range(_SAMPLE_CAP):
-        x = _on_stream(st, lambda states: _nilpotent_draws([spec], p, e, states)).lane(0)
-        if jordan_type_of(x) == jordan_type:
-            return x
-    raise DomainError(
-        f"could not realize Jordan type {jordan_type.partition} in {spec.kind}_{spec.n}"
-    )
+    return jordan_nilpotent_lanes(spec, jordan_type, p, e, [seed]).lane(0)
 
 
 def enumerate_nilpotents(p: int, n: int, e: int = 1):

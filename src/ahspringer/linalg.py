@@ -2,11 +2,12 @@
 
 Works on coefficient-plane arrays of shape (e, rows, cols), or on stacks
 (..., e, rows, cols) of them: ``_eliminate`` reduces every lane of a
-stack at once, with each lane's own pivots, so ``det_planes`` and
-``inv_planes`` take many matrices in one call.  The FpMatrix wrappers at
-the bottom are what the rest of the package uses.  Pivot inverses come
-from the per-p table in ``gf``, and everything stays in integer
-arithmetic.
+stack at once, with each lane's own pivots, so ``det_planes`` and ``inv``
+take many matrices in one call.  These three are the module; a caller
+that needs a rank or a null space (``groups.centralizer_space``,
+``suites._centralizers_equal``) reads it off ``_eliminate``'s pivots.
+Pivot inverses come from the per-p table in ``gf``, and everything stays
+in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -83,29 +84,6 @@ def _eliminate(planes, p, e):
             (factor % p).reshape(*batch, e))
 
 
-def rref_planes(planes, p, e):
-    """Reduced row echelon form of one (e, rows, cols) array; returns
-    (array, pivot column list)."""
-    r_mat, pivot, _ = _eliminate(planes, p, e)
-    return r_mat, np.flatnonzero(pivot).tolist()
-
-
-def rank_planes(planes, p, e) -> int:
-    return len(rref_planes(planes, p, e)[1])
-
-
-def null_space_planes(planes, p, e):
-    """Basis of the right null space, as an array (d, e, cols) of vectors,
-    one per non-pivot column f: 1 at f, minus column f of the rref at the
-    pivot columns."""
-    r_mat, pivots = rref_planes(planes, p, e)
-    free = np.delete(np.arange(r_mat.shape[2]), pivots)
-    basis = np.zeros((len(free), e, r_mat.shape[2]), dtype=np.int64)
-    basis[np.arange(len(free)), 0, free] = 1
-    basis[:, :, pivots] = (-r_mat[:, :len(pivots), free]).transpose(2, 0, 1) % p
-    return basis
-
-
 def det_planes(planes, p, e) -> np.ndarray:
     """Determinant coordinates (..., e) of a stack (..., e, n, n); zero for
     a singular lane."""
@@ -113,24 +91,14 @@ def det_planes(planes, p, e) -> np.ndarray:
     return np.where(pivot.all(axis=-1, keepdims=True), factor, 0)
 
 
-def inv_planes(planes, p, e):
-    """Inverses of a stack (..., e, n, n) and a boolean (...) of which lanes
-    are invertible; a singular lane's inverse planes are zero.  One
-    elimination of [A | 1] per lane."""
-    planes = np.asarray(planes)
-    n = planes.shape[-1]
-    aug = np.zeros(planes.shape[:-1] + (2 * n,), dtype=np.int64)
-    aug[..., :n] = planes
-    aug[..., 0, :, n:] = np.eye(n, dtype=np.int64)
-    r_mat, pivot, _ = _eliminate(aug, p, e)
-    ok = pivot[..., :n].all(axis=-1)
-    return np.where(ok[..., None, None, None], r_mat[..., n:], 0), ok
-
-
 def inv(m: FpMatrix) -> FpMatrix:
-    """Matrix inverse, lane by lane for a stack; raises ZeroDivisionError
-    when a matrix is singular."""
-    planes, ok = inv_planes(m.planes, m.p, m.e)
-    if not ok.all():
+    """Matrix inverse, lane by lane for a stack, from one elimination of
+    [A | 1] per lane; raises ZeroDivisionError when a matrix is singular."""
+    n = m.n
+    aug = np.zeros(m.planes.shape[:-1] + (2 * n,), dtype=np.int64)
+    aug[..., :n] = m.planes
+    aug[..., 0, :, n:] = np.eye(n, dtype=np.int64)
+    r_mat, pivot, _ = _eliminate(aug, m.p, m.e)
+    if not pivot[..., :n].all():
         raise ZeroDivisionError("matrix is not invertible")
-    return FpMatrix._wrap(m.p, m.e, m.n, planes)
+    return FpMatrix._wrap(m.p, m.e, n, np.ascontiguousarray(r_mat[..., n:]))

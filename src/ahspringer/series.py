@@ -1,11 +1,10 @@
 """Truncated power series with exact coefficients.
 
-Two coefficient domains: big rationals (``RationalSeries``, for the
-characteristic-zero Artin-Hasse expansion) and F_p (``FpSeries``, its
-mod-p reduction).  A series of truncation degree N stores the N+1
-coefficients of t^0 .. t^N; every operation states its truncation
-explicitly, and operations on mismatched truncations truncate to the
-shorter input.
+A series of truncation degree N is the tuple of its N+1 coefficients of
+t^0 .. t^N: big rationals (``fractions.Fraction``) for the
+characteristic-zero Artin-Hasse expansion, canonical ints in [0, p) for
+its mod-p reduction.  Every operation states its truncation explicitly,
+and operations on mismatched truncations truncate to the shorter input.
 
 The Artin-Hasse exponential is
     E_p(t) = exp(t + t^p/p + t^(p^2)/p^2 + ...),
@@ -26,56 +25,6 @@ from .gf import check_prime, inverse_mod
 # No runtime path needs more than gf.MAX_DIM - 1 = 127 (ah_exp) or
 # suites.INTEGRALITY_DEGREE = 60.
 MAX_DEGREE = 256
-
-
-class RationalSeries:
-    """Truncated series with Fraction coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        from fractions import Fraction  # loaded only where a rational is built
-
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"RationalSeries({list(self.coeffs)!r})"
-
-
-class FpSeries:
-    """Truncated series over F_p; coefficients are canonical ints in [0, p)."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs):
-        check_prime(p)
-        self.p = p
-        self.coeffs = tuple(int(c) % p for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FpSeries):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"FpSeries({self.p}, {list(self.coeffs)!r})"
 
 
 @lru_cache(maxsize=None)
@@ -116,17 +65,17 @@ def _ah_integer_coeffs(p: int, degree: int) -> tuple[tuple[int, ...], tuple[int,
 
 
 @lru_cache(maxsize=None)
-def ah_rational_coeffs(p: int, degree: int) -> RationalSeries:
+def ah_rational_coeffs(p: int, degree: int) -> tuple:
     """Coefficients C_0..C_degree of E_p(t), each C_n = A_n / n! formed
     once from ``_ah_integer_coeffs``; every denominator comes out coprime
     to p."""
     from fractions import Fraction
 
-    return RationalSeries(Fraction(a, fact) for a, fact in zip(*_ah_integer_coeffs(p, degree)))
+    return tuple(Fraction(a, fact) for a, fact in zip(*_ah_integer_coeffs(p, degree)))
 
 
 @lru_cache(maxsize=None)
-def ah_coeffs_mod_p(p: int, degree: int) -> FpSeries:
+def ah_coeffs_mod_p(p: int, degree: int) -> tuple[int, ...]:
     """The mod-p reduction e_p(t) of the Artin-Hasse series: each A_n / n!
     in lowest terms, its numerator times the inverse of its denominator.
 
@@ -142,13 +91,13 @@ def ah_coeffs_mod_p(p: int, degree: int) -> FpSeries:
                 f"integrality violated: coefficient {i} of E_{p} is {num}/{den}"
             )
         out.append(num * inverse_mod(den, p) % p)
-    return FpSeries(p, out)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def ah_inverse_coeffs(p: int, degree: int) -> FpSeries:
+def ah_inverse_coeffs(p: int, degree: int) -> tuple[int, ...]:
     """The series f over F_p with f * e_p = 1 up to the truncation degree."""
-    e = ah_coeffs_mod_p(p, degree).coeffs
+    e = ah_coeffs_mod_p(p, degree)
     # e[0] == 1, so the recursion needs no division
     f = [1] + [0] * degree
     for n in range(1, degree + 1):
@@ -156,49 +105,44 @@ def ah_inverse_coeffs(p: int, degree: int) -> FpSeries:
         for k in range(1, n + 1):
             acc += e[k] * f[n - k]
         f[n] = (-acc) % p
-    return FpSeries(p, f)
+    return tuple(f)
 
 
-def series_mul(a: FpSeries, b: FpSeries) -> FpSeries:
-    """Cauchy product, truncated to the shorter input."""
-    if a.p != b.p:
-        raise ValueError(f"characteristic mismatch: {a.p} vs {b.p}")
-    p = a.p
-    n = min(a.degree, b.degree)
-    out = [0] * (n + 1)
-    for i in range(n + 1):
-        ai = a.coeffs[i]
+def series_mul(a: tuple, b: tuple, p: int) -> tuple[int, ...]:
+    """Cauchy product over F_p, truncated to the shorter input."""
+    n = min(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        ai = a[i]
         if ai == 0:
             continue
-        for j in range(n + 1 - i):
-            out[i + j] = (out[i + j] + ai * b.coeffs[j]) % p
-    return FpSeries(p, out)
+        for j in range(n - i):
+            out[i + j] = (out[i + j] + ai * b[j]) % p
+    return tuple(out)
 
 
-def series_reversion(s: FpSeries) -> FpSeries:
-    """Compositional inverse: the series l with l(s(t)) = t up to truncation.
+def series_reversion(s: tuple, p: int) -> tuple[int, ...]:
+    """Compositional inverse over F_p: the series l with l(s(t)) = t up to
+    truncation, for canonical coefficients s.
 
     Requires s(0) = 0 and a nonzero linear coefficient.  The inverse is
     two-sided on that domain.
     """
-    p = s.p
-    if s.coeffs[0] != 0:
+    if s[0] != 0:
         raise ValueError("reversion requires zero constant term")
-    if s.degree >= 1 and s.coeffs[1] == 0:
+    if len(s) > 1 and s[1] == 0:
         raise ValueError("reversion requires a unit linear coefficient")
-    n = s.degree
-    if n == 0:
-        return FpSeries(p, [0])
+    n = len(s) - 1
     # powers[k] = s^k truncated; s^k has valuation k with leading coeff s1^k
     powers = [None, s]
     for k in range(2, n + 1):
-        powers.append(series_mul(powers[-1], s))
+        powers.append(series_mul(powers[-1], s, p))
     ell = [0] * (n + 1)
     for m in range(1, n + 1):
         target = 1 if m == 1 else 0
         acc = 0
         for k in range(1, m):
-            acc += ell[k] * powers[k].coeffs[m]
-        lead = powers[m].coeffs[m]  # = s1^m, nonzero
+            acc += ell[k] * powers[k][m]
+        lead = powers[m][m]  # = s1^m, nonzero
         ell[m] = (target - acc) * inverse_mod(lead, p) % p
-    return FpSeries(p, ell)
+    return tuple(ell)

@@ -15,8 +15,6 @@ from ahspringer.groups import (
     JordanType,
     _combination_lanes,
     _invertible,
-    _kernel_span,
-    _lie_residual,
     _triangle_runs,
     centralizer_space,
     default_form,
@@ -29,11 +27,11 @@ from ahspringer.groups import (
     invertible_lanes,
     jordan_nilpotent,
     jordan_nilpotent_lanes,
-    jordan_type_of,
     lie_basis,
     nilpotency_degree,
     nilpotent_lanes,
     nilpotent_order,
+    random_matrix,
     random_nilpotent,
     unipotent_order_exponent,
 )
@@ -43,6 +41,12 @@ from ahspringer.series import ah_coeffs_mod_p, ah_inverse_coeffs
 from ahspringer.rng import stream, stream_lanes
 
 from field_reference import Elem
+from linalg_reference import (
+    jordan_type_of,
+    lie_kernel_reference,
+    null_space_reference,
+    rank_reference,
+)
 
 
 def partitions(n, largest=None):
@@ -112,12 +116,12 @@ class TestJordan:
         x = jordan_nilpotent(t, 3)
         for k in range(sum(partition) + 1):
             expected = sum(max(part - k, 0) for part in partition)
-            assert linalg.rank_planes((x ** k).planes, 3, 1) == expected
+            assert rank_reference((x ** k).planes, 3, 1) == expected
 
     @pytest.mark.parametrize("partition", [(3,), (2, 1), (2, 2, 1), (4, 2)])
     def test_jordan_type_round_trip(self, partition):
         x = jordan_nilpotent(JordanType(partition), 2)
-        assert jordan_type_of(x).partition == partition
+        assert jordan_type_of(x) == partition
 
 
 class TestNilpotentOrder:
@@ -230,6 +234,24 @@ class TestCentralizer:
     def test_zero_matrix_full_space(self):
         assert len(centralizer_space(FpMatrix(3, 1, np.zeros((1, 3, 3), dtype=np.int64)))) == 9
 
+    @pytest.mark.parametrize("p,e", product([2, 3, 5], [1, 2]))
+    def test_basis_is_the_reference_null_space(self, p, e):
+        # Z -> AZ - ZA on row-major vec(Z) is kron(A, 1) - kron(1, A^T),
+        # plane by plane as 1 has F_p entries; its reference null space,
+        # array for array, on random, nilpotent and scalar matrices
+        st = stream(26, f"centralizer-reference/{p}/{e}")
+        for n in range(1, 5):
+            scalar = np.zeros((e, n, n), dtype=np.int64)
+            scalar[e - 1] = np.eye(n, dtype=np.int64)
+            for a in (random_matrix(p, e, n, st), random_nilpotent(GroupSpec("GL", n), "any", n, p, e),
+                      FpMatrix(p, e, scalar), FpMatrix(p, e, 0 * scalar)):
+                eye = np.eye(n, dtype=np.int64)
+                ad = np.stack([np.kron(plane, eye) - np.kron(eye, plane.T) for plane in a.planes]) % p
+                ref = null_space_reference(ad, p, e).reshape(-1, e, n, n)
+                got = centralizer_space(a)
+                assert got.dtype == np.int64 and not got.flags.writeable
+                assert got.shape == ref.shape and np.array_equal(got, ref), (n, a.planes.tolist())
+
     def test_regular_nilpotent_dimension(self):
         for n in (2, 3, 4):
             assert len(centralizer_space(jordan_nilpotent(JordanType((n,)), 5))) == n
@@ -253,7 +275,7 @@ class TestCentralizer:
         # Z -> XZ - ZX on row-major vec(Z) is kron(X, 1) - kron(1, X^T)
         eye = np.eye(5, dtype=np.int64)
         ad = (np.kron(x.planes[0], eye) - np.kron(eye, x.planes[0].T)) % 3
-        commutator_rank = len(linalg.rref_planes(ad[None], 3, 1)[1])
+        commutator_rank = rank_reference(ad[None], 3, 1)
         assert len(c) == 25 - commutator_rank
 
     def test_extension_field(self):
@@ -277,7 +299,7 @@ class TestCentralizer:
 class TestSampling:
     def test_gl_jordan_type_request(self):
         x = random_nilpotent(GroupSpec("GL", 3), JordanType((3,)), 7, 2)
-        assert jordan_type_of(x).partition == (3,)
+        assert jordan_type_of(x) == (3,)
         assert nilpotent_order(x) == 2
 
     def test_sp2_any_postconditions(self):
@@ -299,10 +321,34 @@ class TestSampling:
         with pytest.raises(DomainError):
             random_nilpotent(GroupSpec("GL", 4), JordanType((3,)), 1, 3)  # wrong n
 
-    def test_sp_regular_type_reachable(self):
-        x = random_nilpotent(GroupSpec("Sp", 4), JordanType((4,)), 3, 3)
-        assert jordan_type_of(x).partition == (4,)
-        assert in_lie_algebra(GroupSpec("Sp", 4), x)
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (3, 2), (5, 1)])
+    def test_random_nilpotent_is_one_lane_of_the_lane_samplers(self, p, e):
+        # "any" and a GL/SL Jordan type give the lane-0 bytes of
+        # nilpotent_lanes and jordan_nilpotent_lanes (the regular types at
+        # n = 4 and 8 are the kernel probes' inputs); an SO/Sp Jordan type
+        # is not sampled, realizable or not
+        def same(a, b):
+            return ((a.p, a.e, a.n, a.planes.dtype, a.planes.shape, a.planes.tobytes())
+                    == (b.p, b.e, b.n, b.planes.dtype, b.planes.shape, b.planes.tobytes()))
+
+        for seed in (42, 0, 2 ** 64 + 5):
+            for kind, n in product(("GL", "SL"), (2, 4, 8)):
+                spec = GroupSpec(kind, n)
+                lane = nilpotent_lanes([spec], p, e, [seed]).lane(0)
+                assert same(random_nilpotent(spec, "any", seed, p, e), lane)
+                for parts in ((n,), (n - 1, 1), (1,) * n):
+                    jtype = JordanType(parts)
+                    assert same(random_nilpotent(spec, jtype, seed, p, e),
+                                jordan_nilpotent_lanes(spec, jtype, p, e, [seed]).lane(0))
+            if p == 2:
+                continue
+            for kind, n in (("SO", 3), ("SO", 4), ("Sp", 2), ("Sp", 4)):
+                spec = GroupSpec(kind, n)
+                lane = nilpotent_lanes([spec], p, e, [seed]).lane(0)
+                assert same(random_nilpotent(spec, "any", seed, p, e), lane)
+                for parts in ((n,), (n - 1, 1), (1,) * n):
+                    with pytest.raises(DomainError, match=f"is not sampled in {kind}_{n}$"):
+                        random_nilpotent(spec, JordanType(parts), seed, p, e)
 
     def test_nilradical_bases_satisfy_lie_condition(self):
         # oracle: the standard dimensions of Lie(G) on the full support
@@ -329,7 +375,7 @@ class TestSampling:
             outside[tuple(np.reshape(support, (-1, 2)).astype(int).T)] = False
             assert not basis[:, 0, outside].any()
             if len(basis):
-                assert linalg.rank_planes(basis[:, 0].reshape(1, len(basis), n * n), p, 1) == len(basis)
+                assert rank_reference(basis[:, 0].reshape(1, len(basis), n * n), p, 1) == len(basis)
             for b in basis:
                 x = FpMatrix(p, e, b)
                 assert in_lie_algebra(spec, x)
@@ -344,14 +390,12 @@ SUPPORTS = {"full": lambda i, j: True, "upper": lambda i, j: i < j, "lower": lam
 
 
 def ref_lie_basis(kind, n, p, e, support):
-    """Lie(G) on the units at support by elimination: the kernel of
-    _lie_residual, solved over F_p by groups._kernel_span."""
-    units = np.zeros((len(support), 1, n, n), dtype=np.int64)
-    units[(np.arange(len(support)), 0, *np.array(support, dtype=np.intp).reshape(-1, 2).T)] = 1
-    # the map has F_p coefficients, so an F_p basis spans the F_{p^e} solutions
-    solved = _kernel_span(units[:, 0], _lie_residual(GroupSpec(kind, n), units, p), p, 1)
+    """Lie(G) on the units at support by elimination, as planes (d, e, n, n):
+    the reference kernel of its conditions, which have F_p coefficients, so
+    an F_p basis spans the F_{p^e} solutions."""
+    solved = lie_kernel_reference(kind, n, p, support)
     basis = np.zeros((len(solved), e, n, n), dtype=np.int64)
-    basis[:, :1] = solved
+    basis[:, 0] = solved
     return basis
 
 
@@ -405,10 +449,11 @@ def test_lie_basis_and_sampling_run_no_elimination(monkeypatch):
 
 
 def test_one_null_space_solve_and_one_nilradical_sampler():
-    # centralizer_space is the one kernel solve, through groups._kernel_span
-    # (lie_basis writes its basis down), and the parabolic samplers draw
-    # their nilradical coordinates through _combination_lanes, never
-    # straight from below_lanes
+    # every elimination is one _eliminate call, made only by det_planes,
+    # inv, centralizer_space (the one null-space solve; lie_basis writes
+    # its basis down) and suites._centralizers_equal; and the parabolic
+    # samplers draw their nilradical coordinates through
+    # _combination_lanes, never straight from below_lanes
     def name(func):
         return getattr(func, "attr", getattr(func, "id", None))
 
@@ -418,8 +463,9 @@ def test_one_null_space_solve_and_one_nilradical_sampler():
         for top in ast.parse(path.read_text()).body:
             calls = [node for node in ast.walk(top) if isinstance(node, ast.Call)]
             callers += [(path.name, getattr(top, "name", None)) for node in calls
-                        if name(node.func) == "null_space_planes"]
-    assert callers == [("groups.py", "_kernel_span")]
+                        if name(node.func) == "_eliminate"]
+    assert sorted(callers) == [("groups.py", "centralizer_space"), ("linalg.py", "det_planes"),
+                               ("linalg.py", "inv"), ("suites.py", "_centralizers_equal")]
     samplers = {top.name: {name(node.func) for node in ast.walk(top) if isinstance(node, ast.Call)}
                 for top in ast.parse((src / "groups.py").read_text()).body
                 if getattr(top, "name", None) in ("nilradical_basis", "_parabolic_lanes", "_radical_draws",
@@ -459,7 +505,7 @@ def test_unipotent_inverse_from_the_power_walk(p, e, n):
     states = stream_lanes(range(len(specs)), f"conjugator-inverse/{p}/{e}/{n}")
     x = FpMatrix._wrap(p, e, n, np.stack([_combination_lanes(_triangle_runs(specs, p, e, lower), p, e,
                                                              states, n)[0] for lower in (True, False)]))
-    rows = [f(p, n - 1).coeffs for f in (ah_coeffs_mod_p, ah_inverse_coeffs)]
+    rows = [f(p, n - 1) for f in (ah_coeffs_mod_p, ah_inverse_coeffs)]
     walk = eval_series_in_matrix(rows, x)
     exps, inverses = walk.lane(0), walk.lane(1)
     assert exps == ah_exp(x)
@@ -595,7 +641,7 @@ class TestLaneSamplers:
                 for i, seed in enumerate(seeds):
                     want = ref_jordan_nilpotent(spec, jtype, p, e, seed)
                     assert x.lane(i) == want == random_nilpotent(spec, jtype, seed, p, e)
-                    assert jordan_type_of(want) == jtype and in_lie_algebra(spec, want)
+                    assert jordan_type_of(want) == parts and in_lie_algebra(spec, want)
 
     @pytest.mark.parametrize("p,e", [(2, 1), (3, 2), (5, 1), (7, 1)])
     def test_stacked_orders_are_the_single_matrix_orders(self, p, e):

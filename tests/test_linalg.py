@@ -1,5 +1,6 @@
 """Exact elimination tests: determinants against the permutation-expansion
-oracle, inverses, ranks, and null spaces."""
+oracle, inverses, and the reduced forms, ranks and null spaces of
+``_eliminate`` against the plain-integer references."""
 
 from itertools import permutations
 
@@ -10,6 +11,7 @@ from ahspringer import linalg
 from ahspringer.matrices import FpMatrix
 from ahspringer.rng import stream
 from field_reference import Elem
+from linalg_reference import null_space_reference, rank_reference, rref_reference
 
 
 def det_by_permutation_expansion(m: FpMatrix) -> tuple[int, ...]:
@@ -82,8 +84,8 @@ def test_inverse_of_singular_raises():
 
 def test_rank_and_null_space_dimensions():
     m = FpMatrix.from_rows(5, 1, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    assert linalg.rank_planes(m.planes, 5, 1) == 2
-    ns = linalg.null_space_planes(m.planes, 5, 1)
+    assert linalg._eliminate(m.planes, 5, 1)[1].sum() == rank_reference(m.planes, 5, 1) == 2
+    ns = null_space_reference(m.planes, 5, 1)
     assert len(ns) == 1
     v = ns[0][0]
     prod = (m.planes[0] @ v) % 5
@@ -99,8 +101,8 @@ def test_null_space_vectors_annihilate(p, e):
     st = stream(24, f"ns/{p}/{e}")
     for _ in range(6):
         m = random_mat(p, e, 4, st)
-        ns = linalg.null_space_planes(m.planes, p, e)
-        assert linalg.rank_planes(m.planes, p, e) + len(ns) == 4
+        ns = null_space_reference(m.planes, p, e)
+        assert linalg._eliminate(m.planes, p, e)[1].sum() + len(ns) == 4
         for v in ns:
             out = _mat_mul_planes(m.planes, v.reshape(e, 4, 1), p, mod)
             assert not np.asarray(out).any()
@@ -108,50 +110,13 @@ def test_null_space_vectors_annihilate(p, e):
 
 def test_rref_idempotent_and_pivots():
     m = FpMatrix.from_rows(2, 1, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    r1, piv1 = linalg.rref_planes(m.planes, 2, 1)
-    r2, piv2 = linalg.rref_planes(r1, 2, 1)
-    assert np.array_equal(r1, r2) and piv1 == piv2
-    assert len(piv1) == linalg.rank_planes(m.planes, 2, 1)
+    r1, piv1, _ = linalg._eliminate(m.planes, 2, 1)
+    r2, piv2, _ = linalg._eliminate(r1, 2, 1)
+    assert np.array_equal(r1, r2) and np.array_equal(piv1, piv2)
+    assert piv1.sum() == rank_reference(m.planes, 2, 1) == 2
 
 
 # -- columns where no lane has a pivot ----------------------------------
-
-
-def rref_reference(planes, p, e):
-    """Reduced row echelon form of one lane's (e, rows, cols) planes and its
-    pivot columns, by Gauss-Jordan in the plain-integer reference field."""
-    rows, cols = planes.shape[1:]
-    a = [[Elem(p, e, planes[:, i, j].tolist()) for j in range(cols)] for i in range(rows)]
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        k = next((i for i in range(r, rows) if not a[i][c].is_zero()), None)
-        if k is None:
-            continue
-        a[r], a[k] = a[k], a[r]
-        scale = a[r][c].inverse()
-        a[r] = [x * scale for x in a[r]]
-        for i in range(rows):
-            if i != r:
-                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    reduced = np.array([[[x.coords[k] for x in row] for row in a] for k in range(e)])
-    return reduced.reshape(planes.shape), pivots
-
-
-def null_space_reference(planes, p, e):
-    """One vector per non-pivot column f of the reference rref: 1 at f,
-    minus column f of the rref at the pivot columns."""
-    r_mat, pivots = rref_reference(planes, p, e)
-    cols = planes.shape[2]
-    out = []
-    for f in (c for c in range(cols) if c not in pivots):
-        v = np.zeros((e, cols), dtype=np.int64)
-        v[0, f] = 1
-        for i, c in enumerate(pivots):
-            v[:, c] = (-r_mat[:, i, f]) % p
-        out.append(v)
-    return np.array(out, dtype=np.int64).reshape(len(out), e, cols)
 
 
 def pivotless_stacks(p, e, st):
@@ -166,7 +131,7 @@ def pivotless_stacks(p, e, st):
     def full_rank(n):
         while True:
             m = draw(n, n)
-            if len(rref_reference(m, p, e)[1]) == n:
+            if rank_reference(m, p, e) == n:
                 return m
 
     n = 4
@@ -196,14 +161,18 @@ def test_pivotless_columns_match_the_reference(p, e):
         for lane, planes in enumerate(stack):
             ref, pivots = rref_reference(planes, p, e)
             assert np.array_equal(r_mat[lane], ref) and np.flatnonzero(pivot[lane]).tolist() == pivots, name
-            alone = linalg.rref_planes(planes, p, e)
-            assert np.array_equal(alone[0], ref) and alone[1] == pivots, name
-            assert np.array_equal(linalg.null_space_planes(planes, p, e),
-                                  null_space_reference(planes, p, e)), name
+            alone = linalg._eliminate(planes, p, e)
+            assert np.array_equal(alone[0], ref) and np.flatnonzero(alone[1]).tolist() == pivots, name
         if stack.shape[-1] != stack.shape[-2]:
             continue
         n = stack.shape[-1]
-        inverse, ok = linalg.inv_planes(stack, p, e)
+        ok = pivot.all(axis=-1)
+        if not ok.all():
+            with pytest.raises(ZeroDivisionError):
+                linalg.inv(FpMatrix._wrap(p, e, n, stack))
+        inverse = np.zeros_like(stack)
+        if ok.any():
+            inverse[ok] = linalg.inv(FpMatrix._wrap(p, e, n, stack[ok])).planes
         det = linalg.det_planes(stack, p, e)
         for lane, planes in enumerate(stack):
             m = FpMatrix(p, e, planes)

@@ -20,6 +20,7 @@ from ahspringer.groups import JordanType, jordan_nilpotent, nilradical_basis, p_
 from ahspringer.matrices import FpMatrix, _runs
 from ahspringer.parabolic import _support_mask, eps_p, in_nilradical
 from ahspringer.rng import stream
+from linalg_reference import rref_reference
 
 
 def compositions(total):
@@ -47,7 +48,7 @@ def span_basis(mats):
         return []
     p, e, n = mats[0].p, mats[0].e, mats[0].n
     stacked = np.stack([m.planes.reshape(e, n * n) for m in mats], axis=1)
-    r_mat, pivots = linalg.rref_planes(stacked, p, e)
+    r_mat, pivots = rref_reference(stacked, p, e)
     return [FpMatrix(p, e, r_mat[:, i, :].reshape(e, n, n)) for i in range(len(pivots))]
 
 
