@@ -198,22 +198,26 @@ def _cmd_verify(args) -> int:
     suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
     primes = tuple(int(s) for s in args.p.split(",") if s.strip())
     kinds = tuple(s.strip() for s in args.kinds.split(",") if s.strip())
-    cfg = SuiteConfig(
-        suites=suites,
-        primes=primes,
-        kinds=kinds,
-        max_dim=args.max_dim,
-        trials=args.trials,
-        seed=args.seed,
-        report_path=args.report,
-    )
-    if args.report:  # refuse it before any suite runs; append mode keeps an existing file
+    cfg = SuiteConfig(suites=suites, primes=primes, kinds=kinds, max_dim=args.max_dim,
+                      trials=args.trials, seed=args.seed)
+    fd = None
+    if args.report:  # opened before any suite runs, so a path that cannot be written costs no run
         try:
-            with open(args.report, "a", encoding="utf-8"):
-                pass
+            fd = os.open(args.report, os.O_WRONLY | os.O_CREAT, 0o666)
         except OSError as exc:
             raise ValueError(f"{args.report}: cannot write ({exc.strerror or exc})") from exc
-    report = run_suite(cfg)
+    try:
+        report = run_suite(cfg)
+        if fd is not None:
+            # rewritten in place, then cut to length: truncating to zero first
+            # would free and reallocate every block of the old report
+            with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+                fh.write(report.dumps())
+                fh.write("\n")
+                fh.truncate()
+    finally:
+        if fd is not None:
+            os.close(fd)
     skipped = False
     for record in report.suites:
         if record["cases"] == 0:

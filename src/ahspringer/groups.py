@@ -135,13 +135,16 @@ def nilpotent_order(x: FpMatrix):
 
 def unipotent_order_exponent(u: FpMatrix):
     """Least j with u^(p^j) = identity, per lane for a stack, by repeated
-    p-th powers; DomainError if u is not unipotent."""
+    p-th powers; DomainError if u is not unipotent.  That is exact in
+    characteristic p, where u^(p^j) - 1 = (u - 1)^(p^j): u is unipotent
+    exactly when u^(p^j) = identity at the first p^j >= n."""
     ident = FpMatrix.identity(u.p, u.e, u.n)
-    nilpotent_powers(u - ident, message="matrix is not unipotent")
     j = np.zeros(u.planes.shape[:-3], dtype=np.int64)
-    y = u
+    y, power = u, 1  # y = u^power, power = p^j
     while (open_ := ~y.lanes_equal(ident)).any():
-        y = y ** u.p
+        if power >= u.n:
+            raise DomainError("matrix is not unipotent")
+        y, power = y ** u.p, power * u.p
         j += open_
     return _per_lane(j)
 

@@ -164,14 +164,16 @@ class FpMatrix:
     def __pow__(self, k: int) -> "FpMatrix":
         if k < 0:
             raise ValueError("negative matrix powers are not supported")
-        result = FpMatrix.identity(self.p, self.e, self.n)
-        base = self
-        while k:
+        if k == 0:
+            return FpMatrix.identity(self.p, self.e, self.n)
+        result, base = None, self  # base = self^(2^i) at bit i of k
+        while True:
             if k & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base @ base
 
     def scale(self, s) -> "FpMatrix":
         """Multiply by a scalar: an int, or the coordinate tuple of an element."""

@@ -13,10 +13,9 @@ inputs of the failing cases only (a one-off check is one lane).
 from __future__ import annotations
 
 import json
-import os
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from math import factorial, gcd
 
 import numpy as np
@@ -31,6 +30,7 @@ from .expmaps import (
 )
 from .gf import _Frozen, check_prime, inverse_mod, scalar_to_json
 from .groups import (
+    KINDS,
     GroupSpec,
     JordanType,
     _nilpotent_draws,
@@ -52,16 +52,16 @@ from .series import _ah_integer_coeffs, ah_coeffs_mod_p, ah_inverse_coeffs, seri
 
 INTEGRALITY_DEGREE = 60
 NEGATIVE_CONTROL_CAP = 10_000
-LANE_BUDGET = 512  # the most lanes one stack of a lane-stacked suite holds
+LANE_BUDGET = 512  # the most lanes one stack of a lane-stacked suite holds (read by _stacks alone)
 
 
 class SuiteConfig(_Frozen):
-    __slots__ = ("suites", "primes", "kinds", "max_dim", "trials", "seed", "report_path")
+    __slots__ = ("suites", "primes", "kinds", "max_dim", "trials", "seed")
     _fields = __slots__
 
     def __init__(self, suites: tuple[str, ...], primes: tuple[int, ...] = (2, 3, 5, 7),
-                 kinds: tuple[str, ...] = ("GL", "SL", "SO", "Sp"), max_dim: int = 8,
-                 trials: int | None = None, seed: int = 0, report_path: str | None = None):
+                 kinds: tuple[str, ...] = KINDS, max_dim: int = 8,
+                 trials: int | None = None, seed: int = 0):
         if not suites:
             raise ValueError("no suites requested")
         unknown = [s for s in suites if s != "all" and s not in SUITES]
@@ -72,7 +72,7 @@ class SuiteConfig(_Frozen):
         if not primes:
             raise ValueError("at least one prime is required")
         for k in kinds:
-            if k not in ("GL", "SL", "SO", "Sp"):
+            if k not in KINDS:
                 raise ValueError(f"unknown group kind {k!r}")
         if not kinds:
             raise ValueError("at least one group kind is required")
@@ -86,7 +86,7 @@ class SuiteConfig(_Frozen):
             raise ValueError("trials must be >= 1")
         if all(k in ("SO", "Sp") for k in kinds) and all(p == 2 for p in primes):
             raise ValueError("SO/Sp with p = 2 violates the good-prime constraint")
-        self._freeze(suites, primes, kinds, max_dim, trials, seed, report_path)
+        self._freeze(suites, primes, kinds, max_dim, trials, seed)
 
     def resolved_suites(self) -> tuple[str, ...]:
         if "all" in self.suites:
@@ -164,22 +164,28 @@ def _trials(points, trials: int):
             yield p, spec, label, k
 
 
+def _stacks(items, weight: int = 1):
+    """Consecutive items in stacks of max(1, LANE_BUDGET // weight), an item
+    being a case (or a parabolic) of ``weight`` lanes: the one rule by
+    which a lane-stacked suite cuts its work."""
+    items, size = list(items), max(1, LANE_BUDGET // weight)
+    for lo in range(0, len(items), size):
+        yield items[lo:lo + size]
+
+
 def _nilpotents(cfg: SuiteConfig, lanes, e: int = 1, per_case: int = 1):
     """Seeded nilpotents of Lie(G) for lanes (p, spec, stream label, index):
     a lane's case seed is stream(cfg.seed, label, index).u64(), and its
     nilpotent is drawn from that seed by ``groups.nilpotent_lanes``.
 
-    The lanes of one p are yielded in order, in stacks of at most
-    LANE_BUDGET lanes (rounded down to whole cases of per_case lanes, and
-    at least one case), as (p, specs, case seeds, X); X pads each lane to
-    diag(X, 0) at the stack's largest n, so a check on the stack checks
-    every lane, and ``X.lane(i, specs[i].n)`` is lane i's own matrix.
+    The lanes of one p are yielded in order, in ``_stacks`` of whole cases
+    of per_case consecutive lanes, as (p, specs, case seeds, X); X pads each
+    lane to diag(X, 0) at the stack's largest n, so a check on the stack
+    checks every lane, and ``X.lane(i, specs[i].n)`` is lane i's own matrix.
     """
-    size = max(per_case, LANE_BUDGET - LANE_BUDGET % per_case)
     for p, group in groupby(lanes, key=lambda lane: lane[0]):
-        group = list(group)
-        for lo in range(0, len(group), size):
-            _, specs, labels, indices = zip(*group[lo:lo + size])
+        for stack in _stacks(zip(*[group] * per_case), per_case):
+            _, specs, labels, indices = zip(*chain.from_iterable(stack))
             seeds = u64_lanes(stream_lanes(cfg.seed, labels, np.array(indices)))
             yield p, specs, seeds, nilpotent_lanes(specs, p, e, seeds)
 
@@ -333,52 +339,47 @@ def _find_truncation_counterexample(seed: int):
 
 
 def suite_eps_parabolic(cfg: SuiteConfig, rec: Recorder) -> None:
-    """Each property runs on stacks, one lane per (parabolic, trial).  A
-    group of parabolics holds as many as fit in LANE_BUDGET lanes, those of
-    one p (and of one n when one group cannot hold them all), each lane
-    padded to the largest n and its witnesses cropped to its own; a group
-    of several is recorded as one verdict array, parabolic by parabolic,
-    property by property, with the samples of its failing cases as
-    witnesses.  A parabolic whose trials do not fit runs alone, each
-    property in chunks of LANE_BUDGET trials recorded as they finish, so
-    memory does not grow with the trials."""
+    """Each property runs on stacks, one lane per (parabolic, trial), each
+    lane padded to the largest n and its witnesses cropped to its own.  The
+    parabolics of one p are cut into ``_stacks`` of parabolics of ``trials``
+    lanes, those of each n apart when they do not all fit one stack.  A
+    stack's cases are recorded parabolic by parabolic, property by
+    property, with the samples of its failing cases as witnesses: those of
+    parabolic 0 as each chunk of trials finishes, so a lone parabolic's
+    memory does not grow with the trials, and the other parabolics' rows
+    after the last property."""
     from .compositions import ParabolicGL, restricted_compositions
     trials = cfg.trials_or(100)
-    step = max(1, LANE_BUDGET // trials)
     for p in cfg.primes:
         if p > 5:
             continue
         checks = [(prop, fn) for prop, fn in _EPS_CHECKS.items() if p >= 3 or prop != "dynkin"]
         by_n = [[ParabolicGL(comp, p) for comp in restricted_compositions(n, p)]
                 for n in range(2, min(6, cfg.max_dim) + 1)]
-        blocks = by_n if sum(map(len, by_n)) > step else [sum(by_n, [])]
-        for group in (block[i:i + step] for block in blocks for i in range(0, len(block), step)):
-            runs = [_eps_chunks(cfg, group, prop, 1 if prop == "tangent" else trials, fn)
-                    for prop, fn in checks]
+        stacks = list(_stacks(chain.from_iterable(by_n), trials))
+        if len(stacks) > 1:  # they do not all fit one stack: those of each n apart
+            stacks = [stack for block in by_n for stack in _stacks(block, trials)]
+        for group in stacks:
+            def witness(i, inputs, width):  # parabolic i's case k is lane i * width + k
+                return lambda k: dict(p=p, comp=list(group[i].comp.blocks), **{
+                    name: v.lane(i * width + k, group[i].n) for name, v in inputs.items()})
 
-            def witness(i, inputs, width, k):  # parabolic i's case k, at lane i * width + k
-                return dict(p=p, comp=list(group[i].comp.blocks),
-                            **{name: v.lane(i * width + k, group[i].n) for name, v in inputs.items()})
-
-            if len(group) == 1:
-                for ok, inputs in (chunk for chunks in runs for chunk in chunks):
-                    rec.check_lanes(ok, lambda k: witness(0, inputs, 0, k))
-                continue
-            # one chunk per property, of (parabolic, trial) lanes; column j of
-            # the verdicts (parabolic, property and trial) is cols[j]
-            results = [next(chunks) for chunks in runs]
-            cols = [(inputs, len(ok) // len(group), k) for ok, inputs in results
-                    for k in range(len(ok) // len(group))]
-            ok = np.concatenate([ok.reshape(len(group), -1) for ok, _ in results], axis=1)
-            rec.check_lanes(ok, lambda k: witness(k // len(cols), *cols[k % len(cols)]))
+            later = [[] for _ in group[1:]]  # parabolic i's (verdicts, witness) per chunk
+            for prop, fn in checks:
+                for ok, inputs in _eps_chunks(cfg, group, prop, 1 if prop == "tangent" else trials, fn):
+                    rows = ok.reshape(len(group), -1)
+                    rec.check_lanes(rows[0], witness(0, inputs, rows.shape[1]))
+                    for i, row in enumerate(rows[1:], 1):
+                        later[i - 1].append((row, witness(i, inputs, rows.shape[1])))
+            for row, wit in chain.from_iterable(later):
+                rec.check_lanes(row, wit)
 
 
 def _eps_chunks(cfg: SuiteConfig, pars: list, prop: str, count: int, check):
-    """check on the lanes (par, k) for each par and k < count, in chunks of
-    at most LANE_BUDGET trials; lane (par, k) draws its case seed from
+    """check on the lanes (par, k) for each par and k < count, in ``_stacks``
+    of trials; lane (par, k) draws its case seed from
     stream(seed, "eps-parabolic/<p>/<blocks>/<prop>", k)."""
-    for lo in range(0, count, LANE_BUDGET):
-        ks = np.arange(lo, min(count, lo + LANE_BUDGET))
+    for ks in map(np.array, _stacks(range(count))):
         names = [name for par in pars
                  for name in [f"eps-parabolic/{par.p}/{','.join(map(str, par.comp.blocks))}/{prop}"] * len(ks)]
         seeds = u64_lanes(stream_lanes(cfg.seed, names, np.tile(ks, len(pars))))
@@ -512,9 +513,9 @@ def _p_nilpotent_type(n: int, p: int) -> JordanType:
 
 def suite_one_parameter(cfg: SuiteConfig, rec: Recorder) -> None:
     """Case k draws X from the seed stream(seed, "one-parameter/<p>/<e>", k).u64().
-    The cases run in stacks of whole cases, at most LANE_BUDGET products
-    e_p(sX) e_p(tX) (and at least one case) each: e_p is evaluated once
-    on every lane (case, s) and the products in one batch."""
+    The cases run in ``_stacks`` of cases of p^(2e) products e_p(sX) e_p(tX)
+    each: e_p is evaluated once on every lane (case, s) and the products in
+    one batch."""
     for p in cfg.primes:
         if p > 5:
             continue
@@ -531,9 +532,8 @@ def suite_one_parameter(cfg: SuiteConfig, rec: Recorder) -> None:
             unit = scalars.index((1,) + (0,) * (e - 1))  # e_p(1 X) = e_p(X)
             # a case's verdicts: e_p(X) = exp(X), then each product (s, t)
             inputs = [{}] + [{"s": s, "t": t} for s, t in product(scalars, repeat=2)]
-            step = max(1, LANE_BUDGET // len(scalars) ** 2)
-            for lo in range(0, trials, step):
-                seeds = u64_lanes(stream_lanes(cfg.seed, label, np.arange(lo, min(trials, lo + step))))
+            for ks in _stacks(range(trials), len(scalars) ** 2):
+                seeds = u64_lanes(stream_lanes(cfg.seed, label, np.array(ks)))
                 x = jordan_nilpotent_lanes(spec, jtype, p, e, seeds)
                 sx = FpMatrix._wrap(p, e, n, np.stack([x.scale(s).planes for s in scalars], axis=1))
                 exps = ah_exp(sx).planes
@@ -626,18 +626,5 @@ def run_suite(cfg: SuiteConfig) -> Report:
         rec = Recorder(name, anchor)
         fn(cfg, rec)
         records.append(rec.to_json())
-    report = Report(
-        version=1,
-        config=cfg.to_json(),
-        suites=records,
-        generated_at=datetime.now(timezone.utc).isoformat(),
-    )
-    if cfg.report_path:
-        # rewritten in place, then cut to length: truncating to zero first
-        # would free and reallocate every block of the old report
-        fd = os.open(cfg.report_path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(report.dumps())
-            fh.write("\n")
-            fh.truncate()
-    return report
+    return Report(version=1, config=cfg.to_json(), suites=records,
+                  generated_at=datetime.now(timezone.utc).isoformat())

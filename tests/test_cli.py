@@ -3,11 +3,13 @@
 import contextlib
 import io
 import json
+import os
 import time
 
 import numpy as np
 import pytest
 
+from ahspringer import suites
 from ahspringer.cli import _build_parser, main
 from ahspringer.groups import JordanType, jordan_nilpotent
 from ahspringer.matrices import FpMatrix
@@ -300,6 +302,72 @@ def test_verify_report_replaces_an_existing_file(tmp_path, capsys):
                          "--report", str(report_path))
     assert code == 0
     assert json.loads(report_path.read_text())["config"]["suites"] == ["witt-hom"]
+
+
+def recorded_reports(monkeypatch, before=lambda: None):
+    """The reports run_suite returns to the CLI; before() runs ahead of each run."""
+    reports, run_suite = [], suites.run_suite
+
+    def recording(cfg):
+        before()
+        reports.append(run_suite(cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(suites, "run_suite", recording)
+    return reports
+
+
+def test_report_rewrites_a_longer_file_in_place(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "report.json"
+    path.write_text("x" * 100_000)
+    reports = recorded_reports(monkeypatch)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "witt-hom", "--p", "2", "--seed", "1",
+                         "--report", str(path))
+    assert code == 0
+    assert path.read_bytes() == (reports[0].dumps() + "\n").encode()  # no stale tail
+
+
+def test_report_written_to_path(tmp_path, capsys, monkeypatch):
+    # the CLI creates the file before any suite runs, then writes the report
+    path, control = tmp_path / "report.json", tmp_path / "control.json"
+
+    def created_empty():
+        assert path.read_bytes() == b""
+
+    reports = recorded_reports(monkeypatch, created_empty)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "witt-hom", "--p", "2", "--seed", "1",
+                           "--report", str(path))
+    assert code == 0 and out.endswith(f"report written to {path}\n")
+    assert path.read_bytes() == (reports[0].dumps() + "\n").encode()
+    control.write_text("")  # the permissions open(path, "w") gives a new file
+    assert path.stat().st_mode == control.stat().st_mode
+    obj = json.loads(path.read_text())
+    assert obj["version"] == 1
+    assert obj["suites"][0]["name"] == "witt-hom"
+    assert "generated_at" in obj
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_report_descriptor_is_closed_on_every_path(tmp_path, capsys, monkeypatch, fails):
+    opened, os_open = [], os.open
+
+    def recording_open(*args):
+        opened.append(os_open(*args))
+        return opened[-1]
+
+    def failing():
+        if fails:
+            raise RuntimeError("a suite raised")
+
+    recorded_reports(monkeypatch, failing)
+    monkeypatch.setattr(os, "open", recording_open)
+    argv = ["verify", "--suite", "witt-hom", "--p", "2", "--report", str(tmp_path / "r.json")]
+    with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
+        assert main(argv) == 0
+    monkeypatch.undo()
+    assert len(opened) == 1
+    with pytest.raises(OSError):
+        os.fstat(opened[0])
 
 
 def test_verify_unknown_suite_exits_2(capsys):

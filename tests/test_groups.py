@@ -153,6 +153,28 @@ class TestNilpotentOrder:
         with pytest.raises(DomainError):
             unipotent_order_exponent(j)
 
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 1), (5, 1)])
+    def test_unipotent_order_on_every_matrix(self, p, n):
+        # a unipotent u gets the least j with u^(p^j) = 1; any other matrix
+        # raises, decided by the power walk of u - 1 in the reference
+        ident = FpMatrix.identity(p, 1, n)
+        for entries in product(range(p), repeat=n * n):
+            u = FpMatrix._wrap(p, 1, n, np.array(entries).reshape(1, n, n))
+            try:
+                nilpotent_powers(u - ident)
+            except DomainError:
+                with pytest.raises(DomainError, match="^matrix is not unipotent$"):
+                    unipotent_order_exponent(u)
+                continue
+            j = unipotent_order_exponent(u)
+            assert u ** (p ** j) == ident and (j == 0 or u ** (p ** (j - 1)) != ident)
+
+    def test_one_non_unipotent_lane_raises(self):
+        u = FpMatrix._wrap(3, 1, 2, np.array([[[[1, 1], [0, 1]]], [[[1, 0], [0, 2]]]]))
+        assert unipotent_order_exponent(u.lane([0])).tolist() == [1]
+        with pytest.raises(DomainError, match="^matrix is not unipotent$"):
+            unipotent_order_exponent(u)
+
 
 class TestMembership:
     def test_identity_in_every_group(self):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ahspringer import matrices
 from ahspringer.matrices import FpMatrix, load_matrix
 from ahspringer.rng import stream
 from field_reference import Elem, elements
@@ -77,6 +78,22 @@ def test_pow_and_identity():
     assert a ** 3 == a @ a @ a
     with pytest.raises(ValueError):
         a ** -1
+
+
+@pytest.mark.parametrize("k,products", [(0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (25, 6)])
+def test_pow_squares_once_per_bit_below_the_top(monkeypatch, k, products):
+    # x^k by squaring: one stacked product per squaring up to the top bit
+    # of k, one per further set bit, none with the identity
+    planes = np.random.default_rng(k).integers(0, 3, size=(4, 2, 3, 3))
+    x = FpMatrix._wrap(3, 2, 3, planes)
+    want = FpMatrix.identity(3, 2, 3)
+    for _ in range(k):
+        want = want @ x
+    counted, mat_mul = [], matrices._mat_mul_planes
+    monkeypatch.setattr(matrices, "_mat_mul_planes", lambda *args: counted.append(1) or mat_mul(*args))
+    got = x ** k
+    assert len(counted) == products
+    assert got.lanes_equal(want).all() and got.planes.shape == want.planes.shape
 
 
 def test_trace():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ahspringer import suites, witt
+from ahspringer import groups, suites, witt
 from ahspringer.expmaps import ah_exp
 from ahspringer.groups import GroupSpec, centralizer_space, nilpotent_lanes
 from ahspringer.matrices import FpMatrix
@@ -50,15 +50,16 @@ def test_config_value_contract():
     # what the frozen dataclass gave: equality and hash by the fields, no
     # assignment, a field-by-field repr, and the messages of its validation
     cfg = SuiteConfig(suites=("witt-group",), primes=(2, 3), seed=7)
-    fields = (("witt-group",), (2, 3), ("GL", "SL", "SO", "Sp"), 8, None, 7, None)
+    fields = (("witt-group",), (2, 3), ("GL", "SL", "SO", "Sp"), 8, None, 7)
     assert cfg == SuiteConfig(("witt-group",), (2, 3), seed=7) and hash(cfg) == hash(fields)
     assert {cfg: 1}[SuiteConfig(*fields)] == 1
     assert cfg != SuiteConfig(suites=("witt-group",), primes=(2, 3), seed=8) and cfg != fields
-    for name in ("suites", "primes", "kinds", "max_dim", "trials", "seed", "report_path", "other"):
+    for name in ("suites", "primes", "kinds", "max_dim", "trials", "seed", "other"):
         with pytest.raises(AttributeError):
             setattr(cfg, name, 0)
     assert repr(cfg) == ("SuiteConfig(suites=('witt-group',), primes=(2, 3), kinds=('GL', 'SL', 'SO', 'Sp'), "
-                         "max_dim=8, trials=None, seed=7, report_path=None)")
+                         "max_dim=8, trials=None, seed=7)")
+    assert cfg.kinds is groups.KINDS  # the one list of group kinds
     for kwargs, message in (
         (dict(suites=()), "no suites requested"),
         (dict(suites=("bad", "witt-hom", "worse")), "unknown suite(s): bad, worse"),
@@ -160,27 +161,6 @@ def test_trials_override_shrinks_case_counts():
     n_small = run_suite(small).suites[0]["cases"]
     n_big = run_suite(big).suites[0]["cases"]
     assert n_big == 2 * n_small
-
-
-def test_report_rewrites_a_longer_file_in_place(tmp_path):
-    path = tmp_path / "report.json"
-    path.write_text("x" * 100_000)
-    report = run_suite(SuiteConfig(suites=("witt-hom",), primes=(2,), seed=1, report_path=str(path)))
-    assert path.read_text(encoding="utf-8") == report.dumps() + "\n"  # no stale tail
-
-
-def test_report_written_to_path(tmp_path):
-    # a missing file is created by run_suite itself, without the CLI's check
-    path, control = tmp_path / "report.json", tmp_path / "control.json"
-    cfg = SuiteConfig(suites=("witt-hom",), primes=(2,), seed=1, report_path=str(path))
-    report = run_suite(cfg)
-    assert path.read_text(encoding="utf-8") == report.dumps() + "\n"
-    control.write_text("")  # the permissions open(path, "w") gives a new file
-    assert path.stat().st_mode == control.stat().st_mode
-    obj = json.loads(path.read_text())
-    assert obj["version"] == 1
-    assert obj["suites"][0]["name"] == "witt-hom"
-    assert "generated_at" in obj
 
 
 def test_witnesses_serialize_complete_inputs(monkeypatch):
@@ -286,6 +266,36 @@ def test_eps_parabolic_work_is_pinned(monkeypatch):
     assert len(eliminated) == 15
     assert min(shape[-2] for shape in eliminated) >= 4  # 1 x 1 to 3 x 3 blocks in closed form
     assert len(starts) == len(set(starts)) > 0
+
+
+def test_only_stacks_reads_the_lane_budget_and_no_file_is_opened():
+    # one stack rule: every read of LANE_BUDGET lies in _stacks; and the
+    # suites build a report, the CLI writes it: no os, io or open here
+    tree = ast.parse(Path(suites.__file__).read_text())
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and node.id == "LANE_BUDGET" and isinstance(node.ctx, ast.Load)]
+    in_stacks = {node for top in tree.body if getattr(top, "name", None) == "_stacks"
+                 for node in ast.walk(top)}
+    assert reads and all(node in in_stacks for node in reads)
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"os", "io", "pathlib", "shutil", "tempfile"}
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in ("open", "os")
+                or isinstance(node, ast.Attribute) and node.attr == "open"]
+    assert "report_path" not in SuiteConfig.__slots__
+
+
+@pytest.mark.parametrize("weight", [1, 2, 3, 16, 511, 512, 513, 10_000])
+def test_stacks_cut_consecutive_items_by_weight(monkeypatch, weight):
+    items = list(range(1000))
+    stacks = list(suites._stacks(iter(items), weight))
+    assert [item for stack in stacks for item in stack] == items
+    size = max(1, suites.LANE_BUDGET // weight)
+    assert [len(stack) for stack in stacks] == [min(size, 1000 - lo) for lo in range(0, 1000, size)]
+    monkeypatch.setattr(suites, "LANE_BUDGET", 3)
+    assert [len(stack) for stack in suites._stacks(items[:7], weight)] == ([3, 3, 1] if weight == 1 else [1] * 7)
+    assert list(suites._stacks([], weight)) == []
 
 
 def test_every_suite_records_through_check_lanes_alone():
